@@ -31,6 +31,7 @@ from .game import DISTRIBUTION_KINDS, DistributionSpec, generate_game, load_game
 from .solvers import (
     AnnealSchedule,
     BRUTE_MAX_VARIABLES,
+    SA_MAX_VARIABLES,
     SolveReport,
     default_schedule,
     solve_dp,
@@ -167,12 +168,19 @@ def read_qubo_text(path) -> QuboInstance:
             if fields[0] == "n":
                 if len(fields) != 2:
                     raise ParseError(f"{path}:{lineno}: malformed size line {line!r}")
+                if m is not None:
+                    raise ParseError(f"{path}:{lineno}: second `n <m>` line")
                 try:
                     m = int(fields[1])
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: bad size {fields[1]!r}") from None
                 if m < 1:
                     raise ParseError(f"{path}:{lineno}: size must be >= 1, got {m}")
+                if m > SA_MAX_VARIABLES:
+                    raise ResourceLimitError(
+                        f"{path}:{lineno}: no solver accepts more than {SA_MAX_VARIABLES}"
+                        f" variables, got {m}"
+                    )
                 diag = [0.0] * m
                 continue
             if m is None:

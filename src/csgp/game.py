@@ -109,14 +109,22 @@ class CoalitionGame:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise SchemaError(f"agent count must be an integer >= 1, got {self.n!r}")
-        expected = set(range(1, n_coalitions(self.n) + 1))
-        keys = set(self.values)
-        if keys != expected:
-            missing = sorted(expected - keys)[:5]
-            extra = sorted(keys - expected)[:5]
+        # Count first, then each key's range: a small map claiming a huge n
+        # fails before anything of size 2^n is built.  Distinct in-range keys,
+        # as many as there are coalitions, cover them exactly.
+        full = n_coalitions(self.n)
+        if len(self.values) != full:
             raise SchemaError(
-                f"value map must cover coalition indices 1..{n_coalitions(self.n)} exactly"
-                f" (missing {missing}, unexpected {extra})"
+                f"value map must cover coalition indices 1..{full} exactly"
+                f" (got {len(self.values)} values for n={self.n})"
+            )
+        extra = [
+            k for k in self.values if not (isinstance(k, (int, np.integer)) and 1 <= k <= full)
+        ]
+        if extra:
+            raise SchemaError(
+                f"value map must cover coalition indices 1..{full} exactly"
+                f" (unexpected {extra[:5]})"
             )
         clean = {}
         for key in sorted(self.values):

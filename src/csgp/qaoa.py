@@ -1,5 +1,11 @@
-"""Gate-exact QAOA on the coalition Ising model: circuit build, state-vector
-simulation, sampling, and classical angle optimization.
+"""QAOA on the coalition Ising model: circuit build, state-vector simulation,
+sampling, and classical angle optimization.
+
+The optimizer evaluates angles with a diagonal-phase kernel: each cost layer
+is one elementwise multiply by exp(-i*gamma*E) over the energy table, each
+mixer layer one RX(2*beta) per qubit.  The gate list from build_circuit,
+replayed by simulate, is the gate-exact reference the kernel is tested
+against and the source of gate counts; the optimizer never builds it.
 
 Conventions, fixed once here and relied on by the tests:
 
@@ -81,6 +87,13 @@ class CircuitDescription:
         return "\n".join(lines) + "\n"
 
 
+def _check_qubits(m: int) -> None:
+    if m > SIMULATOR_MAX_QUBITS:
+        raise ResourceLimitError(
+            f"simulator is limited to {SIMULATOR_MAX_QUBITS} qubits, got {m}"
+        )
+
+
 def build_circuit(ising: IsingInstance, params: QaoaParams) -> CircuitDescription:
     """Assemble the ansatz: H wall, then p layers of cost phases and mixer.
 
@@ -89,10 +102,7 @@ def build_circuit(ising: IsingInstance, params: QaoaParams) -> CircuitDescriptio
     / CNOT(i,k) sandwich.  Mixer layer applies RX(2*beta_j) on every qubit.
     """
     m = ising.m
-    if m > SIMULATOR_MAX_QUBITS:
-        raise ResourceLimitError(
-            f"simulator is limited to {SIMULATOR_MAX_QUBITS} qubits, got {m}"
-        )
+    _check_qubits(m)
     interactions = sorted(ising.J)
     gates: list[tuple] = [("H", q) for q in range(m)]
     for layer in range(params.p):
@@ -164,6 +174,7 @@ def simulate(circuit: CircuitDescription) -> np.ndarray:
 def energy_table(ising: IsingInstance) -> np.ndarray:
     """Ising energy of every basis state, indexed by basis-state integer."""
     m = ising.m
+    _check_qubits(m)
     idx = np.arange(1 << m, dtype=np.int64)
     z = 1.0 - 2.0 * ((idx[:, None] >> np.arange(m)) & 1)
     table = z @ np.asarray(ising.h)
@@ -258,11 +269,25 @@ class QaoaResult:
         return doc
 
 
-def _objective(ising: IsingInstance, p: int, table: np.ndarray):
+def _qaoa_state(m: int, table: np.ndarray, betas, gammas) -> np.ndarray:
+    """Ansatz state from the uniform superposition, one phase multiply per cost layer.
+
+    Equals simulate(build_circuit(...)) amplitude by amplitude, not just up
+    to a global phase: the table excludes the Ising offset, as the gates do.
+    """
+    state = np.full(1 << m, 1.0 / math.sqrt(1 << m), dtype=np.complex128)
+    for beta, gamma in zip(betas, gammas):
+        state *= np.exp(-1j * gamma * table)
+        cos, sin = math.cos(beta), math.sin(beta)
+        rx = np.array([[cos, -1j * sin], [-1j * sin, cos]], dtype=np.complex128)
+        for q in range(m):
+            _apply_one_qubit(state, m, q, rx)
+    return state
+
+
+def _objective(m: int, p: int, table: np.ndarray):
     def f(theta: np.ndarray) -> float:
-        params = QaoaParams(p=p, betas=tuple(theta[:p]), gammas=tuple(theta[p:]))
-        state = simulate(build_circuit(ising, params))
-        probs = np.abs(state) ** 2
+        probs = np.abs(_qaoa_state(m, table, theta[:p], theta[p:])) ** 2
         return float(probs @ table)
 
     return f
@@ -277,10 +302,11 @@ def optimize(
 ) -> QaoaResult:
     """Multi-start derivative-free search over the 2p angles.
 
-    The objective is the analytic expectation (no shot noise); the
-    1024-shot sample is drawn once, at the best angles found.  Starts are
-    drawn uniformly from beta in [0, pi), gamma in [0, 2*pi).  Runs that
-    hit the iteration cap are kept and flagged via metadata["converged"].
+    The objective is the analytic expectation (no shot noise) of the
+    _qaoa_state kernel; the 1024-shot sample is drawn once, from the same
+    kernel at the best angles found.  Starts are drawn uniformly from beta
+    in [0, pi), gamma in [0, 2*pi).  Runs that hit the iteration cap are
+    kept and flagged via metadata["converged"].
     """
     if p < 1:
         raise ConfigError(f"layer count must be >= 1, got {p}")
@@ -288,7 +314,7 @@ def optimize(
         config = OptimizerConfig()
     start = time.perf_counter()
     table = energy_table(ising)
-    fun = _objective(ising, p, table)
+    fun = _objective(ising.m, p, table)
 
     start_seq, sample_seq = np.random.SeedSequence(seed).spawn(2)
     start_rng = np.random.default_rng(start_seq)
@@ -327,7 +353,7 @@ def optimize(
 
     fbest, theta, converged, trace, start_index = best
     params = QaoaParams(p=p, betas=tuple(theta[:p]), gammas=tuple(theta[p:]))
-    state = simulate(build_circuit(ising, params))
+    state = _qaoa_state(ising.m, table, params.betas, params.gammas)
     sample_seed = int(sample_seq.generate_state(1)[0])
     counts = sample(state, shots, sample_seed)
 

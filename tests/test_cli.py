@@ -12,7 +12,7 @@ import pytest
 
 from csgp.analysis import CSV_HEADER
 from csgp.cli import main, read_qubo_text
-from csgp.errors import ParseError
+from csgp.errors import ParseError, ResourceLimitError
 from csgp.game import load_game
 from csgp.solvers import solve_dp
 from csgp.transform import build_bilp, build_qubo, qubo_to_ising
@@ -211,6 +211,25 @@ def test_generation_guard_exit_code(tmp_path, capsys, monkeypatch):
     assert stderr_error(err)["kind"] == "ResourceLimitError"
 
 
+def test_qaoa_simulator_guard_exit_code(tmp_path, capsys, monkeypatch):
+    # n = 5 gives 31 qubits; the guard must fire before the 2^31 energy table.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        capsys, "solve", "--agents", "5", "--dist", "normal", "--method", "qaoa"
+    )
+    assert code == 3 and out == ""
+    assert stderr_error(err)["kind"] == "ResourceLimitError"
+
+
+def test_oversized_game_file_exit_code(tmp_path, capsys):
+    # A tiny file claiming 34 agents is refused before 2^34 indices are built.
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 34, "values": {"1": 1.0}}')
+    code, _, err = run_cli(capsys, "solve", str(path), "--method", "dp")
+    assert code == 2
+    assert stderr_error(err)["kind"] == "SchemaError"
+
+
 def test_malformed_game_file_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ this is not json")
@@ -312,6 +331,20 @@ def test_read_qubo_text_rejects_duplicates_and_garbage(tmp_path):
     bad.write_text("n 2\n0 5 1.0\n")
     with pytest.raises(ParseError):
         read_qubo_text(bad)
+
+
+def test_read_qubo_text_rejects_second_size_line(tmp_path):
+    path = tmp_path / "twice.qubo.txt"
+    path.write_text("n 2\n0 0 -3.0\nn 2\n1 1 -4.0\n")
+    with pytest.raises(ParseError, match="second"):
+        read_qubo_text(path)
+
+
+def test_read_qubo_text_refuses_oversized_size_line(tmp_path):
+    path = tmp_path / "huge.qubo.txt"
+    path.write_text("n 1000000000000\n")
+    with pytest.raises(ResourceLimitError):
+        read_qubo_text(path)
 
 
 # ------------------------------------------------------------------- analyze

@@ -55,6 +55,14 @@ def test_game_requires_complete_value_map():
         CoalitionGame(n=2, values={1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0})
     with pytest.raises(SchemaError):
         CoalitionGame(n=2, values={1: 1.0, 2: math.nan, 3: 3.0})
+    with pytest.raises(SchemaError):
+        CoalitionGame(n=2, values={1: 1.0, 2: 2.0, 4: 3.0})
+
+
+def test_game_size_is_checked_before_indices_are_built():
+    # 2^34 - 1 coalitions: any structure of that size would exhaust memory.
+    with pytest.raises(SchemaError):
+        CoalitionGame(n=34, values={1: 1.0})
 
 
 def test_distribution_spec_normalizes_and_validates():

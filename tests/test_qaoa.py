@@ -8,17 +8,20 @@ ansatz can be rebuilt with elementwise phases and Kronecker products.
 
 import json
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
 
+import csgp.qaoa as qaoa_module
 from csgp.errors import ConfigError, ResourceLimitError
 from csgp.game import CoalitionGame
 from csgp.qaoa import (
     CircuitDescription,
     OptimizerConfig,
     QaoaParams,
+    _qaoa_state,
     assignment_index,
     assignment_string,
     build_circuit,
@@ -122,6 +125,20 @@ def test_simulator_qubit_guard():
         build_circuit(big, QaoaParams(p=1, betas=(0.1,), gammas=(0.2,)))
 
 
+def test_guard_fires_before_the_energy_table_is_built():
+    big = IsingInstance(m=21, h=(0.0,) * 21, J={}, offset=0.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            energy_table(big)
+        with pytest.raises(ResourceLimitError):
+            optimize(big, p=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_to_text_round_trips_angles(g2):
     _, _, ising = _g2_chain(g2)
     circ = build_circuit(ising, QaoaParams(p=1, betas=(0.3,), gammas=(0.7,)))
@@ -194,6 +211,20 @@ def test_gate_sequence_matches_analytic_on_random_instance():
     got = simulate(build_circuit(ising, params))
     want = _analytic_state(ising, params)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_phase_kernel_matches_gate_simulator(n, p):
+    # The optimizer's kernel against the gate-exact reference at m = 3, 7, 15.
+    _, _, ising = _chain_for(n)
+    rng = np.random.default_rng(100 * n + p)
+    betas = rng.uniform(0, math.pi, p)
+    gammas = rng.uniform(0, 2 * math.pi, p)
+    got = _qaoa_state(ising.m, energy_table(ising), betas, gammas)
+    want = simulate(build_circuit(ising, QaoaParams(p=p, betas=betas, gammas=gammas)))
+    assert np.max(np.abs(got - want)) < 1e-10
+    assert abs(np.linalg.norm(got) - 1.0) < 1e-10
 
 
 # ------------------------------------------------------- energies and readout
@@ -324,6 +355,17 @@ def test_optimizer_reaches_concentrating_basin(g2):
     assert result.expectation < -8.0
     probs = np.abs(simulate(build_circuit(ising, result.best_params))) ** 2
     assert probs[3] > 0.5
+
+
+def test_optimize_never_builds_or_replays_a_circuit(g2, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("optimize must evaluate angles with the phase kernel")
+
+    _, _, ising = _g2_chain(g2)
+    monkeypatch.setattr(qaoa_module, "build_circuit", refuse)
+    monkeypatch.setattr(qaoa_module, "simulate", refuse)
+    result = optimize(ising, p=2, config=OptimizerConfig(starts=2, maxiter=50), seed=0)
+    assert sum(result.counts.values()) == 1024
 
 
 def test_optimize_is_deterministic(g2):
