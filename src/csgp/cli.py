@@ -51,6 +51,12 @@ from .transform import (
 QUBO_METHODS = ("qubo-brute", "sa", "qaoa")
 METHODS = ("enum", "dp") + QUBO_METHODS
 EXPORT_FORMATS = ("qubo-json", "qubo-text", "ising-json")
+# Largest QUBO each QUBO method accepts, checked before the O(m^2) coupling build.
+VARIABLE_LIMITS = {
+    "qubo-brute": BRUTE_MAX_VARIABLES,
+    "sa": SA_MAX_VARIABLES,
+    "qaoa": qaoa.SIMULATOR_MAX_QUBITS,
+}
 
 
 def _parse_agent_spec(text: str) -> list[int]:
@@ -220,16 +226,21 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _build_chain(game, args) -> tuple[BilpInstance, QuboInstance]:
+def _build_chain(game, args, method: str | None = None) -> tuple[BilpInstance, QuboInstance]:
     exclude = frozenset(_parse_int_list(args.exclude, "exclusion")) if args.exclude else frozenset()
     bilp = build_bilp(game, exclude)
+    limit = VARIABLE_LIMITS.get(method)
+    if limit is not None and bilp.num_variables > limit:
+        raise ResourceLimitError(
+            f"{method} is limited to {limit} QUBO variables, got {bilp.num_variables}"
+        )
     qubo = build_qubo(bilp, args.lam)
     return bilp, qubo
 
 
 def _solve_qaoa(game, args) -> SolveReport:
     start = time.perf_counter()
-    bilp, qubo = _build_chain(game, args)
+    bilp, qubo = _build_chain(game, args, "qaoa")
     ising = qubo_to_ising(qubo)
 
     target = None
@@ -298,7 +309,7 @@ def _solve_qaoa(game, args) -> SolveReport:
 
 
 def _solve_sa(game, args) -> SolveReport:
-    bilp, qubo = _build_chain(game, args)
+    bilp, qubo = _build_chain(game, args, "sa")
     schedule = default_schedule(bilp, seed=args.seed)
     overrides = {}
     if args.sweeps is not None:
@@ -328,7 +339,7 @@ def _run_method(method: str, game, args) -> SolveReport:
     if method == "dp":
         return solve_dp(game)
     if method == "qubo-brute":
-        bilp, qubo = _build_chain(game, args)
+        bilp, qubo = _build_chain(game, args, method)
         return solve_qubo_exhaustive(bilp, qubo)
     if method == "sa":
         return _solve_sa(game, args)

@@ -209,13 +209,13 @@ def _report_from_assignment(method, bilp, qubo, decoded, energy, metadata, elaps
 
 def solve_qubo_exhaustive(bilp: BilpInstance, qubo: QuboInstance | None = None) -> SolveReport:
     """Exact QUBO minimization by scanning all 2^m assignments in chunks."""
-    if qubo is None:
-        qubo = build_qubo(bilp)
-    m = qubo.m
+    m = bilp.num_variables if qubo is None else qubo.m
     if m > BRUTE_MAX_VARIABLES:
         raise ResourceLimitError(
             f"exhaustive QUBO scan is limited to {BRUTE_MAX_VARIABLES} variables, got {m}"
         )
+    if qubo is None:
+        qubo = build_qubo(bilp)
     start = time.perf_counter()
     diag = np.asarray(qubo.diag)
     pairs = list(qubo.offdiag.items())
@@ -299,17 +299,29 @@ def solve_qubo_sa(
 
     Each restart r runs its own PCG64 stream seeded with seed + r.  The
     local field g[i] (energy change contribution of variable i) is kept
-    incrementally, so one sweep costs O(m + accepted-flip degrees).
+    incrementally.  Sweep t visits variables 0..m-1 in order and flips
+    variable k when delta <= 0 or u[t, k] < exp(-delta / T_t).
+
+    A rejected attempt changes nothing, so the sweep is screened in
+    numpy.  The draws of a block of sweeps (about 2048 attempts) are
+    turned into upper bounds, loose by 1e-9, on the deltas the test can
+    accept, and one vectorised pass over the rest of the block finds the
+    next attempt within its bound.  The exact scalar test above decides
+    that attempt, so every draw, flip and running sum, and hence the
+    report, is the one a per-attempt loop gives.  The cost is one pass
+    of at most about 2048 entries per block plus one per accepted flip,
+    instead of one Python iteration per attempt; a schedule so hot that
+    almost every attempt flips is slower than a per-attempt loop.
     Restarts are merged under the module tie-breaking rule and the
     winner's energy is recomputed from scratch before reporting.
     """
-    if qubo is None:
-        qubo = build_qubo(bilp)
-    m = qubo.m
+    m = bilp.num_variables if qubo is None else qubo.m
     if m > SA_MAX_VARIABLES:
         raise ResourceLimitError(
             f"annealing is limited to {SA_MAX_VARIABLES} variables, got {m}"
         )
+    if qubo is None:
+        qubo = build_qubo(bilp)
     if schedule is None:
         schedule = default_schedule(bilp)
     start = time.perf_counter()
@@ -326,6 +338,14 @@ def solve_qubo_sa(
     nbr_val = [np.asarray(vs) for vs in neighbor_val]
 
     temps = [schedule.temperature(s) for s in range(schedule.sweeps)]
+    temp_col = np.array(temps)[:, None]
+    # Sweeps are drawn and screened in blocks of about 2048 attempts.
+    rows = max(1, min(schedule.sweeps, 2048 // m))
+    us_block = np.empty((rows, m))
+    reach_block = np.empty((rows, m))
+    skip_block = np.empty((rows, m), dtype=bool)
+    delta = np.empty(m)
+    best_s = np.empty(m)
     restart_best: list[tuple[float, str, list[float]]] = []
     for r in range(schedule.restarts):
         rng = np.random.default_rng(schedule.seed + r)
@@ -338,24 +358,59 @@ def solve_qubo_sa(
         for (i, j), val in qubo.offdiag.items():
             if x[i] and x[j]:
                 energy += val
+        # From here on the state is s = 1 - 2x: flipping k changes the
+        # energy by delta_k = s_k * g_k.
+        s = 1.0 - 2.0 * np.array(x, dtype=float)
         best_energy = energy
-        best_x = list(x)
-        trace = []
-        for temp in temps:
-            us = rng.random(m)
-            for i in range(m):
-                delta = (1.0 - 2.0 * x[i]) * float(g[i])
-                if delta <= 0.0 or us[i] < math.exp(-delta / temp):
-                    sign = 1.0 if x[i] == 0 else -1.0
-                    x[i] ^= 1
-                    if len(nbr_idx[i]):
-                        g[nbr_idx[i]] += sign * nbr_val[i]
-                    energy += delta
+        best_s[:] = s
+        trace: list[float] = []
+        for first in range(0, schedule.sweeps, rows):
+            count = min(rows, schedule.sweeps - first)
+            us = us_block[:count]
+            reach = reach_block[:count]
+            rng.random(out=us)
+            # reach bounds from above every uphill delta the exact test can
+            # accept: u < exp(-delta / temp) iff delta < -temp * log(u),
+            # widened by a relative and an absolute 1e-9 so that rounding
+            # never screens out an accepted flip.
+            with np.errstate(divide="ignore"):
+                np.log(us, out=reach)
+            np.multiply(reach, -(1.0 + 1e-9), out=reach)
+            np.add(reach, 1e-9, out=reach)
+            np.multiply(reach, temp_col[first : first + count], out=reach)
+            # Attempt pos of the block is variable pos % m in sweep pos // m.
+            # A rejected attempt changes nothing, so one pass over the rest
+            # of the block finds the next attempt that can be accepted.  The
+            # pass skips delta > bound, which is false for a NaN bound (from
+            # a NaN temperature), so such attempts reach the exact test.
+            pos, end = 0, count * m
+            while pos < end:
+                row, i = divmod(pos, m)
+                np.multiply(s, g, out=delta)
+                skip = skip_block[: count - row]
+                np.greater(delta, reach[row:], out=skip)
+                rest = skip.reshape(-1)[i:]
+                j = int(rest.argmin())
+                if rest[j]:
+                    break
+                pos += j
+                row, k = divmod(pos, m)
+                d = float(delta[k])
+                if d <= 0.0 or us[row, k] < math.exp(-d / temps[first + row]):
+                    # Close the trace of the sweeps that ended before this one.
+                    trace.extend([best_energy] * (first + row - len(trace)))
+                    sign = float(s[k])
+                    s[k] = -sign
+                    if len(nbr_idx[k]):
+                        g[nbr_idx[k]] += sign * nbr_val[k]
+                    energy += d
                     if energy < best_energy:
                         best_energy = energy
-                        best_x = list(x)
-            trace.append(best_energy)
-        restart_best.append((best_energy, "".join(str(b) for b in best_x), trace))
+                        best_s[:] = s
+                pos += 1
+            trace.extend([best_energy] * (first + count - len(trace)))
+        best_x = "".join("1" if v < 0 else "0" for v in best_s.tolist())
+        restart_best.append((best_energy, best_x, trace))
 
     lowest = min(e for e, _, _ in restart_best)
     near = [cand for cand in restart_best if cand[0] == lowest]

@@ -221,6 +221,42 @@ def test_qaoa_simulator_guard_exit_code(tmp_path, capsys, monkeypatch):
     assert stderr_error(err)["kind"] == "ResourceLimitError"
 
 
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{what} ran before the size guard")
+
+    return refuse
+
+
+@pytest.mark.parametrize("agents,method", [("16", "sa"), ("5", "qubo-brute"), ("5", "qaoa")])
+def test_qubo_method_guards_fire_before_the_coupling_build(
+    tmp_path, capsys, monkeypatch, agents, method
+):
+    # n = 16 gives 65,535 variables, whose O(m^2) coupling dict alone
+    # exhausts memory; n = 5 gives 31, above the brute-force and simulator
+    # limits.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("csgp.cli.build_qubo", _refuse("build_qubo"))
+    code, out, err = run_cli(
+        capsys, "solve", "--agents", agents, "--dist", "normal", "--method", method
+    )
+    assert code == 3 and out == ""
+    assert stderr_error(err)["kind"] == "ResourceLimitError"
+
+
+def test_qaoa_guard_fires_before_the_reference_scan(tmp_path, capsys, monkeypatch):
+    # Dropping ten coalitions of n = 5 leaves m = 21: one qubit over the
+    # simulator's limit, but small enough for the exhaustive reference scan.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("csgp.cli.solve_qubo_exhaustive", _refuse("solve_qubo_exhaustive"))
+    code, out, err = run_cli(
+        capsys, "solve", "--agents", "5", "--dist", "normal", "--method", "qaoa",
+        "--exclude", "3,5,6,7,9,10,11,12,13,14",
+    )
+    assert code == 3 and out == ""
+    assert stderr_error(err)["kind"] == "ResourceLimitError"
+
+
 def test_oversized_game_file_exit_code(tmp_path, capsys):
     # A tiny file claiming 34 agents is refused before 2^34 indices are built.
     path = tmp_path / "huge.json"

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +21,8 @@ from csgp import (
     solve_qubo_exhaustive,
     solve_qubo_sa,
 )
-from csgp.solvers import partitions
+from csgp.solvers import _pick_qubo_winner, _report_from_assignment, partitions
+from csgp.transform import BilpInstance, qubo_energy
 
 
 def _zero_game(n):
@@ -212,6 +214,130 @@ def test_sa_guard():
     big = type(qubo)(m=(1 << 15) + 1, diag=(0.0,) * ((1 << 15) + 1), offdiag={}, c=0.0)
     with pytest.raises(ResourceLimitError):
         solve_qubo_sa(build_bilp(_zero_game(2)), big)
+
+
+def _refuse_build(*args, **kwargs):
+    raise AssertionError("build_qubo ran before the size guard")
+
+
+@pytest.mark.parametrize(
+    "solver,m", [(solve_qubo_sa, (1 << 15) + 1), (solve_qubo_exhaustive, 25)]
+)
+def test_qubo_guards_fire_before_the_coupling_build(monkeypatch, solver, m):
+    # Without a QUBO, the solver must refuse from the BILP's size alone:
+    # the O(m^2) coupling dict of an oversized program exhausts memory.
+    monkeypatch.setattr("csgp.solvers.build_qubo", _refuse_build)
+    bilp = BilpInstance(n=16, columns=tuple(range(1, m + 1)), values=(0.0,) * m)
+    with pytest.raises(ResourceLimitError):
+        solver(bilp)
+
+
+def _scalar_sa(bilp, qubo, schedule):
+    """solve_qubo_sa with one Python iteration per flip attempt.
+
+    The production sweep screens attempts in numpy and runs this exact
+    test only on the attempts that can be accepted; its reports must
+    equal this loop's byte for byte.
+    """
+    m = qubo.m
+    diag = np.asarray(qubo.diag)
+    neighbor_idx = [[] for _ in range(m)]
+    neighbor_val = [[] for _ in range(m)]
+    for (i, j), val in qubo.offdiag.items():
+        neighbor_idx[i].append(j)
+        neighbor_val[i].append(val)
+        neighbor_idx[j].append(i)
+        neighbor_val[j].append(val)
+    nbr_idx = [np.asarray(ix, dtype=np.int64) for ix in neighbor_idx]
+    nbr_val = [np.asarray(vs) for vs in neighbor_val]
+
+    temps = [schedule.temperature(s) for s in range(schedule.sweeps)]
+    restart_best = []
+    for r in range(schedule.restarts):
+        rng = np.random.default_rng(schedule.seed + r)
+        x = [int(b) for b in rng.integers(0, 2, size=m)]
+        g = diag.copy()
+        for i in range(m):
+            if x[i]:
+                g[nbr_idx[i]] += nbr_val[i]
+        energy = float(sum(d for d, b in zip(qubo.diag, x) if b))
+        for (i, j), val in qubo.offdiag.items():
+            if x[i] and x[j]:
+                energy += val
+        best_energy = energy
+        best_x = list(x)
+        trace = []
+        for temp in temps:
+            us = rng.random(m)
+            for i in range(m):
+                delta = (1.0 - 2.0 * x[i]) * float(g[i])
+                if delta <= 0.0 or us[i] < math.exp(-delta / temp):
+                    sign = 1.0 if x[i] == 0 else -1.0
+                    x[i] ^= 1
+                    if len(nbr_idx[i]):
+                        g[nbr_idx[i]] += sign * nbr_val[i]
+                    energy += delta
+                    if energy < best_energy:
+                        best_energy = energy
+                        best_x = list(x)
+            trace.append(best_energy)
+        restart_best.append((best_energy, "".join(str(b) for b in best_x), trace))
+
+    lowest = min(e for e, _, _ in restart_best)
+    near = [cand for cand in restart_best if cand[0] == lowest]
+    decoded = _pick_qubo_winner(bilp, qubo, [x for _, x, _ in near])
+    winner_trace = next(t for e, x, t in restart_best if x == decoded.x and e == lowest)
+    meta = {
+        "n": bilp.n,
+        "sweeps": schedule.sweeps,
+        "restarts": schedule.restarts,
+        "temp_hi": schedule.temp_hi,
+        "temp_lo": schedule.temp_lo,
+        "seed": schedule.seed,
+        "restart_energies": [e for e, _, _ in restart_best],
+        "trace": winner_trace,
+    }
+    energy = qubo_energy(qubo, decoded.x)
+    return _report_from_assignment("sa", bilp, qubo, decoded, energy, meta, 0.0)
+
+
+def _sa_case(n, kind, seed=0, lam=None, **schedule):
+    game = _zero_game(n) if kind == "zero" else generate_game(n, DistributionSpec(kind=kind), seed)
+    bilp = build_bilp(game)
+    sched = default_schedule(bilp, seed=seed)
+    if schedule:
+        fields = {"sweeps": sched.sweeps, "temp_hi": sched.temp_hi, "temp_lo": sched.temp_lo}
+        fields.update(schedule)
+        sched = AnnealSchedule(restarts=2, seed=seed, **fields)
+    return bilp, build_qubo(bilp, lam), sched
+
+
+SA_ORACLE_PANEL = {
+    **{
+        f"default-{kind}-n{n}": dict(n=n, kind=kind, seed=n)
+        for n in range(2, 7)
+        for kind in ("abu", "wrc", "laplace")
+    },
+    "default-f-n7": dict(n=7, kind="f", seed=1),
+    "n9-short": dict(n=9, kind="normal", sweeps=50),
+    "hot": dict(n=5, kind="mu", seed=2, sweeps=100, temp_hi=1e12, temp_lo=1e12),
+    "cold": dict(n=5, kind="mu", seed=2, sweeps=100, temp_hi=1e-6, temp_lo=1e-6),
+    "lambda-0.5": dict(n=5, kind="normal", seed=3, lam=0.5),
+    "lambda-10": dict(n=5, kind="normal", seed=3, lam=10.0),
+    "zero-game": dict(n=4, kind="zero"),
+    # temp_hi = inf makes every temperature after the first NaN: the exact
+    # test then accepts only downhill moves, and the screen must let them by.
+    "infinite-temp-hi": dict(n=4, kind="sva_beta", seed=1, sweeps=60, temp_hi=math.inf),
+    "tiny-temp-lo": dict(n=4, kind="sva_beta", seed=1, sweeps=60, temp_lo=1e-300),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SA_ORACLE_PANEL))
+def test_sa_sweep_equals_scalar_loop(case):
+    bilp, qubo, sched = _sa_case(**SA_ORACLE_PANEL[case])
+    fast = solve_qubo_sa(bilp, qubo, sched).to_json(include_timing=False)
+    slow = _scalar_sa(bilp, qubo, sched).to_json(include_timing=False)
+    assert json.dumps(fast) == json.dumps(slow)
 
 
 def test_report_json_shape(g2):
