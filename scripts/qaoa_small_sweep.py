@@ -13,44 +13,29 @@ import argparse
 import json
 from pathlib import Path
 
-from csgp.game import DISTRIBUTION_KINDS, DistributionSpec, cs_value, generate_game
-from csgp.qaoa import scan_layers
-from csgp.solvers import solve_dp, solve_qubo_exhaustive
-from csgp.transform import build_bilp, build_qubo, decode_solution, qubo_to_ising
+from csgp.game import DISTRIBUTION_KINDS, DistributionSpec, generate_game
+from csgp.solvers import solve, solve_dp
 
 
 def sweep_one(kind: str, n: int, seed: int, p_max: int, shots: int) -> dict:
     game = generate_game(n, DistributionSpec(kind=kind), seed)
-    bilp = build_bilp(game)
-    qubo = build_qubo(bilp)
-    ising = qubo_to_ising(qubo)
-    reference = solve_qubo_exhaustive(bilp, qubo)
-    results, chosen = scan_layers(
-        ising,
-        p_max=p_max,
-        shots=shots,
-        seed=seed,
-        target_energy=reference.metadata["best_energy"],
-    )
-    winner = min(
-        results, key=lambda r: (r.metadata["best_sampled_qubo_energy"], r.best_params.p)
-    )
-    decoded = decode_solution(bilp, winner.best_bitstring)
+    report = solve(game, "qaoa", seed=seed, p_max=p_max, shots=shots)
+    md = report.metadata
+    value = report.best_value
     dp = solve_dp(game)
-    value = cs_value(game, decoded.cs) if decoded.feasible else None
     return {
         "dist": kind,
         "n": n,
         "seed": seed,
-        "chosen_p": chosen,
-        "winner_p": winner.best_params.p,
-        "expectation": winner.expectation,
-        "best_bitstring": winner.best_bitstring,
-        "feasible": decoded.feasible,
+        "chosen_p": md["chosen_p"],
+        "winner_p": md["p"],
+        "expectation": md["expectation"],
+        "best_bitstring": md["best_x"],
+        "feasible": report.feasible,
         "value": value,
         "dp_value": dp.best_value,
-        "matches_dp": decoded.feasible and abs(value - dp.best_value) <= 1e-9 * max(1.0, abs(dp.best_value)),
-        "expectation_by_p": [r.expectation for r in results],
+        "matches_dp": report.feasible and abs(value - dp.best_value) <= 1e-9 * max(1.0, abs(dp.best_value)),
+        "expectation_by_p": [r.expectation for r in report.qaoa_results],
     }
 
 

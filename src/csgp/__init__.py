@@ -41,8 +41,10 @@ from .solvers import (
     SolveReport,
     default_schedule,
     partitions,
+    solve,
     solve_dp,
     solve_enum,
+    solve_qaoa,
     solve_qubo_exhaustive,
     solve_qubo_sa,
 )

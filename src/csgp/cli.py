@@ -13,12 +13,9 @@ import argparse
 import json
 import math
 import sys
-import time
 from pathlib import Path
 
-import numpy as np
-
-from . import analysis, qaoa
+from . import analysis
 from .errors import (
     ConfigError,
     CsgError,
@@ -28,35 +25,10 @@ from .errors import (
     ResourceLimitError,
 )
 from .game import DISTRIBUTION_KINDS, DistributionSpec, generate_game, load_game, save_game
-from .solvers import (
-    AnnealSchedule,
-    BRUTE_MAX_VARIABLES,
-    SA_MAX_VARIABLES,
-    SolveReport,
-    default_schedule,
-    solve_dp,
-    solve_enum,
-    solve_qubo_exhaustive,
-    solve_qubo_sa,
-)
-from .transform import (
-    BilpInstance,
-    QuboInstance,
-    build_bilp,
-    build_qubo,
-    decode_solution,
-    qubo_to_ising,
-)
+from .solvers import METHODS, SA_MAX_VARIABLES, build_chain, solve, solve_dp
+from .transform import QuboInstance, qubo_to_ising
 
-QUBO_METHODS = ("qubo-brute", "sa", "qaoa")
-METHODS = ("enum", "dp") + QUBO_METHODS
 EXPORT_FORMATS = ("qubo-json", "qubo-text", "ising-json")
-# Largest QUBO each QUBO method accepts, checked before the O(m^2) coupling build.
-VARIABLE_LIMITS = {
-    "qubo-brute": BRUTE_MAX_VARIABLES,
-    "sa": SA_MAX_VARIABLES,
-    "qaoa": qaoa.SIMULATOR_MAX_QUBITS,
-}
 
 
 def _parse_agent_spec(text: str) -> list[int]:
@@ -91,6 +63,10 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"cannot parse {what} list {text!r}") from None
+
+
+def _parse_exclude(text: str | None) -> frozenset[int]:
+    return frozenset(_parse_int_list(text, "exclusion")) if text else frozenset()
 
 
 def _dump_json(doc: dict) -> str:
@@ -226,131 +202,19 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _build_chain(game, args, method: str | None = None) -> tuple[BilpInstance, QuboInstance]:
-    exclude = frozenset(_parse_int_list(args.exclude, "exclusion")) if args.exclude else frozenset()
-    bilp = build_bilp(game, exclude)
-    limit = VARIABLE_LIMITS.get(method)
-    if limit is not None and bilp.num_variables > limit:
-        raise ResourceLimitError(
-            f"{method} is limited to {limit} QUBO variables, got {bilp.num_variables}"
-        )
-    qubo = build_qubo(bilp, args.lam)
-    return bilp, qubo
-
-
-def _solve_qaoa(game, args) -> SolveReport:
-    start = time.perf_counter()
-    bilp, qubo = _build_chain(game, args, "qaoa")
-    ising = qubo_to_ising(qubo)
-
-    target = None
-    reference_value = None
-    if qubo.m <= BRUTE_MAX_VARIABLES:
-        reference = solve_qubo_exhaustive(bilp, qubo)
-        target = reference.metadata["best_energy"]
-        reference_value = reference.best_value
-
-    if args.p is not None and args.p_max is not None:
-        raise ConfigError("give either --p or --p-max, not both")
-    shots = args.shots
-    if args.p is not None:
-        seed_p = int(np.random.SeedSequence([args.seed, args.p]).generate_state(1)[0])
-        results = [qaoa.optimize(ising, args.p, seed=seed_p, shots=shots)]
-        chosen = None
-        if target is not None and math.isclose(
-            results[0].metadata["best_sampled_qubo_energy"], target, rel_tol=1e-9, abs_tol=1e-9
-        ):
-            chosen = args.p
-    else:
-        p_max = args.p_max if args.p_max is not None else 12
-        results, chosen = qaoa.scan_layers(
-            ising, p_max=p_max, shots=shots, seed=args.seed, target_energy=target
-        )
-
-    winner = min(
-        results, key=lambda r: (r.metadata["best_sampled_qubo_energy"], r.best_params.p)
-    )
-    decoded = decode_solution(bilp, winner.best_bitstring)
-    if decoded.feasible:
-        col_value = {col: v for col, v in zip(bilp.columns, bilp.values)}
-        best_value = sum(col_value[b] for b in decoded.cs.blocks)
-    else:
-        best_value = None
-    if args.qaoa_out:
-        doc = {
-            "chosen_p": chosen,
-            "results": [r.to_json() for r in results],
-        }
-        Path(args.qaoa_out).write_text(_dump_json(doc), encoding="utf-8")
-    elapsed = (time.perf_counter() - start) * 1e3
-    return SolveReport(
-        method="qaoa",
-        best_cs=decoded.cs,
-        best_value=best_value,
-        feasible=decoded.feasible,
-        metadata={
-            "n": bilp.n,
-            "m": qubo.m,
-            "s": qubo.interaction_count,
-            "lambda": qubo.lam,
-            "p_values": [r.best_params.p for r in results],
-            "chosen_p": chosen,
-            "p": winner.best_params.p,
-            "shots": shots,
-            "seed": args.seed,
-            "expectation": winner.expectation,
-            "best_x": winner.best_bitstring,
-            "best_energy": winner.metadata["best_sampled_qubo_energy"],
-            "constant": qubo.c,
-            "reference_value": reference_value,
-        },
-        timing={"wall_ms": elapsed},
-    )
-
-
-def _solve_sa(game, args) -> SolveReport:
-    bilp, qubo = _build_chain(game, args, "sa")
-    schedule = default_schedule(bilp, seed=args.seed)
-    overrides = {}
-    if args.sweeps is not None:
-        overrides["sweeps"] = args.sweeps
-    if args.restarts is not None:
-        overrides["restarts"] = args.restarts
-    if args.temp_hi is not None:
-        overrides["temp_hi"] = args.temp_hi
-    if args.temp_lo is not None:
-        overrides["temp_lo"] = args.temp_lo
-    if overrides:
-        schedule = AnnealSchedule(
-            sweeps=overrides.get("sweeps", schedule.sweeps),
-            temp_hi=overrides.get("temp_hi", schedule.temp_hi),
-            temp_lo=overrides.get("temp_lo", schedule.temp_lo),
-            restarts=overrides.get("restarts", schedule.restarts),
-            seed=args.seed,
-        )
-    return solve_qubo_sa(bilp, qubo, schedule)
-
-
-def _run_method(method: str, game, args) -> SolveReport:
-    if method in ("enum", "dp") and args.exclude:
-        raise ConfigError("--exclude applies only to QUBO-based methods (qubo-brute, sa, qaoa)")
-    if method == "enum":
-        return solve_enum(game)
-    if method == "dp":
-        return solve_dp(game)
-    if method == "qubo-brute":
-        bilp, qubo = _build_chain(game, args, method)
-        return solve_qubo_exhaustive(bilp, qubo)
-    if method == "sa":
-        return _solve_sa(game, args)
-    if method == "qaoa":
-        return _solve_qaoa(game, args)
-    raise ConfigError(f"unknown method {method!r}")
-
-
 def _cmd_solve(args) -> int:
     game = _load_or_generate(args)
-    report = _run_method(args.method, game, args)
+    report = solve(
+        game, args.method, lam=args.lam, exclude=_parse_exclude(args.exclude), seed=args.seed,
+        sweeps=args.sweeps, restarts=args.restarts, temp_hi=args.temp_hi, temp_lo=args.temp_lo,
+        p=args.p, p_max=args.p_max, shots=args.shots,
+    )
+    if args.qaoa_out and args.method == "qaoa":
+        doc = {
+            "chosen_p": report.metadata["chosen_p"],
+            "results": [r.to_json() for r in report.qaoa_results],
+        }
+        Path(args.qaoa_out).write_text(_dump_json(doc), encoding="utf-8")
     text = _dump_json(report.to_json())
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -360,7 +224,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_export(args) -> int:
     game = _load_or_generate(args)
-    bilp, qubo = _build_chain(game, args)
+    # The largest QUBO read_qubo_text accepts, checked before the coupling build.
+    _, qubo = build_chain(
+        game, args.lam, _parse_exclude(args.exclude), limit=SA_MAX_VARIABLES, what="export"
+    )
     if args.game is not None:
         base = Path(args.game).stem
     else:
@@ -420,20 +287,9 @@ def _cmd_bench(args) -> int:
                 for n in counts:
                     for seed in range(args.seeds):
                         game = generate_game(n, DistributionSpec(kind=dist), seed)
-                        cell_args = argparse.Namespace(
-                            lam=args.lam,
-                            exclude=None,
-                            seed=seed,
-                            shots=args.shots,
-                            p=None,
-                            p_max=args.p_max,
-                            qaoa_out=None,
-                            sweeps=None,
-                            restarts=None,
-                            temp_hi=None,
-                            temp_lo=None,
+                        report = solve(
+                            game, method, lam=args.lam, seed=seed, p_max=args.p_max, shots=args.shots
                         )
-                        report = _run_method(method, game, cell_args)
                         key = (dist, n, seed)
                         if key not in references:
                             references[key] = solve_dp(game).best_value

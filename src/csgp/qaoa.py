@@ -310,6 +310,8 @@ def optimize(
     """
     if p < 1:
         raise ConfigError(f"layer count must be >= 1, got {p}")
+    if shots < 1:
+        raise ConfigError(f"shots must be >= 1, got {shots}")
     if config is None:
         config = OptimizerConfig()
     start = time.perf_counter()
@@ -390,6 +392,19 @@ def optimize(
     )
 
 
+def optimize_layer(
+    ising: IsingInstance, p: int, shots: int, seed: int, config=None, target_energy=None
+) -> tuple[QaoaResult, bool]:
+    """optimize at depth p under a seed derived from (seed, p), and whether the
+    sample reached ``target_energy`` (QUBO units; None never matches)."""
+    seed_p = int(np.random.SeedSequence([seed, p]).generate_state(1)[0])
+    result = optimize(ising, p, config=config, seed=seed_p, shots=shots)
+    matched = target_energy is not None and math.isclose(
+        result.metadata["best_sampled_qubo_energy"], target_energy, rel_tol=1e-9, abs_tol=1e-9
+    )
+    return result, matched
+
+
 def scan_layers(
     ising: IsingInstance,
     p_max: int = 12,
@@ -401,23 +416,20 @@ def scan_layers(
     """Optimize at p = 1..p_max, stopping early once the target is sampled.
 
     ``target_energy`` is in QUBO units (offset folded in, constant c
-    excluded).  Each p gets its own derived seed, so a scan prefix is
-    identical to a standalone shorter scan.  Returns all results plus the
-    first matching p, or None when no p matched.
+    excluded).  Each p runs optimize_layer with its own derived seed, so
+    a scan prefix is identical to a standalone shorter scan.  Returns all
+    results plus the first matching p, or None when no p matched.
     """
     if p_max < 1:
         raise ConfigError(f"p_max must be >= 1, got {p_max}")
     results: list[QaoaResult] = []
     chosen: int | None = None
     for p in range(1, p_max + 1):
-        seed_p = int(np.random.SeedSequence([seed, p]).generate_state(1)[0])
-        result = optimize(ising, p, config=config, seed=seed_p, shots=shots)
+        result, matched = optimize_layer(ising, p, shots, seed, config, target_energy)
         results.append(result)
-        if target_energy is not None:
-            sampled = result.metadata["best_sampled_qubo_energy"]
-            if math.isclose(sampled, target_energy, rel_tol=1e-9, abs_tol=1e-9):
-                chosen = p
-                break
+        if matched:
+            chosen = p
+            break
     return results, chosen
 
 

@@ -15,18 +15,35 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from . import qaoa
+from .errors import ConfigError, ResourceLimitError
 from .game import CoalitionGame, CoalitionStructure, n_coalitions
-from .transform import BilpInstance, QuboInstance, build_qubo, decode_solution, qubo_energy
+from .transform import (
+    BilpInstance,
+    QuboInstance,
+    build_bilp,
+    build_qubo,
+    decode_solution,
+    qubo_energy,
+    qubo_to_ising,
+)
 
 ENUM_MAX_AGENTS = 12
 DP_MAX_AGENTS = 20
 BRUTE_MAX_VARIABLES = 24
 SA_MAX_VARIABLES = 1 << 15
+
+METHODS = ("enum", "dp", "qubo-brute", "sa", "qaoa")
+# Largest QUBO each QUBO method accepts, checked before the O(m^2) coupling build.
+VARIABLE_LIMITS = {
+    "qubo-brute": BRUTE_MAX_VARIABLES,
+    "sa": SA_MAX_VARIABLES,
+    "qaoa": qaoa.SIMULATOR_MAX_QUBITS,
+}
 
 
 @dataclass(frozen=True)
@@ -36,7 +53,8 @@ class SolveReport:
     ``best_cs`` and ``best_value`` are None when the run ended on an
     infeasible assignment (possible for sampling solvers).  ``metadata``
     holds solver-specific counters and parameters; ``timing`` holds
-    wall-clock measurements and nothing else.
+    wall-clock measurements and nothing else.  ``qaoa_results`` holds the
+    QaoaResult of every depth a QAOA run optimized; ``to_json`` leaves it out.
     """
 
     method: str
@@ -45,6 +63,7 @@ class SolveReport:
     feasible: bool
     metadata: dict = field(default_factory=dict)
     timing: dict = field(default_factory=dict)
+    qaoa_results: tuple = ()
 
     def to_json(self, include_timing: bool = True) -> dict:
         doc = {
@@ -181,6 +200,8 @@ def _pick_qubo_winner(bilp: BilpInstance, qubo: QuboInstance, candidates: list[s
 
 
 def _report_from_assignment(method, bilp, qubo, decoded, energy, metadata, elapsed):
+    """Report of a decoded assignment.  The QUBO fields below follow ``metadata``
+    in the JSON, except those it already holds a key for, which keep its place."""
     if decoded.feasible:
         col_value = {c: v for c, v in zip(bilp.columns, bilp.values)}
         best_value = sum(col_value[b] for b in decoded.cs.blocks)
@@ -255,8 +276,6 @@ class AnnealSchedule:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        from .errors import ConfigError
-
         if self.sweeps < 1:
             raise ConfigError(f"sweeps must be >= 1, got {self.sweeps}")
         if self.restarts < 1:
@@ -265,6 +284,8 @@ class AnnealSchedule:
             raise ConfigError(
                 f"need 0 < temp_lo <= temp_hi, got temp_lo={self.temp_lo}, temp_hi={self.temp_hi}"
             )
+        if self.temp_hi == math.inf:
+            raise ConfigError("temp_hi must be finite, got inf")
 
     def temperature(self, sweep: int) -> float:
         if self.sweeps == 1:
@@ -381,8 +402,9 @@ def solve_qubo_sa(
             # Attempt pos of the block is variable pos % m in sweep pos // m.
             # A rejected attempt changes nothing, so one pass over the rest
             # of the block finds the next attempt that can be accepted.  The
-            # pass skips delta > bound, which is false for a NaN bound (from
-            # a NaN temperature), so such attempts reach the exact test.
+            # pass skips delta > bound, which is false for a NaN bound (a zero
+            # draw at a temperature that underflowed to 0), so such attempts
+            # reach the exact test.
             pos, end = 0, count * m
             while pos < end:
                 row, i = divmod(pos, m)
@@ -429,3 +451,96 @@ def solve_qubo_sa(
         "trace": winner_trace,
     }
     return _report_from_assignment("sa", bilp, qubo, decoded, energy, meta, elapsed)
+
+
+def build_chain(game: CoalitionGame, lam=None, exclude=frozenset(), *, limit: int, what: str):
+    """The BILP without the ``exclude`` coalitions and its penalty QUBO.  A BILP of
+    more than ``limit`` variables is refused, as ``what``, before the O(m^2) build."""
+    bilp = build_bilp(game, exclude)
+    if bilp.num_variables > limit:
+        raise ResourceLimitError(
+            f"{what} is limited to {limit} QUBO variables, got {bilp.num_variables}"
+        )
+    return bilp, build_qubo(bilp, lam)
+
+
+def solve_qaoa(
+    bilp: BilpInstance, qubo: QuboInstance, *, p=None, p_max=12, shots=1024, seed=0
+) -> SolveReport:
+    """QAOA on the QUBO's Ising form, at depth p or scanning p = 1..p_max.
+
+    The exhaustive QUBO optimum is the target: a scan stops at the first
+    depth whose sample reaches it, and metadata["chosen_p"] names the depth
+    that did (None if none did).  The report decodes the lowest sampled
+    QUBO energy over every depth run, the smaller p on ties.
+    """
+    limit = VARIABLE_LIMITS["qaoa"]  # checked before the reference scan
+    if qubo.m > limit:
+        raise ResourceLimitError(f"qaoa is limited to {limit} QUBO variables, got {qubo.m}")
+    start = time.perf_counter()
+    ising = qubo_to_ising(qubo)
+    reference = solve_qubo_exhaustive(bilp, qubo)
+    target = reference.metadata["best_energy"]
+    if p is not None:
+        result, matched = qaoa.optimize_layer(ising, p, shots=shots, seed=seed, target_energy=target)
+        results, chosen = [result], (p if matched else None)
+    else:
+        results, chosen = qaoa.scan_layers(
+            ising, p_max=p_max, shots=shots, seed=seed, target_energy=target
+        )
+    winner = min(
+        results, key=lambda r: (r.metadata["best_sampled_qubo_energy"], r.best_params.p)
+    )
+    decoded = decode_solution(bilp, winner.best_bitstring)
+    # Key order is the report's; _report_from_assignment fills the None slots.
+    meta = {
+        "n": bilp.n,
+        "m": None,
+        "s": None,
+        "lambda": None,
+        "p_values": [r.best_params.p for r in results],
+        "chosen_p": chosen,
+        "p": winner.best_params.p,
+        "shots": shots,
+        "seed": seed,
+        "expectation": winner.expectation,
+        "best_x": None,
+        "best_energy": None,
+        "constant": None,
+        "reference_value": reference.best_value,
+    }
+    energy = winner.metadata["best_sampled_qubo_energy"]
+    elapsed = (time.perf_counter() - start) * 1e3
+    report = _report_from_assignment("qaoa", bilp, qubo, decoded, energy, meta, elapsed)
+    return replace(report, qaoa_results=tuple(results))
+
+
+def solve(
+    game: CoalitionGame, method: str, *, lam=None, exclude=frozenset(), seed=0, sweeps=None,
+    restarts=None, temp_hi=None, temp_lo=None, p=None, p_max=None, shots=1024,
+) -> SolveReport:
+    """Solve a game with one of METHODS; the options are the `csgp solve` flags.
+
+    enum and dp take no exclusions.  The QUBO methods run build_chain with
+    the method's VARIABLE_LIMITS entry; sa anneals default_schedule(bilp,
+    seed) with each given sweeps/restarts/temp_hi/temp_lo replacing its
+    field; qaoa runs solve_qaoa at depth p, or else up to p_max (default 12).
+    """
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
+    if method in ("enum", "dp"):
+        if exclude:
+            raise ConfigError("--exclude applies only to QUBO-based methods (qubo-brute, sa, qaoa)")
+        return solve_enum(game) if method == "enum" else solve_dp(game)
+    if method == "qaoa" and p is not None and p_max is not None:
+        raise ConfigError("give either --p or --p-max, not both")
+    bilp, qubo = build_chain(game, lam, exclude, limit=VARIABLE_LIMITS[method], what=method)
+    if method == "qubo-brute":
+        return solve_qubo_exhaustive(bilp, qubo)
+    if method == "sa":
+        given = {"sweeps": sweeps, "restarts": restarts, "temp_hi": temp_hi, "temp_lo": temp_lo}
+        schedule = replace(
+            default_schedule(bilp, seed=seed), **{k: v for k, v in given.items() if v is not None}
+        )
+        return solve_qubo_sa(bilp, qubo, schedule)
+    return solve_qaoa(bilp, qubo, p=p, p_max=12 if p_max is None else p_max, shots=shots, seed=seed)

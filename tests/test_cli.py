@@ -163,8 +163,10 @@ def test_solve_qaoa_scan_reaches_reference(tmp_path, capsys):
     assert doc["best_value"] == pytest.approx(dp.best_value, rel=1e-9)
 
 
-def test_solve_qaoa_depth_flags_conflict(tmp_path, capsys):
+def test_solve_qaoa_depth_flags_conflict(tmp_path, capsys, monkeypatch):
     path = make_game(tmp_path, capsys, n=2, dist="abu", seed=0)
+    # The conflict is reported before any of the chain is built.
+    monkeypatch.setattr("csgp.solvers.build_bilp", _refuse("build_bilp"))
     code, _, err = run_cli(
         capsys, "solve", str(path), "--method", "qaoa", "--p", "1", "--p-max", "3"
     )
@@ -236,7 +238,7 @@ def test_qubo_method_guards_fire_before_the_coupling_build(
     # exhausts memory; n = 5 gives 31, above the brute-force and simulator
     # limits.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr("csgp.cli.build_qubo", _refuse("build_qubo"))
+    monkeypatch.setattr("csgp.solvers.build_qubo", _refuse("build_qubo"))
     code, out, err = run_cli(
         capsys, "solve", "--agents", agents, "--dist", "normal", "--method", method
     )
@@ -248,13 +250,37 @@ def test_qaoa_guard_fires_before_the_reference_scan(tmp_path, capsys, monkeypatc
     # Dropping ten coalitions of n = 5 leaves m = 21: one qubit over the
     # simulator's limit, but small enough for the exhaustive reference scan.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr("csgp.cli.solve_qubo_exhaustive", _refuse("solve_qubo_exhaustive"))
+    monkeypatch.setattr("csgp.solvers.solve_qubo_exhaustive", _refuse("solve_qubo_exhaustive"))
     code, out, err = run_cli(
         capsys, "solve", "--agents", "5", "--dist", "normal", "--method", "qaoa",
         "--exclude", "3,5,6,7,9,10,11,12,13,14",
     )
     assert code == 3 and out == ""
     assert stderr_error(err)["kind"] == "ResourceLimitError"
+
+
+def test_export_guard_fires_before_the_coupling_build(tmp_path, capsys, monkeypatch):
+    # n = 16 gives 65,535 variables, more than read_qubo_text accepts.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("csgp.solvers.build_qubo", _refuse("build_qubo"))
+    code, out, err = run_cli(
+        capsys, "export", "--agents", "16", "--dist", "normal", "--format", "qubo-text"
+    )
+    assert code == 3 and out == ""
+    assert stderr_error(err)["kind"] == "ResourceLimitError"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_infinite_sa_temperature_exit_code(tmp_path, capsys):
+    # temp_hi = inf used to anneal at NaN temperatures and print Infinity,
+    # which is not JSON.
+    path = make_game(tmp_path, capsys, n=3, dist="abu", seed=0)
+    code, out, err = run_cli(
+        capsys, "solve", str(path), "--method", "sa", "--temp-hi", "inf",
+        "--sweeps", "20", "--restarts", "1",
+    )
+    assert code == 2 and out == ""
+    assert stderr_error(err)["kind"] == "ConfigError"
 
 
 def test_oversized_game_file_exit_code(tmp_path, capsys):

@@ -368,6 +368,16 @@ def test_optimize_never_builds_or_replays_a_circuit(g2, monkeypatch):
     assert sum(result.counts.values()) == 1024
 
 
+def test_optimize_checks_shots_before_any_work(g2, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("energy_table ran before the shots check")
+
+    _, _, ising = _g2_chain(g2)
+    monkeypatch.setattr(qaoa_module, "energy_table", refuse)
+    with pytest.raises(ConfigError, match="shots"):
+        optimize(ising, 1, shots=0)
+
+
 def test_optimize_is_deterministic(g2):
     _, _, ising = _g2_chain(g2)
     a = optimize(ising, p=1, seed=3).to_json(include_timing=False)

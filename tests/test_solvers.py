@@ -16,8 +16,10 @@ from csgp import (
     cs_value,
     default_schedule,
     generate_game,
+    solve,
     solve_dp,
     solve_enum,
+    solve_qaoa,
     solve_qubo_exhaustive,
     solve_qubo_sa,
 )
@@ -325,9 +327,6 @@ SA_ORACLE_PANEL = {
     "lambda-0.5": dict(n=5, kind="normal", seed=3, lam=0.5),
     "lambda-10": dict(n=5, kind="normal", seed=3, lam=10.0),
     "zero-game": dict(n=4, kind="zero"),
-    # temp_hi = inf makes every temperature after the first NaN: the exact
-    # test then accepts only downhill moves, and the screen must let them by.
-    "infinite-temp-hi": dict(n=4, kind="sva_beta", seed=1, sweeps=60, temp_hi=math.inf),
     "tiny-temp-lo": dict(n=4, kind="sva_beta", seed=1, sweeps=60, temp_lo=1e-300),
 }
 
@@ -340,6 +339,12 @@ def test_sa_sweep_equals_scalar_loop(case):
     assert json.dumps(fast) == json.dumps(slow)
 
 
+def test_sa_schedule_rejects_infinite_temp_hi():
+    # temp_hi = inf would make every temperature after the first NaN.
+    with pytest.raises(ConfigError, match="finite"):
+        _sa_case(n=4, kind="sva_beta", seed=1, sweeps=60, temp_hi=math.inf)
+
+
 def test_report_json_shape(g2):
     doc = solve_enum(g2).to_json()
     assert doc["method"] == "enum"
@@ -348,3 +353,36 @@ def test_report_json_shape(g2):
     assert "wall_ms" in doc["timing"]
     trimmed = solve_enum(g2).to_json(include_timing=False)
     assert "timing" not in trimmed
+
+
+def test_solve_fixed_depth_is_the_scan_at_that_depth():
+    # One derived seed per depth: --p 1 and a scan's first layer agree.
+    game = generate_game(2, DistributionSpec(kind="normal"), 0)
+    fixed = solve(game, "qaoa", p=1, shots=256)
+    scan = solve(game, "qaoa", p_max=1, shots=256)
+    assert [r.to_json(include_timing=False) for r in fixed.qaoa_results] == [
+        r.to_json(include_timing=False) for r in scan.qaoa_results
+    ]
+    assert fixed.to_json(include_timing=False) == scan.to_json(include_timing=False)
+    assert "qaoa_results" not in fixed.to_json()
+
+
+def test_solve_qaoa_guard_fires_before_the_reference_scan(monkeypatch):
+    # m = 21: one qubit over the simulator's limit, within the brute-force one.
+    game = generate_game(5, DistributionSpec(kind="normal"), 0)
+    bilp = build_bilp(game, {3, 5, 6, 7, 9, 10, 11, 12, 13, 14})
+    qubo = build_qubo(bilp)
+
+    def refuse(*args):
+        raise AssertionError("the reference scan ran before the simulator guard")
+
+    monkeypatch.setattr("csgp.solvers.solve_qubo_exhaustive", refuse)
+    with pytest.raises(ResourceLimitError):
+        solve_qaoa(bilp, qubo)
+
+
+def test_solve_rejects_unknown_method_and_partition_exclusions(g2):
+    with pytest.raises(ConfigError, match="unknown method"):
+        solve(g2, "bogus")
+    with pytest.raises(ConfigError, match="exclude"):
+        solve(g2, "dp", exclude={1})
