@@ -28,9 +28,6 @@ from .game import DISTRIBUTION_KINDS, DistributionSpec, generate_game, load_game
 from .solvers import METHODS, SA_MAX_VARIABLES, build_chain, solve, solve_dp
 from .transform import QuboInstance, qubo_to_ising
 
-EXPORT_FORMATS = ("qubo-json", "qubo-text", "ising-json")
-
-
 def _parse_agent_spec(text: str) -> list[int]:
     """Parse `N` or `A..B` (inclusive) into a list of agent counts."""
     try:
@@ -189,6 +186,16 @@ def read_qubo_text(path) -> QuboInstance:
     return QuboInstance(m=m, diag=tuple(diag), offdiag=offdiag, c=c, lam=lam)
 
 
+def _export_formats() -> dict:
+    """csgp export --format: each format's default file suffix and writer.  Built
+    per call, so a wrapper bound over a writer's module name is what runs."""
+    return {
+        "qubo-json": (".qubo.json", write_qubo_json),
+        "qubo-text": (".qubo.txt", write_qubo_text),
+        "ising-json": (".ising.json", write_ising_json),
+    }
+
+
 def _cmd_gen(args) -> int:
     if args.agents is None:
         raise ConfigError("gen requires --agents")
@@ -232,15 +239,10 @@ def _cmd_export(args) -> int:
         base = Path(args.game).stem
     else:
         base = f"game_{game.dist_label}_n{game.n}_seed{args.seed}"
-    suffix = {"qubo-json": ".qubo.json", "qubo-text": ".qubo.txt", "ising-json": ".ising.json"}
-    out = args.out or base + suffix[args.format]
+    suffix, write = _export_formats()[args.format]
+    out = args.out or base + suffix
     with open(out, "w", encoding="utf-8") as fh:
-        if args.format == "qubo-json":
-            write_qubo_json(qubo, fh)
-        elif args.format == "qubo-text":
-            write_qubo_text(qubo, fh)
-        else:
-            write_ising_json(qubo, fh)
+        write(qubo, fh)
     print(out)
     return 0
 
@@ -349,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     export = subs.add_parser("export", help="write QUBO/Ising instance files")
     _add_game_source(export)
-    export.add_argument("--format", required=True, choices=EXPORT_FORMATS)
+    export.add_argument("--format", required=True, choices=_export_formats())
     export.add_argument("--lambda", dest="lam", type=float, default=None, help="penalty weight")
     export.add_argument("--exclude", default=None, help="comma-separated coalition indices to drop")
     export.add_argument("--out", default=None, help="output path (default derived from the game)")

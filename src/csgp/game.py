@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,10 +40,9 @@ DISTRIBUTION_KINDS = (
     "laplace",
 )
 
-# Default parameterizations.  The family names are standard benchmark
+# Fixed parameterizations.  The family names are standard benchmark
 # vocabulary; the exact shapes below are this artifact's documented
-# conventions, all overridable through DistributionSpec.params.
-# Parameters named *_var are variances (scale = sqrt(var)).
+# conventions.  Parameters named *_var are variances (scale = sqrt(var)).
 _DEFAULT_PARAMS: dict[str, dict[str, float]] = {
     "abu": {"agent_low": 0.0, "agent_high": 10.0, "coalition_low": 0.0, "coalition_high": 10.0},
     "abn": {"agent_mean": 10.0, "agent_var": 0.01, "coalition_mean": 0.0, "coalition_var": 0.01},
@@ -75,10 +74,9 @@ def coalition_members(index: int, n: int) -> set[int]:
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """A named value distribution plus its (overridable) parameters."""
+    """One of the ten value distributions, by normalized name."""
 
     kind: str
-    params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         kind = self.kind.lower().replace("-", "_")
@@ -87,14 +85,6 @@ class DistributionSpec:
                 f"unknown distribution kind {self.kind!r}; expected one of {', '.join(DISTRIBUTION_KINDS)}"
             )
         object.__setattr__(self, "kind", kind)
-        for key, val in self.params.items():
-            if key not in _DEFAULT_PARAMS[kind]:
-                raise ConfigError(f"unknown parameter {key!r} for distribution {kind!r}")
-            if not math.isfinite(float(val)):
-                raise ConfigError(f"parameter {key!r} must be finite, got {val!r}")
-
-    def resolved_params(self) -> dict[str, float]:
-        return {**_DEFAULT_PARAMS[self.kind], **{k: float(v) for k, v in self.params.items()}}
 
 
 @dataclass(frozen=True)
@@ -133,10 +123,6 @@ class CoalitionGame:
                 raise SchemaError(f"coalition {key} has non-finite value {val!r}")
             clean[key] = val
         object.__setattr__(self, "values", clean)
-
-    @property
-    def grand_index(self) -> int:
-        return n_coalitions(self.n)
 
 
 @dataclass(frozen=True)
@@ -270,9 +256,11 @@ def generate_game(n: int, spec: DistributionSpec, seed: int) -> CoalitionGame:
             f"game generation is limited to {GENERATE_MAX_AGENTS} agents"
             f" ({n_coalitions(GENERATE_MAX_AGENTS)} coalition values), got {n}"
         )
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     sizes = [(c, c.bit_count()) for c in range(1, n_coalitions(n) + 1)]
-    values = _SAMPLERS[spec.kind](rng, n, sizes, spec.resolved_params())
+    values = _SAMPLERS[spec.kind](rng, n, sizes, _DEFAULT_PARAMS[spec.kind])
     return CoalitionGame(n=n, values=values, dist_label=spec.kind, seed=seed)
 
 

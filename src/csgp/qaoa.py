@@ -74,18 +74,6 @@ class CircuitDescription:
             tally[gate[0]] += 1
         return tally
 
-    def to_text(self) -> str:
-        """One line per gate: `H q`, `RX q angle`, `RZ q angle`, `CX c t`."""
-        lines = []
-        for gate in self.gates:
-            if gate[0] == "H":
-                lines.append(f"H {gate[1]}")
-            elif gate[0] in ("RX", "RZ"):
-                lines.append(f"{gate[0]} {gate[1]} {gate[2]:.17g}")
-            else:
-                lines.append(f"CX {gate[1]} {gate[2]}")
-        return "\n".join(lines) + "\n"
-
 
 def _check_qubits(m: int) -> None:
     if m > SIMULATOR_MAX_QUBITS:
@@ -228,8 +216,6 @@ class OptimizerConfig:
 
     starts: int = 10
     maxiter: int = 500
-    xatol: float = 1e-8
-    fatol: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.starts < 1:
@@ -296,7 +282,7 @@ def _objective(m: int, p: int, table: np.ndarray):
 def optimize(
     ising: IsingInstance,
     p: int,
-    config: OptimizerConfig | None = None,
+    config: OptimizerConfig = OptimizerConfig(),
     seed: int = 0,
     shots: int = 1024,
 ) -> QaoaResult:
@@ -312,8 +298,6 @@ def optimize(
         raise ConfigError(f"layer count must be >= 1, got {p}")
     if shots < 1:
         raise ConfigError(f"shots must be >= 1, got {shots}")
-    if config is None:
-        config = OptimizerConfig()
     start = time.perf_counter()
     table = energy_table(ising)
     fun = _objective(ising.m, p, table)
@@ -344,11 +328,7 @@ def optimize(
             tracked,
             theta0,
             method="Nelder-Mead",
-            options={
-                "maxiter": config.maxiter,
-                "xatol": config.xatol,
-                "fatol": config.fatol,
-            },
+            options={"maxiter": config.maxiter, "xatol": 1e-8, "fatol": 1e-8},
         )
         if best is None or res.fun < best[0]:
             best = (float(res.fun), res.x.copy(), bool(res.success), tuple(trace), s)
@@ -393,12 +373,16 @@ def optimize(
 
 
 def optimize_layer(
-    ising: IsingInstance, p: int, shots: int, seed: int, config=None, target_energy=None
+    ising: IsingInstance, p: int, shots: int, seed: int, target_energy=None
 ) -> tuple[QaoaResult, bool]:
     """optimize at depth p under a seed derived from (seed, p), and whether the
     sample reached ``target_energy`` (QUBO units; None never matches)."""
+    if p < 1:
+        raise ConfigError(f"layer count must be >= 1, got {p}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     seed_p = int(np.random.SeedSequence([seed, p]).generate_state(1)[0])
-    result = optimize(ising, p, config=config, seed=seed_p, shots=shots)
+    result = optimize(ising, p, seed=seed_p, shots=shots)
     matched = target_energy is not None and math.isclose(
         result.metadata["best_sampled_qubo_energy"], target_energy, rel_tol=1e-9, abs_tol=1e-9
     )
@@ -410,7 +394,6 @@ def scan_layers(
     p_max: int = 12,
     shots: int = 1024,
     seed: int = 0,
-    config: OptimizerConfig | None = None,
     target_energy: float | None = None,
 ) -> tuple[list[QaoaResult], int | None]:
     """Optimize at p = 1..p_max, stopping early once the target is sampled.
@@ -425,7 +408,7 @@ def scan_layers(
     results: list[QaoaResult] = []
     chosen: int | None = None
     for p in range(1, p_max + 1):
-        result, matched = optimize_layer(ising, p, shots, seed, config, target_energy)
+        result, matched = optimize_layer(ising, p, shots, seed, target_energy)
         results.append(result)
         if matched:
             chosen = p

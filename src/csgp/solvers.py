@@ -228,15 +228,13 @@ def _report_from_assignment(method, bilp, qubo, decoded, energy, metadata, elaps
     )
 
 
-def solve_qubo_exhaustive(bilp: BilpInstance, qubo: QuboInstance | None = None) -> SolveReport:
+def solve_qubo_exhaustive(bilp: BilpInstance, qubo: QuboInstance) -> SolveReport:
     """Exact QUBO minimization by scanning all 2^m assignments in chunks."""
-    m = bilp.num_variables if qubo is None else qubo.m
+    m = qubo.m
     if m > BRUTE_MAX_VARIABLES:
         raise ResourceLimitError(
             f"exhaustive QUBO scan is limited to {BRUTE_MAX_VARIABLES} variables, got {m}"
         )
-    if qubo is None:
-        qubo = build_qubo(bilp)
     start = time.perf_counter()
     diag = np.asarray(qubo.diag)
     pairs = list(qubo.offdiag.items())
@@ -286,6 +284,8 @@ class AnnealSchedule:
             )
         if self.temp_hi == math.inf:
             raise ConfigError("temp_hi must be finite, got inf")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def temperature(self, sweep: int) -> float:
         if self.sweeps == 1:
@@ -294,7 +294,7 @@ class AnnealSchedule:
         return self.temp_hi * ratio ** (sweep / (self.sweeps - 1))
 
 
-def default_schedule(bilp: BilpInstance, seed: int = 0, restarts: int = 10) -> AnnealSchedule:
+def default_schedule(bilp: BilpInstance, seed: int = 0) -> AnnealSchedule:
     """Schedule scaled to the instance: hot enough to flip any single bit freely.
 
     temp_hi tracks twice the total absolute value mass (with a floor of
@@ -306,16 +306,11 @@ def default_schedule(bilp: BilpInstance, seed: int = 0, restarts: int = 10) -> A
         sweeps=10 * bilp.num_variables,
         temp_hi=max(1.0, span),
         temp_lo=1e-3,
-        restarts=restarts,
         seed=seed,
     )
 
 
-def solve_qubo_sa(
-    bilp: BilpInstance,
-    qubo: QuboInstance | None = None,
-    schedule: AnnealSchedule | None = None,
-) -> SolveReport:
+def solve_qubo_sa(bilp: BilpInstance, qubo: QuboInstance, schedule: AnnealSchedule) -> SolveReport:
     """Single-flip Metropolis annealing on the QUBO.
 
     Each restart r runs its own PCG64 stream seeded with seed + r.  The
@@ -336,15 +331,11 @@ def solve_qubo_sa(
     Restarts are merged under the module tie-breaking rule and the
     winner's energy is recomputed from scratch before reporting.
     """
-    m = bilp.num_variables if qubo is None else qubo.m
+    m = qubo.m
     if m > SA_MAX_VARIABLES:
         raise ResourceLimitError(
             f"annealing is limited to {SA_MAX_VARIABLES} variables, got {m}"
         )
-    if qubo is None:
-        qubo = build_qubo(bilp)
-    if schedule is None:
-        schedule = default_schedule(bilp)
     start = time.perf_counter()
 
     diag = np.asarray(qubo.diag)
@@ -375,10 +366,7 @@ def solve_qubo_sa(
         for i in range(m):
             if x[i]:
                 g[nbr_idx[i]] += nbr_val[i]
-        energy = float(sum(d for d, b in zip(qubo.diag, x) if b))
-        for (i, j), val in qubo.offdiag.items():
-            if x[i] and x[j]:
-                energy += val
+        energy = float(qubo_energy(qubo, x))
         # From here on the state is s = 1 - 2x: flipping k changes the
         # energy by delta_k = s_k * g_k.
         s = 1.0 - 2.0 * np.array(x, dtype=float)
@@ -521,19 +509,27 @@ def solve(
 ) -> SolveReport:
     """Solve a game with one of METHODS; the options are the `csgp solve` flags.
 
-    enum and dp take no exclusions.  The QUBO methods run build_chain with
-    the method's VARIABLE_LIMITS entry; sa anneals default_schedule(bilp,
+    A negative seed and, for qaoa, a depth below 1 are refused before any
+    work.  enum and dp take no exclusions.  The QUBO methods run build_chain
+    with the method's VARIABLE_LIMITS entry; sa anneals default_schedule(bilp,
     seed) with each given sweeps/restarts/temp_hi/temp_lo replacing its
     field; qaoa runs solve_qaoa at depth p, or else up to p_max (default 12).
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if method in ("enum", "dp"):
         if exclude:
             raise ConfigError("--exclude applies only to QUBO-based methods (qubo-brute, sa, qaoa)")
         return solve_enum(game) if method == "enum" else solve_dp(game)
-    if method == "qaoa" and p is not None and p_max is not None:
-        raise ConfigError("give either --p or --p-max, not both")
+    if method == "qaoa":
+        if p is not None and p_max is not None:
+            raise ConfigError("give either --p or --p-max, not both")
+        if p is not None and p < 1:
+            raise ConfigError(f"layer count must be >= 1, got {p}")
+        if p_max is not None and p_max < 1:
+            raise ConfigError(f"p_max must be >= 1, got {p_max}")
     bilp, qubo = build_chain(game, lam, exclude, limit=VARIABLE_LIMITS[method], what=method)
     if method == "qubo-brute":
         return solve_qubo_exhaustive(bilp, qubo)

@@ -174,7 +174,33 @@ def test_solve_qaoa_depth_flags_conflict(tmp_path, capsys, monkeypatch):
     assert stderr_error(err)["kind"] == "ConfigError"
 
 
+@pytest.mark.parametrize("depth", [["--p", "0"], ["--p-max", "0"], ["--p", "-1"]])
+def test_solve_qaoa_bad_depth_is_refused_before_the_chain(capsys, monkeypatch, depth):
+    monkeypatch.setattr("csgp.solvers.build_bilp", _refuse("build_bilp"))
+    code, _, err = run_cli(
+        capsys, "solve", "--agents", "2", "--dist", "abn", "--method", "qaoa", *depth
+    )
+    assert code == 2 and err.count("\n") == 1
+    assert stderr_error(err)["kind"] == "ConfigError"
+
+
 # ----------------------------------------------------------------- exit codes
+
+
+def test_negative_seed_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = make_game(tmp_path, capsys, n=2, dist="abu", seed=0)
+    monkeypatch.setattr("csgp.solvers.build_bilp", _refuse("build_bilp"))
+    for argv in (
+        ["gen", "--agents", "2", "--dist", "abu"],
+        ["solve", str(path), "--method", "dp"],
+        ["solve", str(path), "--method", "sa"],
+        ["solve", str(path), "--method", "qaoa", "--p", "1"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == 2 and out == "" and err.count("\n") == 1, argv
+        assert stderr_error(err)["kind"] == "ConfigError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
 def test_game_file_and_agents_conflict(tmp_path, capsys):

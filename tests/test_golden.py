@@ -45,6 +45,20 @@ QAOA_P_STDOUT = "7398e21b6e886a0888a13fcb36ffacab8d8f074dc3ed4b8746c840186c3d427
 QAOA_P_SCAN_FILE = "fc5ea1ab5f50a859f25b169bdd7f026ad3d0884f9864530280f652e4934392fe"
 BENCH = "--methods dp,qubo-brute,sa,qaoa --agents 2 --dists abu,wrc,normal --seeds 2 --p-max 2 --shots 256"
 BENCH_SUMMARY = "9165a419f2c7cedb4ef4f7a48b9e5c05743288336756c970ea755e76e313e473"
+# `csgp gen --agents 3 --seed 0 --dist <family>` file bytes: they pin every
+# family's fixed parameters and its draw order.
+GEN_GOLDEN = {
+    "abu": "9e644ce02749d6a8a265ca688cddbf0342e8d8dfaae7d156d737add6042a66af",
+    "abn": "16f5f798d0c1c7229dcd9a944ae2bfad573671dc44e9e6f938bda1faf82b6599",
+    "mu": "ccddae68836d721f0637408e507b1bffa27d290742de19ad1714def3e6838b37",
+    "normal": "de8b87ede0cc3d6df41b1264073aa3cc6f937b25594f31c4bf07bf83b2e3fd99",
+    "sva_beta": "a231b4ffec255de16ff69afcfb1c6ba8d41a4184cdd4f34a63482502dd681bc2",
+    "weibull": "16ba1b9dec5c59434de7e8558d43df90e94c2da80be8ce6bbc56a4cfff4284c9",
+    "rayleigh": "24b04ccf440e524f7a5f20e5873df72789826ebd5e1b6ded88437fd639c63266",
+    "wrc": "dfc2a95ed7728e707a3ce7f70f0f75d6bf6a8e6f91d75216ec8a33da37d869d2",
+    "f": "8f84d66559439b9edef9ed33fdfa0f7f731c746ae4eb6f695cb2808688a2c84d",
+    "laplace": "c04b3886d2a9ec4aba3e3409185f9e1fde16399325eae93047ad202ff8cabe6f",
+}
 
 
 def sha256(text: str) -> str:
@@ -64,6 +78,13 @@ def run_cli(capsys, argv):
     out = capsys.readouterr().out
     assert code == 0
     return out
+
+
+@pytest.mark.parametrize("dist", sorted(GEN_GOLDEN))
+def test_gen_file_bytes(tmp_path, capsys, dist):
+    path = tmp_path / "game.json"
+    run_cli(capsys, ["gen", "--agents", "3", "--dist", dist, "--seed", "0", "--out", str(path)])
+    assert sha256(path.read_text(encoding="utf-8")) == GEN_GOLDEN[dist]
 
 
 @pytest.mark.parametrize("case", sorted(SOLVE_GOLDEN))

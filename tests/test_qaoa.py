@@ -139,19 +139,6 @@ def test_guard_fires_before_the_energy_table_is_built():
     assert peak < 1 << 20
 
 
-def test_to_text_round_trips_angles(g2):
-    _, _, ising = _g2_chain(g2)
-    circ = build_circuit(ising, QaoaParams(p=1, betas=(0.3,), gammas=(0.7,)))
-    lines = circ.to_text().splitlines()
-    assert len(lines) == 15
-    assert lines[0] == "H 0"
-    assert sum(1 for ln in lines if ln.startswith("CX ")) == 4
-    for gate, line in zip(circ.gates, lines):
-        tokens = line.split()
-        if gate[0] in ("RX", "RZ"):
-            assert float(tokens[2]) == gate[2]
-
-
 # ---------------------------------------------------------------- simulation
 
 
@@ -419,6 +406,11 @@ def test_layer_scan_validates_depth(g2):
     _, _, ising = _g2_chain(g2)
     with pytest.raises(ConfigError):
         scan_layers(ising, p_max=0)
+    # Both are checked before SeedSequence([seed, p]), which rejects negatives.
+    with pytest.raises(ConfigError, match="layer count"):
+        qaoa_module.optimize_layer(ising, -1, shots=16, seed=0)
+    with pytest.raises(ConfigError, match="seed"):
+        qaoa_module.optimize_layer(ising, 1, shots=16, seed=-1)
 
 
 def test_scan_solution_matches_partition_solver(g2):

@@ -24,7 +24,7 @@ from csgp import (
     solve_qubo_sa,
 )
 from csgp.solvers import _pick_qubo_winner, _report_from_assignment, partitions
-from csgp.transform import BilpInstance, qubo_energy
+from csgp.transform import qubo_energy
 
 
 def _zero_game(n):
@@ -103,7 +103,7 @@ def test_tie_break_is_lexicographic_on_blocks():
         assert solve_enum(game).best_cs.blocks == expected
         assert solve_dp(game).best_cs.blocks == expected
         bilp = build_bilp(game)
-        assert solve_qubo_exhaustive(bilp).best_cs.blocks == expected
+        assert solve_qubo_exhaustive(bilp, build_qubo(bilp)).best_cs.blocks == expected
 
 
 def test_zero_game_ties_resolve_identically():
@@ -125,7 +125,7 @@ def test_brute_guard():
     game = generate_game(5, DistributionSpec(kind="abu"), seed=0)  # m = 31
     bilp = build_bilp(game)
     with pytest.raises(ResourceLimitError):
-        solve_qubo_exhaustive(bilp)
+        solve_qubo_exhaustive(bilp, build_qubo(bilp))
 
 
 @given(
@@ -136,14 +136,15 @@ def test_brute_guard():
 def test_brute_equals_dp(kind, seed):
     game = generate_game(3, DistributionSpec(kind=kind), seed=seed)
     bilp = build_bilp(game)
-    brute = solve_qubo_exhaustive(bilp)
+    brute = solve_qubo_exhaustive(bilp, build_qubo(bilp))
     dp = solve_dp(game)
     assert math.isclose(brute.best_value, dp.best_value, rel_tol=1e-9)
     assert brute.best_cs.blocks == dp.best_cs.blocks
 
 
 def test_report_value_consistent_with_cs(g2):
-    for report in (solve_enum(g2), solve_dp(g2), solve_qubo_exhaustive(build_bilp(g2))):
+    bilp = build_bilp(g2)
+    for report in (solve_enum(g2), solve_dp(g2), solve_qubo_exhaustive(bilp, build_qubo(bilp))):
         assert report.best_value == cs_value(g2, report.best_cs)
 
 
@@ -185,7 +186,7 @@ def test_sa_default_schedule_n5():
     for seed in range(1, 11):
         game = generate_game(5, DistributionSpec(kind="abu"), seed=seed)
         bilp = build_bilp(game)
-        report = solve_qubo_sa(bilp, schedule=default_schedule(bilp, seed=seed))
+        report = solve_qubo_sa(bilp, build_qubo(bilp), default_schedule(bilp, seed=seed))
         if report.feasible and math.isclose(
             report.best_value, solve_dp(game).best_value, rel_tol=1e-9
         ):
@@ -195,15 +196,16 @@ def test_sa_default_schedule_n5():
 
 def test_sa_zero_game_returns_feasible():
     bilp = build_bilp(_zero_game(4))
-    report = solve_qubo_sa(bilp)
+    report = solve_qubo_sa(bilp, build_qubo(bilp), default_schedule(bilp))
     assert report.feasible
     assert report.best_value == 0.0
 
 
 def test_sa_deterministic_and_trace_monotone(g2):
     bilp = build_bilp(g2)
-    a = solve_qubo_sa(bilp, schedule=default_schedule(bilp, seed=3))
-    b = solve_qubo_sa(bilp, schedule=default_schedule(bilp, seed=3))
+    qubo = build_qubo(bilp)
+    a = solve_qubo_sa(bilp, qubo, default_schedule(bilp, seed=3))
+    b = solve_qubo_sa(bilp, qubo, default_schedule(bilp, seed=3))
     assert json.dumps(a.to_json(include_timing=False)) == json.dumps(
         b.to_json(include_timing=False)
     )
@@ -212,26 +214,11 @@ def test_sa_deterministic_and_trace_monotone(g2):
 
 
 def test_sa_guard():
-    qubo = build_qubo(build_bilp(_zero_game(2)))
+    bilp = build_bilp(_zero_game(2))
+    qubo = build_qubo(bilp)
     big = type(qubo)(m=(1 << 15) + 1, diag=(0.0,) * ((1 << 15) + 1), offdiag={}, c=0.0)
     with pytest.raises(ResourceLimitError):
-        solve_qubo_sa(build_bilp(_zero_game(2)), big)
-
-
-def _refuse_build(*args, **kwargs):
-    raise AssertionError("build_qubo ran before the size guard")
-
-
-@pytest.mark.parametrize(
-    "solver,m", [(solve_qubo_sa, (1 << 15) + 1), (solve_qubo_exhaustive, 25)]
-)
-def test_qubo_guards_fire_before_the_coupling_build(monkeypatch, solver, m):
-    # Without a QUBO, the solver must refuse from the BILP's size alone:
-    # the O(m^2) coupling dict of an oversized program exhausts memory.
-    monkeypatch.setattr("csgp.solvers.build_qubo", _refuse_build)
-    bilp = BilpInstance(n=16, columns=tuple(range(1, m + 1)), values=(0.0,) * m)
-    with pytest.raises(ResourceLimitError):
-        solver(bilp)
+        solve_qubo_sa(bilp, big, default_schedule(bilp))
 
 
 def _scalar_sa(bilp, qubo, schedule):
@@ -386,3 +373,20 @@ def test_solve_rejects_unknown_method_and_partition_exclusions(g2):
         solve(g2, "bogus")
     with pytest.raises(ConfigError, match="exclude"):
         solve(g2, "dp", exclude={1})
+
+
+def test_solve_checks_qaoa_depths_before_the_chain(g2, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("build_bilp ran before the depth check")
+
+    monkeypatch.setattr("csgp.solvers.build_bilp", refuse)
+    for depths in ({"p": 0}, {"p": -1}, {"p_max": 0}):
+        with pytest.raises(ConfigError, match=">= 1"):
+            solve(g2, "qaoa", **depths)
+
+
+def test_negative_seeds_are_config_errors():
+    with pytest.raises(ConfigError, match="seed"):
+        generate_game(2, DistributionSpec(kind="abu"), seed=-1)
+    with pytest.raises(ConfigError, match="seed"):
+        AnnealSchedule(sweeps=10, temp_hi=1.0, temp_lo=0.1, seed=-1)
