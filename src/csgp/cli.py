@@ -25,8 +25,8 @@ from .errors import (
     ResourceLimitError,
 )
 from .game import DISTRIBUTION_KINDS, DistributionSpec, generate_game, load_game, save_game
-from .solvers import METHODS, SA_MAX_VARIABLES, build_chain, solve, solve_dp
-from .transform import QuboInstance, qubo_to_ising
+from .solvers import METHODS, SA_MAX_VARIABLES, checked_bilp, solve, solve_dp
+from .transform import QuboInstance, build_qubo, qubo_to_ising
 
 def _parse_agent_spec(text: str) -> list[int]:
     """Parse `N` or `A..B` (inclusive) into a list of agent counts."""
@@ -232,9 +232,8 @@ def _cmd_solve(args) -> int:
 def _cmd_export(args) -> int:
     game = _load_or_generate(args)
     # The largest QUBO read_qubo_text accepts, checked before the coupling build.
-    _, qubo = build_chain(
-        game, args.lam, _parse_exclude(args.exclude), limit=SA_MAX_VARIABLES, what="export"
-    )
+    bilp = checked_bilp(game, _parse_exclude(args.exclude), limit=SA_MAX_VARIABLES, what="export")
+    qubo = build_qubo(bilp, args.lam)
     if args.game is not None:
         base = Path(args.game).stem
     else:

@@ -34,6 +34,7 @@ from .transform import (
 
 ENUM_MAX_AGENTS = 12
 DP_MAX_AGENTS = 20
+DP_CHUNK = 1 << 15  # splits solve_dp evaluates per numpy pass
 BRUTE_MAX_VARIABLES = 24
 SA_MAX_VARIABLES = 1 << 15
 
@@ -134,52 +135,114 @@ def solve_enum(game: CoalitionGame) -> SolveReport:
 def solve_dp(game: CoalitionGame) -> SolveReport:
     """Exact solver by dynamic programming over agent subsets.
 
-    For each subset T (ascending mask order) the best partition value is
-    f(T) = max(v(T), max over splits f(T1) + f(T \\ T1)) where T1 ranges
-    over proper subsets of T containing T's lowest agent.  Alongside f
-    the lexicographically smallest optimal block tuple is carried, so
-    ties resolve identically to solve_enum.
+    The best partition value of a subset T is f(T) = max(v(T), max over
+    splits f(T1) + f(T \\ T1)), where T1 ranges over the proper subsets of
+    T that contain T's lowest agent.  Subsets are taken one popcount layer
+    at a time, so a split only reads finished layers.  Within a layer, numpy
+    evaluates the splits of a block of subsets (about DP_CHUNK splits) at
+    once, in the order of a scalar loop that starts from v(T), walks the
+    submasks downwards and keeps a split only if it is strictly larger.
+    Every candidate is that loop's float sum, the first maximum wins and
+    v(T) stays on equality, so f is bitwise the loop's.
+
+    Ties resolve as in solve_enum, to the lexicographically smallest
+    ascending block tuple.  A split that ties v(T) beats the block (T,):
+    its smallest block is a proper subset of T, so a smaller index.  Each
+    subset keeps only its chosen split and an exact integer key of its
+    partition, sum over agents a in T of a! times the index of the lowest
+    agent of a's block.  The key adds over disjoint blocks, names the
+    partition uniquely (a mixed-radix number with digit a in 0..a) and stays
+    below n! <= 20! < 2^63.  Tied splits with one key are one partition
+    reached through different splits; block tuples are built (once per
+    subset, from the chosen splits) and compared only where tied splits
+    differ in key.  The answer's blocks are read back the same way.
     """
     if game.n > DP_MAX_AGENTS:
         raise ResourceLimitError(
             f"subset dynamic programming is limited to {DP_MAX_AGENTS} agents, got {game.n}"
         )
     start = time.perf_counter()
-    full = n_coalitions(game.n)
-    values = game.values
-    f = [0.0] * (full + 1)
-    opt: list[tuple[int, ...]] = [()] * (full + 1)
+    n = game.n
+    full = n_coalitions(n)
+    f = np.zeros(full + 1)
+    f[1:] = np.fromiter(game.values.values(), float, full)  # CoalitionGame sorts its keys
+    masks = np.arange(full + 1)
+    size = np.bitwise_count(masks)
+    # key[T] starts as the key of the one-block partition (T,): the index of
+    # T's lowest agent times the sum of a! over T's agents a.
+    key = np.zeros(full + 1, dtype=np.int64)
+    for a in range(n):
+        np.add(key[: 1 << a], math.factorial(a), out=key[1 << a : 2 << a])
+    key *= np.bitwise_count((masks & -masks) - 1)
+    split = np.zeros(full + 1, dtype=np.int64)  # chosen T1, or 0 for (T,)
+    tuples: dict[int, tuple[int, ...]] = {}
+
+    def blocks(t: int) -> tuple[int, ...]:
+        """The ascending block tuple of subset t's chosen partition."""
+        if t not in tuples:
+            t1 = split.item(t)
+            tuples[t] = tuple(sorted(blocks(t1) + blocks(t ^ t1))) if t1 else (t,)
+        return tuples[t]
+
     splits = 0
-    for t in range(1, full + 1):
-        best = values[t]
-        best_blocks = (t,)
-        low = t & -t
-        rest = t ^ low
-        sub = rest
-        while sub:
-            sub = (sub - 1) & rest
-            t1 = low | sub
-            t2 = t ^ t1
-            splits += 1
-            cand = f[t1] + f[t2]
-            if cand > best:
-                best = cand
-                best_blocks = tuple(sorted(opt[t1] + opt[t2]))
-            elif cand == best:
-                blocks = tuple(sorted(opt[t1] + opt[t2]))
-                if blocks < best_blocks:
-                    best_blocks = blocks
-            if sub == 0:
-                break
-        f[t] = best
-        opt[t] = best_blocks
+    for k in range(2, n + 1):
+        layer = np.flatnonzero(size == k)
+        half = 1 << (k - 1)  # submasks of the k - 1 agents above the lowest
+        splits += len(layer) * (half - 1)
+        low = layer & -layer
+        rest = layer ^ low
+        higher = np.empty((k - 1, len(layer)), dtype=np.int64)  # rest's bits, lowest first
+        left = rest.copy()
+        for i in range(k - 1):
+            np.bitwise_and(left, -left, out=higher[i])
+            left ^= higher[i]
+        step = max(1, DP_CHUNK // half)
+        for first in range(0, len(layer), step):
+            rows = slice(first, first + step)
+            t = layer[rows]
+            count = len(t)
+            # Column c of sub is rest without the bits set in c: column 0 is
+            # rest, column half - 1 - c is rest ^ sub[:, c], and columns 1..
+            # are the splits' submasks in the scalar loop's order.
+            sub = np.empty((count, half), dtype=np.int64)
+            sub[:, 0] = rest[rows]
+            for i in range(k - 1):
+                w = 1 << i
+                np.subtract(sub[:, :w], higher[i, rows, None], out=sub[:, w : 2 * w])
+            f_sub = f.take(sub)
+            sub += low[rows, None]  # now T1 = low | submask
+            cand = f.take(sub)[:, 1:] + f_sub[:, half - 2 :: -1]  # f(T1) + f(T \ T1)
+            win = cand.argmax(1)
+            at = np.arange(count)
+            best = cand[at, win]
+            v = f[t]
+            # Every split equal to its row's maximum, with the key of the
+            # partition it reaches; each row's first maximum is one of them.
+            tie_row, tie_col = np.divmod((cand == best[:, None]).ravel().nonzero()[0], half - 1)
+            tie_t1 = sub[tie_row, tie_col + 1]
+            tie_key = key[tie_t1] + key[t[tie_row] ^ tie_t1]
+            win_key = tie_key[tie_col == win[tie_row]]
+            win_t1 = sub[at, win + 1]
+            chosen = best >= v
+            odd = (tie_key != win_key[tie_row]) & chosen[tie_row]
+            for row in dict.fromkeys(tie_row[odd].tolist()):
+                lo, hi = np.searchsorted(tie_row, (row, row + 1)).tolist()  # tie_row is sorted
+                whole = int(t[row])
+                # One split per distinct partition; the smallest block tuple wins.
+                options = dict(zip(tie_key[lo:hi].tolist(), tie_t1[lo:hi].tolist()))
+                win_key[row], win_t1[row] = min(
+                    options.items(), key=lambda kv: sorted(blocks(kv[1]) + blocks(whole ^ kv[1]))
+                )
+            f[t] = np.where(best > v, best, v)
+            split[t[chosen]] = win_t1[chosen]
+            key[t[chosen]] = win_key[chosen]
     elapsed = (time.perf_counter() - start) * 1e3
     return SolveReport(
         method="dp",
-        best_cs=CoalitionStructure(opt[full]),
-        best_value=f[full],
+        best_cs=CoalitionStructure(blocks(full)),
+        best_value=float(f[full]),
         feasible=True,
-        metadata={"n": game.n, "splits": splits, "subsets": full},
+        metadata={"n": n, "splits": splits, "subsets": full},
         timing={"wall_ms": elapsed},
     )
 
@@ -441,15 +504,15 @@ def solve_qubo_sa(bilp: BilpInstance, qubo: QuboInstance, schedule: AnnealSchedu
     return _report_from_assignment("sa", bilp, qubo, decoded, energy, meta, elapsed)
 
 
-def build_chain(game: CoalitionGame, lam=None, exclude=frozenset(), *, limit: int, what: str):
-    """The BILP without the ``exclude`` coalitions and its penalty QUBO.  A BILP of
-    more than ``limit`` variables is refused, as ``what``, before the O(m^2) build."""
+def checked_bilp(game: CoalitionGame, exclude=frozenset(), *, limit: int, what: str):
+    """The BILP without the ``exclude`` coalitions.  One of more than ``limit``
+    variables is refused, as ``what``, before a caller's O(m^2) build_qubo."""
     bilp = build_bilp(game, exclude)
     if bilp.num_variables > limit:
         raise ResourceLimitError(
             f"{what} is limited to {limit} QUBO variables, got {bilp.num_variables}"
         )
-    return bilp, build_qubo(bilp, lam)
+    return bilp
 
 
 def solve_qaoa(
@@ -509,11 +572,12 @@ def solve(
 ) -> SolveReport:
     """Solve a game with one of METHODS; the options are the `csgp solve` flags.
 
-    A negative seed and, for qaoa, a depth below 1 are refused before any
-    work.  enum and dp take no exclusions.  The QUBO methods run build_chain
-    with the method's VARIABLE_LIMITS entry; sa anneals default_schedule(bilp,
-    seed) with each given sweeps/restarts/temp_hi/temp_lo replacing its
-    field; qaoa runs solve_qaoa at depth p, or else up to p_max (default 12).
+    A negative seed and, for qaoa, a depth or shot count below 1 are refused
+    before any work.  enum and dp take no exclusions.  The QUBO methods run
+    checked_bilp with the method's VARIABLE_LIMITS entry, then build_qubo; sa
+    anneals default_schedule(bilp, seed) with each given sweeps/restarts/
+    temp_hi/temp_lo replacing its field, refused before build_qubo if invalid;
+    qaoa runs solve_qaoa at depth p, or else up to p_max (default 12).
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
@@ -530,13 +594,16 @@ def solve(
             raise ConfigError(f"layer count must be >= 1, got {p}")
         if p_max is not None and p_max < 1:
             raise ConfigError(f"p_max must be >= 1, got {p_max}")
-    bilp, qubo = build_chain(game, lam, exclude, limit=VARIABLE_LIMITS[method], what=method)
-    if method == "qubo-brute":
-        return solve_qubo_exhaustive(bilp, qubo)
+        if shots < 1:
+            raise ConfigError(f"shots must be >= 1, got {shots}")
+    bilp = checked_bilp(game, exclude, limit=VARIABLE_LIMITS[method], what=method)
     if method == "sa":
         given = {"sweeps": sweeps, "restarts": restarts, "temp_hi": temp_hi, "temp_lo": temp_lo}
         schedule = replace(
             default_schedule(bilp, seed=seed), **{k: v for k, v in given.items() if v is not None}
         )
-        return solve_qubo_sa(bilp, qubo, schedule)
+        return solve_qubo_sa(bilp, build_qubo(bilp, lam), schedule)
+    qubo = build_qubo(bilp, lam)
+    if method == "qubo-brute":
+        return solve_qubo_exhaustive(bilp, qubo)
     return solve_qaoa(bilp, qubo, p=p, p_max=12 if p_max is None else p_max, shots=shots, seed=seed)

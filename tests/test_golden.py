@@ -23,6 +23,11 @@ SOLVE_GOLDEN = {
         "--agents 5 --dist wrc --seed 3 --method dp",
         "2f0757b2b5fbd242740be9d7adbfe834d5fa78ca2dcb5aee1eb304ec17ba7cb4",
     ),
+    # Layers of up to 924 subsets, each with up to 2047 splits.
+    "dp-n12": (
+        "--agents 12 --dist mu --seed 0 --method dp",
+        "90b70213071584384e3ce4c059ad779c6b2c562ca2fb7fc928333a02576fe2d9",
+    ),
     "qubo-brute-exclude-lambda": (
         "--agents 3 --dist wrc --seed 2 --method qubo-brute --exclude 5 --lambda 20",
         "fa8a9f605bd1f83bafaf5d533b023fc20f21a407b792fc68be988fb787d55dff",

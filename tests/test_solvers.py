@@ -111,6 +111,96 @@ def test_zero_game_ties_resolve_identically():
     assert solve_enum(game).best_cs.blocks == solve_dp(game).best_cs.blocks == (1, 2, 4, 8)
 
 
+def _scalar_dp(game):
+    """solve_dp as one Python iteration per split, in ascending mask order.
+
+    The production DP evaluates a popcount layer's splits in numpy; its
+    value must equal this loop's bit for bit, and its blocks and split
+    count must equal this loop's.
+    """
+    full = (1 << game.n) - 1
+    values = game.values
+    f = [0.0] * (full + 1)
+    opt = [()] * (full + 1)
+    splits = 0
+    for t in range(1, full + 1):
+        best = values[t]
+        best_blocks = (t,)
+        low = t & -t
+        rest = t ^ low
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            t1 = low | sub
+            t2 = t ^ t1
+            splits += 1
+            cand = f[t1] + f[t2]
+            if cand > best:
+                best = cand
+                best_blocks = tuple(sorted(opt[t1] + opt[t2]))
+            elif cand == best:
+                blocks = tuple(sorted(opt[t1] + opt[t2]))
+                if blocks < best_blocks:
+                    best_blocks = blocks
+            if sub == 0:
+                break
+        f[t] = best
+        opt[t] = best_blocks
+    return f[full], opt[full], splits
+
+
+def _valued_game(n, value):
+    return CoalitionGame(n=n, values={c: value(c) for c in range(1, 1 << n)})
+
+
+DP_ORACLE_PANEL = {
+    **{
+        kind: [generate_game(n, DistributionSpec(kind=kind), seed) for n in range(1, 10) for seed in range(3)]
+        for kind in ("abu", "abn", "mu", "normal", "sva_beta", "weibull", "rayleigh", "wrc", "f", "laplace")
+    },
+    "n11-n12": [
+        generate_game(n, DistributionSpec(kind=kind), 0) for n in (11, 12) for kind in ("mu", "normal")
+    ],
+    # Every partition ties in the zero and additive games.  Integer values
+    # tie many; in size-minus-mod3, tied splits of one subset also reach
+    # different partitions, and only the tuple comparison picks the smallest.
+    "zero": [_zero_game(n) for n in range(1, 9)],
+    "additive": [_valued_game(n, lambda c: float(c.bit_count())) for n in range(1, 9)],
+    "mod3": [_valued_game(n, lambda c: float(c % 3)) for n in range(1, 9)],
+    "size-minus-mod3": [_valued_game(n, lambda c: float(c.bit_count() - c % 3)) for n in range(1, 9)],
+    # 0.0 == -0.0, so only taking the first maximum and keeping v(T) unless a
+    # split beats it strictly give the loop's sign of f.
+    "signed-zero": [
+        _valued_game(n, lambda c: -1.0 if c.bit_count() > 2 else (-0.0 if c % 3 else 0.0))
+        for n in range(1, 9)
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(DP_ORACLE_PANEL))
+def test_dp_equals_scalar_loop(case):
+    for game in DP_ORACLE_PANEL[case]:
+        value, blocks, splits = _scalar_dp(game)
+        report = solve_dp(game)
+        assert report.best_value.hex() == value.hex(), (game.n, game.seed)
+        assert report.best_cs.blocks == blocks, (game.n, game.seed)
+        assert report.metadata["splits"] == splits
+
+
+def test_dp_equals_scalar_loop_in_tiny_chunks(monkeypatch):
+    # One or two subsets per numpy pass: every layer spans many chunks.
+    monkeypatch.setattr("csgp.solvers.DP_CHUNK", 4)
+    for game in (
+        _valued_game(7, lambda c: float(c.bit_count() - c % 3)),
+        generate_game(8, DistributionSpec(kind="wrc"), 1),
+    ):
+        value, blocks, splits = _scalar_dp(game)
+        report = solve_dp(game)
+        assert report.best_value.hex() == value.hex()
+        assert report.best_cs.blocks == blocks
+        assert report.metadata["splits"] == splits
+
+
 def test_brute_g2(g2):
     bilp = build_bilp(g2)
     report = solve_qubo_exhaustive(bilp, build_qubo(bilp, lam=10.0))
@@ -383,6 +473,34 @@ def test_solve_checks_qaoa_depths_before_the_chain(g2, monkeypatch):
     for depths in ({"p": 0}, {"p": -1}, {"p_max": 0}):
         with pytest.raises(ConfigError, match=">= 1"):
             solve(g2, "qaoa", **depths)
+
+
+def test_solve_checks_shots_before_the_chain(g2, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("build_bilp ran before the shots check")
+
+    monkeypatch.setattr("csgp.solvers.build_bilp", refuse)
+    for shots in (0, -5):
+        with pytest.raises(ConfigError, match=f"shots must be >= 1, got {shots}"):
+            solve(g2, "qaoa", shots=shots)
+
+
+def test_solve_checks_sa_overrides_before_the_coupling_build(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("build_qubo ran before the schedule check")
+
+    monkeypatch.setattr("csgp.solvers.build_qubo", refuse)
+    game = generate_game(4, DistributionSpec(kind="normal"), 0)
+    bad = {
+        "sweeps must be >= 1": {"sweeps": 0},
+        "restarts must be >= 1": {"restarts": 0},
+        "temp_lo <= temp_hi": {"temp_lo": 2.0, "temp_hi": 1.0},
+        "0 < temp_lo": {"temp_lo": 0.0},
+        "finite": {"temp_hi": math.inf},
+    }
+    for message, overrides in bad.items():
+        with pytest.raises(ConfigError, match=message):
+            solve(game, "sa", **overrides)
 
 
 def test_negative_seeds_are_config_errors():
