@@ -33,6 +33,8 @@ from .errors import ConfigError, ResourceLimitError
 from .transform import IsingInstance
 
 SIMULATOR_MAX_QUBITS = 20
+OPTIMIZER_MAX_LAYERS = 64  # the simplex over 2p angles holds (2p + 1) * 2p floats
+MAX_SHOTS = np.iinfo(np.int64).max  # the most draws numpy's multinomial takes
 
 _H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
 
@@ -80,6 +82,24 @@ def _check_qubits(m: int) -> None:
         raise ResourceLimitError(
             f"simulator is limited to {SIMULATOR_MAX_QUBITS} qubits, got {m}"
         )
+
+
+def check_depth(p: int, name: str = "layer count") -> None:
+    """Refuse a depth below 1 (ConfigError) or above OPTIMIZER_MAX_LAYERS (ResourceLimitError)."""
+    if p < 1:
+        raise ConfigError(f"{name} must be >= 1, got {p}")
+    if p > OPTIMIZER_MAX_LAYERS:
+        raise ResourceLimitError(
+            f"QAOA is limited to {OPTIMIZER_MAX_LAYERS} layers, got {name} {p}"
+        )
+
+
+def check_shots(shots: int) -> None:
+    """Refuse a shot count outside 1..MAX_SHOTS (ConfigError)."""
+    if shots < 1:
+        raise ConfigError(f"shots must be >= 1, got {shots}")
+    if shots > MAX_SHOTS:
+        raise ConfigError(f"shots must be <= {MAX_SHOTS}, numpy's multinomial range, got {shots}")
 
 
 def build_circuit(ising: IsingInstance, params: QaoaParams) -> CircuitDescription:
@@ -199,8 +219,7 @@ def assignment_index(x: str) -> int:
 
 def sample(state: np.ndarray, shots: int, seed: int) -> dict[str, int]:
     """Multinomial measurement; keys are assignment strings, values shot counts."""
-    if shots < 1:
-        raise ConfigError(f"shots must be >= 1, got {shots}")
+    check_shots(shots)
     m = int(round(math.log2(state.shape[0])))
     probs = np.abs(state) ** 2
     probs = probs / probs.sum()
@@ -294,10 +313,8 @@ def optimize(
     in [0, pi), gamma in [0, 2*pi).  Runs that hit the iteration cap are
     kept and flagged via metadata["converged"].
     """
-    if p < 1:
-        raise ConfigError(f"layer count must be >= 1, got {p}")
-    if shots < 1:
-        raise ConfigError(f"shots must be >= 1, got {shots}")
+    check_depth(p)
+    check_shots(shots)
     start = time.perf_counter()
     table = energy_table(ising)
     fun = _objective(ising.m, p, table)
@@ -377,8 +394,7 @@ def optimize_layer(
 ) -> tuple[QaoaResult, bool]:
     """optimize at depth p under a seed derived from (seed, p), and whether the
     sample reached ``target_energy`` (QUBO units; None never matches)."""
-    if p < 1:
-        raise ConfigError(f"layer count must be >= 1, got {p}")
+    check_depth(p)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     seed_p = int(np.random.SeedSequence([seed, p]).generate_state(1)[0])
@@ -403,8 +419,7 @@ def scan_layers(
     a scan prefix is identical to a standalone shorter scan.  Returns all
     results plus the first matching p, or None when no p matched.
     """
-    if p_max < 1:
-        raise ConfigError(f"p_max must be >= 1, got {p_max}")
+    check_depth(p_max, "p_max")
     results: list[QaoaResult] = []
     chosen: int | None = None
     for p in range(1, p_max + 1):

@@ -27,6 +27,7 @@ from .transform import (
     QuboInstance,
     build_bilp,
     build_qubo,
+    coupling_matrix,
     decode_solution,
     qubo_energy,
     qubo_to_ising,
@@ -37,6 +38,8 @@ DP_MAX_AGENTS = 20
 DP_CHUNK = 1 << 15  # splits solve_dp evaluates per numpy pass
 BRUTE_MAX_VARIABLES = 24
 SA_MAX_VARIABLES = 1 << 15
+# sweeps * restarts: every sweep keeps a temperature, and a trace entry per restart.
+SA_MAX_SWEEPS = 1 << 23
 
 METHODS = ("enum", "dp", "qubo-brute", "sa", "qaoa")
 # Largest QUBO each QUBO method accepts, checked before the O(m^2) coupling build.
@@ -341,6 +344,11 @@ class AnnealSchedule:
             raise ConfigError(f"sweeps must be >= 1, got {self.sweeps}")
         if self.restarts < 1:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
+        if self.sweeps * self.restarts > SA_MAX_SWEEPS:
+            raise ResourceLimitError(
+                f"annealing is limited to {SA_MAX_SWEEPS} sweeps over all restarts,"
+                f" got {self.sweeps} sweeps x {self.restarts} restarts"
+            )
         if not (0.0 < self.temp_lo <= self.temp_hi):
             raise ConfigError(
                 f"need 0 < temp_lo <= temp_hi, got temp_lo={self.temp_lo}, temp_hi={self.temp_hi}"
@@ -393,6 +401,9 @@ def solve_qubo_sa(bilp: BilpInstance, qubo: QuboInstance, schedule: AnnealSchedu
     almost every attempt flips is slower than a per-attempt loop.
     Restarts are merged under the module tie-breaking rule and the
     winner's energy is recomputed from scratch before reporting.
+
+    ``qubo`` must be build_qubo(bilp, lam): the local field is kept from
+    coupling_matrix(bilp, qubo.lam); qubo.offdiag is read only by qubo_energy.
     """
     m = qubo.m
     if m > SA_MAX_VARIABLES:
@@ -400,20 +411,8 @@ def solve_qubo_sa(bilp: BilpInstance, qubo: QuboInstance, schedule: AnnealSchedu
             f"annealing is limited to {SA_MAX_VARIABLES} variables, got {m}"
         )
     start = time.perf_counter()
-
-    diag = np.asarray(qubo.diag)
-    neighbor_idx: list[list[int]] = [[] for _ in range(m)]
-    neighbor_val: list[list[float]] = [[] for _ in range(m)]
-    for (i, j), val in qubo.offdiag.items():
-        neighbor_idx[i].append(j)
-        neighbor_val[i].append(val)
-        neighbor_idx[j].append(i)
-        neighbor_val[j].append(val)
-    nbr_idx = [np.asarray(ix, dtype=np.int64) for ix in neighbor_idx]
-    nbr_val = [np.asarray(vs) for vs in neighbor_val]
-
-    temps = [schedule.temperature(s) for s in range(schedule.sweeps)]
-    temp_col = np.array(temps)[:, None]
+    couple = coupling_matrix(bilp, qubo.lam)
+    temps = np.fromiter(map(schedule.temperature, range(schedule.sweeps)), float, schedule.sweeps)
     # Sweeps are drawn and screened in blocks of about 2048 attempts.
     rows = max(1, min(schedule.sweeps, 2048 // m))
     us_block = np.empty((rows, m))
@@ -424,15 +423,14 @@ def solve_qubo_sa(bilp: BilpInstance, qubo: QuboInstance, schedule: AnnealSchedu
     restart_best: list[tuple[float, str, list[float]]] = []
     for r in range(schedule.restarts):
         rng = np.random.default_rng(schedule.seed + r)
-        x = [int(b) for b in rng.integers(0, 2, size=m)]
-        g = diag.copy()
-        for i in range(m):
-            if x[i]:
-                g[nbr_idx[i]] += nbr_val[i]
+        x = rng.integers(0, 2, size=m)
+        g = np.array(qubo.diag)
+        for i in np.flatnonzero(x).tolist():
+            g += couple[i]
         energy = float(qubo_energy(qubo, x))
         # From here on the state is s = 1 - 2x: flipping k changes the
         # energy by delta_k = s_k * g_k.
-        s = 1.0 - 2.0 * np.array(x, dtype=float)
+        s = 1.0 - 2.0 * x
         best_energy = energy
         best_s[:] = s
         trace: list[float] = []
@@ -449,7 +447,7 @@ def solve_qubo_sa(bilp: BilpInstance, qubo: QuboInstance, schedule: AnnealSchedu
                 np.log(us, out=reach)
             np.multiply(reach, -(1.0 + 1e-9), out=reach)
             np.add(reach, 1e-9, out=reach)
-            np.multiply(reach, temp_col[first : first + count], out=reach)
+            np.multiply(reach, temps[first : first + count, None], out=reach)
             # Attempt pos of the block is variable pos % m in sweep pos // m.
             # A rejected attempt changes nothing, so one pass over the rest
             # of the block finds the next attempt that can be accepted.  The
@@ -469,13 +467,12 @@ def solve_qubo_sa(bilp: BilpInstance, qubo: QuboInstance, schedule: AnnealSchedu
                 pos += j
                 row, k = divmod(pos, m)
                 d = float(delta[k])
-                if d <= 0.0 or us[row, k] < math.exp(-d / temps[first + row]):
+                if d <= 0.0 or us[row, k] < math.exp(-d / temps.item(first + row)):
                     # Close the trace of the sweeps that ended before this one.
                     trace.extend([best_energy] * (first + row - len(trace)))
                     sign = float(s[k])
                     s[k] = -sign
-                    if len(nbr_idx[k]):
-                        g[nbr_idx[k]] += sign * nbr_val[k]
+                    g += sign * couple[k]
                     energy += d
                     if energy < best_energy:
                         best_energy = energy
@@ -572,12 +569,14 @@ def solve(
 ) -> SolveReport:
     """Solve a game with one of METHODS; the options are the `csgp solve` flags.
 
-    A negative seed and, for qaoa, a depth or shot count below 1 are refused
-    before any work.  enum and dp take no exclusions.  The QUBO methods run
-    checked_bilp with the method's VARIABLE_LIMITS entry, then build_qubo; sa
-    anneals default_schedule(bilp, seed) with each given sweeps/restarts/
-    temp_hi/temp_lo replacing its field, refused before build_qubo if invalid;
-    qaoa runs solve_qaoa at depth p, or else up to p_max (default 12).
+    A negative seed and, for qaoa, a depth or shot count that
+    qaoa.check_depth or check_shots refuses are refused before any work.
+    enum and dp take no exclusions.  The QUBO methods run checked_bilp with
+    the method's VARIABLE_LIMITS entry, then build_qubo; sa anneals
+    default_schedule(bilp, seed) with each given sweeps/restarts/temp_hi/
+    temp_lo replacing its field, refused before build_qubo if invalid or over
+    SA_MAX_SWEEPS; qaoa runs solve_qaoa at depth p, or else up to p_max
+    (default 12).
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
@@ -590,12 +589,11 @@ def solve(
     if method == "qaoa":
         if p is not None and p_max is not None:
             raise ConfigError("give either --p or --p-max, not both")
-        if p is not None and p < 1:
-            raise ConfigError(f"layer count must be >= 1, got {p}")
-        if p_max is not None and p_max < 1:
-            raise ConfigError(f"p_max must be >= 1, got {p_max}")
-        if shots < 1:
-            raise ConfigError(f"shots must be >= 1, got {shots}")
+        if p is not None:
+            qaoa.check_depth(p)
+        if p_max is not None:
+            qaoa.check_depth(p_max, "p_max")
+        qaoa.check_shots(shots)
     bilp = checked_bilp(game, exclude, limit=VARIABLE_LIMITS[method], what=method)
     if method == "sa":
         given = {"sweeps": sweeps, "restarts": restarts, "temp_hi": temp_hi, "temp_lo": temp_lo}

@@ -12,7 +12,10 @@ makes variable ``j`` the coalition with index ``j + 1``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ConfigError, InfeasibleError
 from .game import CoalitionGame, CoalitionStructure, n_coalitions
@@ -103,27 +106,41 @@ def default_penalty(bilp: BilpInstance) -> float:
     return 1.0 + 2.0 * sum(abs(v) for v in bilp.values)
 
 
+def coupling_matrix(bilp: BilpInstance, lam: float) -> np.ndarray:
+    """Couplings 2*lam*|C_i & C_j| as a dense symmetric m x m array, zero on the
+    diagonal: the one place that rule is evaluated (build_qubo, solve_qubo_sa)."""
+    cols = np.array(bilp.columns, dtype=np.int64)
+    couple = (2.0 * lam) * np.bitwise_count(cols[:, None] & cols)
+    np.fill_diagonal(couple, 0.0)
+    return couple
+
+
 def build_qubo(bilp: BilpInstance, lam: float | None = None) -> QuboInstance:
     """Fold Sx = 1 into the objective with penalty weight lam.
 
     Minimizes lam * ||Sx - 1||^2 - v.x.  Expanding the square gives
     diagonal terms -v_j - lam*|C_j|, off-diagonal terms 2*lam*|C_i & C_j|
-    for intersecting pairs, and the constant lam*n.
+    for intersecting pairs (coupling_matrix), and the constant lam*n.
+
+    A penalty that is not a positive finite number is a ConfigError, and
+    so is one whose coefficients' magnitudes, which bound every energy,
+    sum to more than a float holds.
     """
     if lam is None:
         lam = default_penalty(bilp)
     lam = float(lam)
-    if lam <= 0:
-        raise ConfigError(f"penalty weight must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ConfigError(f"penalty weight must be positive and finite, got {lam}")
     diag = tuple(-v - lam * c.bit_count() for v, c in zip(bilp.values, bilp.columns))
+    # The couplings sum to lam times the ordered pairs of columns that share an agent.
+    shared = sum(c * (c - 1) for c in map(int.bit_count, bilp.row_masks))
+    if not math.isfinite(sum(map(abs, diag)) + lam * shared + 2.0 * lam * bilp.n):
+        raise ConfigError(f"penalty weight {lam} makes the QUBO's coefficients overflow a float")
     offdiag = {}
-    cols = bilp.columns
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            overlap = (cols[i] & cols[j]).bit_count()
-            if overlap:
-                offdiag[(i, j)] = 2.0 * lam * overlap
-    return QuboInstance(m=len(cols), diag=diag, offdiag=offdiag, c=lam * bilp.n, lam=lam)
+    for i, row in enumerate(coupling_matrix(bilp, lam)):
+        j = np.flatnonzero(row[i + 1 :]) + (i + 1)
+        offdiag.update(zip(zip([i] * len(j), j.tolist()), row[j].tolist()))
+    return QuboInstance(m=len(diag), diag=diag, offdiag=offdiag, c=lam * bilp.n, lam=lam)
 
 
 def _as_bits(x, m: int) -> list[int]:

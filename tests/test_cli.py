@@ -297,6 +297,74 @@ def test_export_guard_fires_before_the_coupling_build(tmp_path, capsys, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("method", ["sa", "qubo-brute", "qaoa"])
+@pytest.mark.parametrize("lam", ["nan", "inf", "1e308"])
+def test_penalty_that_is_not_finite_exit_code(tmp_path, capsys, monkeypatch, method, lam):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        capsys, "solve", "--agents", "2", "--dist", "abu", "--method", method, "--lambda", lam
+    )
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert stderr_error(err)["kind"] == "ConfigError"
+
+
+@pytest.mark.parametrize("fmt", ["qubo-json", "qubo-text", "ising-json"])
+def test_export_refuses_a_penalty_that_is_not_finite(tmp_path, capsys, monkeypatch, fmt):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        capsys, "export", "--agents", "2", "--dist", "abu", "--format", fmt, "--lambda", "nan"
+    )
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert stderr_error(err)["kind"] == "ConfigError"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_game_whose_default_penalty_overflows_exit_code(tmp_path, capsys, monkeypatch):
+    # Finite values whose default penalty 1 + 2 * sum |v| is inf.
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 2, "values": {"1": 1e308, "2": 1e308, "3": 1e308}}', encoding="utf-8")
+    for argv in (
+        ["solve", str(path), "--method", "qubo-brute"],
+        ["solve", str(path), "--method", "qaoa"],
+        ["export", str(path), "--format", "qubo-text"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1, argv
+        assert stderr_error(err)["kind"] == "ConfigError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [["--sweeps", "100000000", "--restarts", "1"], ["--restarts", "200000", "--sweeps", "3000"]],
+)
+def test_sa_sweep_budget_exit_code(capsys, monkeypatch, schedule):
+    monkeypatch.setattr("csgp.solvers.build_qubo", _refuse("build_qubo"))
+    code, out, err = run_cli(
+        capsys, "solve", "--agents", "2", "--dist", "abu", "--method", "sa", *schedule
+    )
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert stderr_error(err)["kind"] == "ResourceLimitError"
+
+
+@pytest.mark.parametrize(
+    "flags,exit_code,kind",
+    [
+        (["--p", "100000"], 3, "ResourceLimitError"),
+        (["--p-max", "100000"], 3, "ResourceLimitError"),
+        (["--shots", "100000000000000000000"], 2, "ConfigError"),
+    ],
+)
+def test_qaoa_depth_and_shot_limits_exit_code(capsys, monkeypatch, flags, exit_code, kind):
+    monkeypatch.setattr("csgp.solvers.build_bilp", _refuse("build_bilp"))
+    code, out, err = run_cli(
+        capsys, "solve", "--agents", "2", "--dist", "abu", "--method", "qaoa", *flags
+    )
+    assert code == exit_code and out == "" and err.count("\n") == 1
+    assert stderr_error(err)["kind"] == kind
+
+
 def test_infinite_sa_temperature_exit_code(tmp_path, capsys):
     # temp_hi = inf used to anneal at NaN temperatures and print Infinity,
     # which is not JSON.

@@ -365,6 +365,25 @@ def test_optimize_checks_shots_before_any_work(g2, monkeypatch):
         optimize(ising, 1, shots=0)
 
 
+def test_depth_and_shot_limits_are_checked_before_any_work(g2, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("energy_table ran before the depth or shots check")
+
+    _, _, ising = _g2_chain(g2)
+    monkeypatch.setattr(qaoa_module, "energy_table", refuse)
+    too_deep = qaoa_module.OPTIMIZER_MAX_LAYERS + 1
+    with pytest.raises(ResourceLimitError, match="layers"):
+        optimize(ising, too_deep)
+    with pytest.raises(ResourceLimitError, match="layers"):
+        scan_layers(ising, p_max=too_deep)
+    with pytest.raises(ConfigError, match="multinomial"):
+        optimize(ising, 1, shots=qaoa_module.MAX_SHOTS + 1)
+    state = np.full(2, math.sqrt(0.5), dtype=np.complex128)
+    with pytest.raises(ConfigError, match="multinomial"):
+        sample(state, qaoa_module.MAX_SHOTS + 1, seed=0)
+    assert sum(sample(state, qaoa_module.MAX_SHOTS, seed=0).values()) == qaoa_module.MAX_SHOTS
+
+
 def test_optimize_is_deterministic(g2):
     _, _, ising = _g2_chain(g2)
     a = optimize(ising, p=1, seed=3).to_json(include_timing=False)

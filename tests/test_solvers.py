@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,13 @@ from csgp import (
     solve_qubo_exhaustive,
     solve_qubo_sa,
 )
-from csgp.solvers import _pick_qubo_winner, _report_from_assignment, partitions
+from csgp.solvers import (
+    SA_MAX_SWEEPS,
+    SA_MAX_VARIABLES,
+    _pick_qubo_winner,
+    _report_from_assignment,
+    partitions,
+)
 from csgp.transform import qubo_energy
 
 
@@ -63,8 +70,9 @@ def test_dp_prefers_split_when_superadditivity_fails():
 
 
 def test_dp_guard():
+    # solve_dp reads nothing but n before the guard, so no 2^21-value game is built.
     with pytest.raises(ResourceLimitError):
-        solve_dp(_zero_game(21))
+        solve_dp(SimpleNamespace(n=21))
 
 
 @pytest.mark.parametrize("kind,seed", [("normal", 11), ("mu", 11), ("weibull", 4)])
@@ -414,6 +422,15 @@ def test_sa_sweep_equals_scalar_loop(case):
     fast = solve_qubo_sa(bilp, qubo, sched).to_json(include_timing=False)
     slow = _scalar_sa(bilp, qubo, sched).to_json(include_timing=False)
     assert json.dumps(fast) == json.dumps(slow)
+
+
+def test_sa_sweep_budget():
+    # The default schedule at the SA guard, and 200 * m sweeps at n = 12, fit the budget.
+    AnnealSchedule(sweeps=10 * SA_MAX_VARIABLES, temp_hi=1.0, temp_lo=0.1, restarts=10)
+    AnnealSchedule(sweeps=200 * 4095, temp_hi=1.0, temp_lo=0.1, restarts=10)
+    AnnealSchedule(sweeps=SA_MAX_SWEEPS, temp_hi=1.0, temp_lo=0.1, restarts=1)
+    with pytest.raises(ResourceLimitError, match="sweeps over all restarts"):
+        AnnealSchedule(sweeps=SA_MAX_SWEEPS + 1, temp_hi=1.0, temp_lo=0.1, restarts=1)
 
 
 def test_sa_schedule_rejects_infinite_temp_hi():

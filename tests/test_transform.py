@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from csgp import (
+    CoalitionGame,
     CoalitionStructure,
     ConfigError,
     DistributionSpec,
@@ -12,6 +13,7 @@ from csgp import (
     QuboInstance,
     build_bilp,
     build_qubo,
+    coupling_matrix,
     cs_value,
     decode_solution,
     default_penalty,
@@ -21,6 +23,7 @@ from csgp import (
     qubo_energy,
     qubo_to_ising,
 )
+from csgp.game import DISTRIBUTION_KINDS
 from csgp.solvers import partitions
 
 
@@ -57,6 +60,78 @@ def test_default_penalty(g2):
         build_qubo(bilp, lam=0.0)
     with pytest.raises(ConfigError):
         build_qubo(bilp, lam=-3.0)
+
+
+def _pair_loop_offdiag(bilp, lam):
+    """build_qubo's couplings as one Python iteration per pair, in row-major order.
+
+    build_qubo reads them off coupling_matrix; its dict must equal this
+    loop's in keys, insertion order and the bits of every value.
+    """
+    offdiag = {}
+    cols = bilp.columns
+    for i in range(len(cols)):
+        for j in range(i + 1, len(cols)):
+            overlap = (cols[i] & cols[j]).bit_count()
+            if overlap:
+                offdiag[(i, j)] = 2.0 * lam * overlap
+    return offdiag
+
+
+# Every case runs at the default penalty; all but n = 9 and 10 also at 0.5 and 20.
+COUPLING_ORACLE_PANEL = {
+    **{
+        f"{kind}-n{n}": dict(n=n, kind=kind, lams=(None, 0.5, 20.0))
+        for kind in DISTRIBUTION_KINDS
+        for n in range(1, 9)
+    },
+    **{
+        f"{kind}-n{n}": dict(n=n, kind=kind, lams=(None,))
+        for kind in ("normal", "wrc")
+        for n in (9, 10)
+    },
+    "abu-n5-exclude": dict(
+        n=5, kind="abu", lams=(None, 0.5, 20.0), exclude={3, 5, 6, 7, 9, 10, 11, 12, 13, 14}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUPLING_ORACLE_PANEL))
+def test_couplings_equal_the_pair_loop(case):
+    spec = COUPLING_ORACLE_PANEL[case]
+    game = generate_game(spec["n"], DistributionSpec(kind=spec["kind"]), seed=0)
+    bilp = build_bilp(game, spec.get("exclude", frozenset()))
+    for lam in spec["lams"]:
+        qubo = build_qubo(bilp, lam)
+        expected = _pair_loop_offdiag(bilp, default_penalty(bilp) if lam is None else lam)
+        assert list(qubo.offdiag) == list(expected)
+        assert [v.hex() for v in qubo.offdiag.values()] == [v.hex() for v in expected.values()]
+
+
+def test_coupling_matrix_is_symmetric_with_zero_diagonal():
+    bilp = build_bilp(generate_game(5, DistributionSpec(kind="mu"), seed=3), {6, 17})
+    couple = coupling_matrix(bilp, 1.5)
+    assert couple.shape == (29, 29)
+    assert (couple == couple.T).all()
+    assert not couple.diagonal().any()
+    assert couple[0, 2] == 3.0 and couple[0, 1] == 0.0  # {1} & {1,2} share one agent
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_build_qubo_rejects_a_penalty_that_is_not_finite(g2, lam):
+    with pytest.raises(ConfigError, match="positive and finite"):
+        build_qubo(build_bilp(g2), lam)
+
+
+def test_build_qubo_rejects_coefficients_that_overflow():
+    # At n = 4, 2 * lam * n is finite, but the couplings sum to 224 * lam.
+    bilp = build_bilp(generate_game(4, DistributionSpec(kind="abu"), seed=0))
+    build_qubo(bilp, 1e305)
+    with pytest.raises(ConfigError, match="overflow"):
+        build_qubo(bilp, 1e307)
+    huge = CoalitionGame(n=2, values={1: 1e308, 2: 1e308, 3: 1e308})
+    with pytest.raises(ConfigError, match="finite, got inf"):
+        build_qubo(build_bilp(huge))
 
 
 def test_qubo_energy_examples(g2):
