@@ -62,11 +62,12 @@ def complexity_table(n_range, p_list, s_mode: str = "min") -> list[ComplexityRow
     """
     if s_mode not in S_MODES:
         raise ConfigError(f"s_mode must be one of {S_MODES}, got {s_mode!r}")
-    ns = [int(n) for n in n_range]
-    ps = [int(p) for p in p_list]
-    for n in ns:
+    ns = []
+    for n in map(int, n_range):  # checked as read, so a huge range fails at its first bad n
         if not N_RANGE_LO <= n <= N_RANGE_HI:
             raise ConfigError(f"agent counts must lie in [{N_RANGE_LO}, {N_RANGE_HI}], got {n}")
+        ns.append(n)
+    ps = [int(p) for p in p_list]
     for p in ps:
         if p < 1:
             raise ConfigError(f"layer counts must be >= 1, got {p}")

@@ -24,27 +24,30 @@ from .errors import (
     ParseError,
     ResourceLimitError,
 )
-from .game import DISTRIBUTION_KINDS, DistributionSpec, generate_game, load_game, save_game
+from .game import (
+    DISTRIBUTION_KINDS, GENERATE_MAX_AGENTS, DistributionSpec, generate_game, load_game, save_game
+)
 from .solvers import METHODS, SA_MAX_VARIABLES, checked_bilp, solve, solve_dp
 from .transform import QuboInstance, build_qubo, qubo_to_ising
 
-def _parse_agent_spec(text: str) -> list[int]:
-    """Parse `N` or `A..B` (inclusive) into a list of agent counts."""
+def _parse_agent_spec(text: str) -> range:
+    """Parse `N` or `A..B` (inclusive) into a range of agent counts, never a list."""
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
             lo, hi = int(lo_text), int(hi_text)
             if lo > hi:
                 raise ConfigError(f"empty agent range {text!r}")
-            return list(range(lo, hi + 1))
-        return [int(text)]
+            return range(lo, hi + 1)
+        n = int(text)
+        return range(n, n + 1)
     except ValueError:
         raise ConfigError(f"cannot parse agent count {text!r}; expected N or A..B") from None
 
 
 def _single_agent_count(text: str) -> int:
     counts = _parse_agent_spec(text)
-    if len(counts) != 1:
+    if counts[0] != counts[-1]:
         raise ConfigError(f"this command takes a single agent count, got range {text!r}")
     return counts[0]
 
@@ -120,7 +123,10 @@ def write_qubo_text(qubo: QuboInstance, fh) -> None:
 
 
 def read_qubo_text(path) -> QuboInstance:
-    """Inverse of write_qubo_text; tolerates reordered lines and extra comments."""
+    """Inverse of write_qubo_text; tolerates reordered lines and extra comments.
+
+    A non-finite value, c and lambda included, is a ParseError naming the
+    path and line."""
     m = None
     diag: list[float] = []
     offdiag: dict[tuple[int, int], float] = {}
@@ -138,6 +144,8 @@ def read_qubo_text(path) -> QuboInstance:
                         value = float(fields[1])
                     except ValueError:
                         raise ParseError(f"{path}:{lineno}: bad {fields[0]} value {fields[1]!r}") from None
+                    if not math.isfinite(value):
+                        raise ParseError(f"{path}:{lineno}: non-finite {fields[0]} value {fields[1]!r}")
                     if fields[0] == "c":
                         c = value
                     else:
@@ -171,6 +179,8 @@ def read_qubo_text(path) -> QuboInstance:
                 value = float(fields[2])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: cannot parse {line!r}") from None
+            if not math.isfinite(value):
+                raise ParseError(f"{path}:{lineno}: non-finite coefficient {fields[2]!r}")
             if not (0 <= i < m and 0 <= j < m):
                 raise ParseError(f"{path}:{lineno}: index out of range for m={m}")
             if i == j:
@@ -273,6 +283,12 @@ def _cmd_bench(args) -> int:
                 f"unknown distribution {dist!r}; expected one of {', '.join(DISTRIBUTION_KINDS)}"
             )
     counts = _parse_agent_spec(args.agents)
+    if counts[0] < 1:
+        raise ConfigError(f"agent counts must be >= 1, got {counts[0]}")
+    if counts[-1] > GENERATE_MAX_AGENTS:
+        raise ResourceLimitError(
+            f"bench generates games of at most {GENERATE_MAX_AGENTS} agents, got {counts[-1]}"
+        )
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
 

@@ -2,10 +2,11 @@
 sampling, and classical angle optimization.
 
 The optimizer evaluates angles with a diagonal-phase kernel: each cost layer
-is one elementwise multiply by exp(-i*gamma*E) over the energy table, each
-mixer layer one RX(2*beta) per qubit.  The gate list from build_circuit,
-replayed by simulate, is the gate-exact reference the kernel is tested
-against and the source of gate counts; the optimizer never builds it.
+is one elementwise multiply by exp(-i*gamma*E) over the energy table (built
+once per optimize call, in O(2^m), by transform.quadratic_table), each mixer
+layer one RX(2*beta) per qubit.  The gate list from build_circuit, replayed
+by simulate, is the gate-exact reference the kernel is tested against and
+the source of gate counts; the optimizer never builds it.
 
 Conventions, fixed once here and relied on by the tests:
 
@@ -30,7 +31,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ConfigError, ResourceLimitError
-from .transform import IsingInstance
+from .transform import IsingInstance, quadratic_table
 
 SIMULATOR_MAX_QUBITS = 20
 OPTIMIZER_MAX_LAYERS = 64  # the simplex over 2p angles holds (2p + 1) * 2p floats
@@ -180,15 +181,14 @@ def simulate(circuit: CircuitDescription) -> np.ndarray:
 
 
 def energy_table(ising: IsingInstance) -> np.ndarray:
-    """Ising energy of every basis state, indexed by basis-state integer."""
-    m = ising.m
-    _check_qubits(m)
-    idx = np.arange(1 << m, dtype=np.int64)
-    z = 1.0 - 2.0 * ((idx[:, None] >> np.arange(m)) & 1)
-    table = z @ np.asarray(ising.h)
-    for (i, j), val in ising.J.items():
-        table += val * z[:, i] * z[:, j]
-    return table
+    """Ising energy of every basis state, indexed by basis-state integer: with z = 1 - 2b,
+    the quadratic_table of linear -2(h_i + sum_j J_ij), quadratic 4 J_ij, start sum h + sum J."""
+    _check_qubits(ising.m)
+    couple = np.zeros((ising.m, ising.m))
+    pairs = np.array(list(ising.J), dtype=np.int64).reshape(-1, 2)
+    couple[pairs[:, 0], pairs[:, 1]] = list(ising.J.values())
+    linear = -2.0 * (np.asarray(ising.h) + couple.sum(0) + couple.sum(1))
+    return quadratic_table(linear, 4.0 * couple, math.fsum([*ising.h, *ising.J.values()]))
 
 
 def expectation(state: np.ndarray, ising: IsingInstance) -> float:

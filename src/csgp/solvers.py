@@ -29,6 +29,7 @@ from .transform import (
     build_qubo,
     coupling_matrix,
     decode_solution,
+    quadratic_table,
     qubo_energy,
     qubo_to_ising,
 )
@@ -295,37 +296,20 @@ def _report_from_assignment(method, bilp, qubo, decoded, energy, metadata, elaps
 
 
 def solve_qubo_exhaustive(bilp: BilpInstance, qubo: QuboInstance) -> SolveReport:
-    """Exact QUBO minimization by scanning all 2^m assignments in chunks."""
-    m = qubo.m
-    if m > BRUTE_MAX_VARIABLES:
+    """Exact QUBO minimum over all 2^m energies, quadratic_table(qubo.diag, coupling_matrix(
+    bilp, qubo.lam)): ``qubo`` must be build_qubo(bilp, lam).  qubo_energy rescores the winner."""
+    if qubo.m > BRUTE_MAX_VARIABLES:
         raise ResourceLimitError(
-            f"exhaustive QUBO scan is limited to {BRUTE_MAX_VARIABLES} variables, got {m}"
+            f"exhaustive QUBO scan is limited to {BRUTE_MAX_VARIABLES} variables, got {qubo.m}"
         )
     start = time.perf_counter()
-    diag = np.asarray(qubo.diag)
-    pairs = list(qubo.offdiag.items())
-    total = 1 << m
-    chunk = min(total, 1 << 16)
-    shifts = np.arange(m, dtype=np.int64)
-    best_energy = math.inf
-    best_indices: list[int] = []
-    for base in range(0, total, chunk):
-        idx = np.arange(base, min(base + chunk, total), dtype=np.int64)
-        bits = (idx[:, None] >> shifts) & 1
-        energy = bits.astype(np.float64) @ diag
-        for (i, j), val in pairs:
-            energy += val * (bits[:, i] * bits[:, j])
-        lo = float(energy.min())
-        if lo < best_energy:
-            best_energy = lo
-            best_indices = [int(k) for k in idx[energy == lo]]
-        elif lo == best_energy:
-            best_indices.extend(int(k) for k in idx[energy == lo])
-    candidates = ["".join(str(k >> b & 1) for b in range(m)) for k in best_indices]
+    table = quadratic_table(qubo.diag, coupling_matrix(bilp, qubo.lam))
+    ties = np.flatnonzero(table == table.min()).tolist()
+    candidates = [format(k, f"0{qubo.m}b")[::-1] for k in ties]  # bit b of k is variable b
     decoded = _pick_qubo_winner(bilp, qubo, candidates)
     energy = qubo_energy(qubo, decoded.x)
     elapsed = (time.perf_counter() - start) * 1e3
-    meta = {"n": bilp.n, "assignments_examined": total, "ties": len(candidates)}
+    meta = {"n": bilp.n, "assignments_examined": len(table), "ties": len(candidates)}
     return _report_from_assignment("qubo-brute", bilp, qubo, decoded, energy, meta, elapsed)
 
 
@@ -520,7 +504,8 @@ def solve_qaoa(
     The exhaustive QUBO optimum is the target: a scan stops at the first
     depth whose sample reaches it, and metadata["chosen_p"] names the depth
     that did (None if none did).  The report decodes the lowest sampled
-    QUBO energy over every depth run, the smaller p on ties.
+    QUBO energy over every depth run, the smaller p on ties, and recomputes
+    its energy with qubo_energy, as qubo-brute and sa do.
     """
     limit = VARIABLE_LIMITS["qaoa"]  # checked before the reference scan
     if qubo.m > limit:
@@ -557,7 +542,7 @@ def solve_qaoa(
         "constant": None,
         "reference_value": reference.best_value,
     }
-    energy = winner.metadata["best_sampled_qubo_energy"]
+    energy = qubo_energy(qubo, decoded.x)
     elapsed = (time.perf_counter() - start) * 1e3
     report = _report_from_assignment("qaoa", bilp, qubo, decoded, energy, meta, elapsed)
     return replace(report, qaoa_results=tuple(results))

@@ -143,6 +143,21 @@ def build_qubo(bilp: BilpInstance, lam: float | None = None) -> QuboInstance:
     return QuboInstance(m=len(diag), diag=diag, offdiag=offdiag, c=lam * bilp.n, lam=lam)
 
 
+def quadratic_table(linear, quadratic, start: float = 0.0) -> np.ndarray:
+    """start + sum_j linear[j] b_j + sum_{i<j} quadratic[i, j] b_i b_j, b_j = bit j of b, for
+    every b < 2^m, by doubling: E[b | 2^j] = E[b] + linear[j] + sum_{i<j} quadratic[i, j] b_i,
+    the last sum doubled in the half it fills.  O(2^m); the table is its only allocation."""
+    table = np.empty(1 << len(linear))
+    table[0] = start
+    for j, d in enumerate(linear):
+        half = table[1 << j : 2 << j]
+        half[0] = d
+        for i, q in enumerate(quadratic[:j, j]):
+            np.add(half[: 1 << i], q, out=half[1 << i : 2 << i])
+        half += table[: 1 << j]
+    return table
+
+
 def _as_bits(x, m: int) -> list[int]:
     if isinstance(x, str):
         bits = [int(ch) for ch in x]

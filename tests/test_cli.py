@@ -496,6 +496,23 @@ def test_read_qubo_text_rejects_second_size_line(tmp_path):
         read_qubo_text(path)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("n 2\n0 0 1e999\n", 2),
+        ("n 2\n0 1 nan\n", 2),
+        ("n 2\n1 1 -inf\n", 2),
+        ("# c inf\nn 2\n", 1),
+        ("n 2\n# lambda nan\n", 2),
+    ],
+)
+def test_read_qubo_text_refuses_non_finite_values(tmp_path, text, line):
+    path = tmp_path / "nonfinite.qubo.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^{path}:{line}: non-finite"):
+        read_qubo_text(path)
+
+
 def test_read_qubo_text_refuses_oversized_size_line(tmp_path):
     path = tmp_path / "huge.qubo.txt"
     path.write_text("n 1000000000000\n")
@@ -564,6 +581,34 @@ def test_bench_grid_outputs(tmp_path, capsys):
         assert fields[5] == "true"
         assert fields[7] == "true"
         assert math.isclose(float(fields[4]), float(fields[6]), rel_tol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["analyze", "--agents", "2..1000000000000"], 2),
+        (["analyze", "--agents", "60..65"], 2),
+        (["bench", "--methods", "dp", "--agents", "2..1000000000000"], 3),
+        (["bench", "--methods", "dp", "--dists", "abu", "--agents", "2..21"], 3),
+        (["bench", "--methods", "dp", "--dists", "abu", "--agents", "0..3"], 2),
+        (["solve", "--agents", "2..1" + "0" * 40, "--dist", "abu", "--method", "dp"], 2),
+    ],
+)
+def test_agent_ranges_are_checked_before_any_work(tmp_path, capsys, monkeypatch, argv, code):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell ran before the agent range was checked")
+
+    for name in ("generate_game", "solve", "solve_dp"):
+        monkeypatch.setattr(f"csgp.cli.{name}", refuse)
+    monkeypatch.setattr("csgp.analysis.gate_count", refuse)
+    out_dir = tmp_path / "grid"
+    if argv[0] == "bench":
+        argv = [*argv, "--out", str(out_dir)]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert stderr_error(err)["exit"] == code
+    assert not out_dir.exists()
 
 
 def test_bench_rejects_unknown_method(tmp_path, capsys):

@@ -38,7 +38,9 @@ from csgp.transform import (
     IsingInstance,
     build_bilp,
     build_qubo,
+    coupling_matrix,
     decode_solution,
+    quadratic_table,
     qubo_energy,
     qubo_to_ising,
 )
@@ -227,6 +229,57 @@ def test_energy_table_ground_state(g2):
     for b in range(8):
         x = assignment_string(b, 3)
         assert table[b] + ising.offset == pytest.approx(qubo_energy(qubo, x), abs=1e-9)
+
+
+def _spin_matrix_energy_table(ising):
+    """energy_table from a 2^m x m matrix of spins and a loop over ising.J."""
+    m = ising.m
+    idx = np.arange(1 << m, dtype=np.int64)
+    z = 1.0 - 2.0 * ((idx[:, None] >> np.arange(m)) & 1)
+    table = z @ np.asarray(ising.h)
+    for (i, j), val in ising.J.items():
+        table += val * z[:, i] * z[:, j]
+    return table
+
+
+def _random_ising(m, seed):
+    rng = np.random.default_rng(seed)
+    h = tuple(rng.normal(size=m).tolist())
+    J = {(i, j): float(rng.normal()) for i in range(m) for j in range(i + 1, m) if rng.random() < 0.7}
+    return IsingInstance(m=m, h=h, J=J, offset=float(rng.normal()))
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_energy_table_matches_the_spin_matrix(m):
+    isings = [_random_ising(m, seed) for seed in range(3)]
+    if m in (3, 7):
+        isings.append(_chain_for(m.bit_length())[2])
+    for ising in isings:
+        want = _spin_matrix_energy_table(ising)
+        got = energy_table(ising)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ising_table_is_the_qubo_table_at_the_complemented_index(n):
+    # Qubit bit b carries x = 1 - b, so basis state k reads out the complement of k.
+    bilp, qubo, ising = _chain_for(n)
+    binary = quadratic_table(qubo.diag, coupling_matrix(bilp, qubo.lam))
+    spin = energy_table(ising)
+    complement = np.arange(1 << qubo.m) ^ ((1 << qubo.m) - 1)
+    assert np.allclose(spin + ising.offset, binary[complement], rtol=0, atol=1e-12 * np.abs(binary).max())
+
+
+def test_energy_table_at_twenty_qubits_allocates_only_the_table():
+    ising = _random_ising(20, 0)
+    tracemalloc.start()
+    try:
+        table = energy_table(ising)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 8 << 20
+    assert peak < 24 << 20
 
 
 def test_expectation_of_uniform_and_basis_states(g2):

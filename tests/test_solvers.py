@@ -226,6 +226,83 @@ def test_brute_guard():
         solve_qubo_exhaustive(bilp, build_qubo(bilp))
 
 
+def _chunked_exhaustive(bilp, qubo):
+    """solve_qubo_exhaustive as a chunked scan: the energies of 2^16
+    assignments at a time, from a bits matrix and a loop over qubo.offdiag."""
+    m = qubo.m
+    diag = np.asarray(qubo.diag)
+    shifts = np.arange(m, dtype=np.int64)
+    best_energy = math.inf
+    best_indices = []
+    for base in range(0, 1 << m, 1 << 16):
+        idx = np.arange(base, min(base + (1 << 16), 1 << m), dtype=np.int64)
+        bits = (idx[:, None] >> shifts) & 1
+        energy = bits.astype(np.float64) @ diag
+        for (i, j), val in qubo.offdiag.items():
+            energy += val * (bits[:, i] * bits[:, j])
+        lo = float(energy.min())
+        if lo < best_energy:
+            best_energy, best_indices = lo, []
+        if lo == best_energy:
+            best_indices.extend(int(k) for k in idx[energy == lo])
+    candidates = ["".join(str(k >> b & 1) for b in range(m)) for k in best_indices]
+    decoded = _pick_qubo_winner(bilp, qubo, candidates)
+    meta = {"n": bilp.n, "assignments_examined": 1 << m, "ties": len(candidates)}
+    return _report_from_assignment(
+        "qubo-brute", bilp, qubo, decoded, qubo_energy(qubo, decoded.x), meta, 0.0
+    )
+
+
+def _weighted_additive(n):
+    weights = (0.1, 0.2, 0.3, 0.7)
+    return _valued_game(n, lambda c: sum(w for a, w in enumerate(weights) if c >> a & 1))
+
+
+EXHAUSTIVE_ORACLE_GAMES = {
+    **{
+        f"{kind}-seed{seed}": (lambda n, kind=kind, seed=seed: generate_game(n, DistributionSpec(kind=kind), seed))
+        for kind in ("abu", "abn", "mu", "normal", "sva_beta", "weibull", "rayleigh", "wrc", "f", "laplace")
+        for seed in (0, 1)
+    },
+    # Every partition ties in the zero and additive games.
+    "zero": _zero_game,
+    "int-additive": lambda n: _valued_game(n, lambda c: float(c.bit_count())),
+    "float-additive": lambda n: _valued_game(n, lambda c: 0.1 * c.bit_count()),
+    "weighted-additive": _weighted_additive,
+}
+# (game, n, lambda) where the two scans pick different winners.  The games
+# tie every partition in real arithmetic, so which of the tied energies
+# rounds lowest depends on the order of summation, in both scans.
+EXHAUSTIVE_ROUNDING_TIES = {
+    ("weighted-additive", 3, None),
+    ("weighted-additive", 3, 0.5),
+    ("weighted-additive", 3, 20.0),
+    ("weighted-additive", 4, 0.5),
+    ("weighted-additive", 4, 20.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXHAUSTIVE_ORACLE_GAMES))
+def test_exhaustive_equals_the_chunked_scan(case):
+    for n in (2, 3, 4):
+        game = EXHAUSTIVE_ORACLE_GAMES[case](n)
+        bilp = build_bilp(game)
+        for lam in (None, 0.5, 20.0):
+            qubo = build_qubo(bilp, lam)
+            got = solve_qubo_exhaustive(bilp, qubo).to_json(include_timing=False)
+            want = _chunked_exhaustive(bilp, qubo).to_json(include_timing=False)
+            if (case, n, lam) not in EXHAUSTIVE_ROUNDING_TIES:
+                assert json.dumps(got) == json.dumps(want), (n, lam)
+                continue
+            assert got != want, (n, lam)
+            assert got["feasible"] == want["feasible"]
+            assert math.isclose(
+                got["metadata"]["best_energy"], want["metadata"]["best_energy"], rel_tol=1e-12
+            )
+            if got["feasible"]:
+                assert math.isclose(got["best_value"], want["best_value"], rel_tol=1e-12)
+
+
 @given(
     st.sampled_from(["abu", "normal", "f", "laplace"]),
     st.integers(min_value=0, max_value=20),
@@ -459,6 +536,15 @@ def test_solve_fixed_depth_is_the_scan_at_that_depth():
     ]
     assert fixed.to_json(include_timing=False) == scan.to_json(include_timing=False)
     assert "qaoa_results" not in fixed.to_json()
+
+
+def test_qaoa_reports_the_qubo_energy_of_its_answer():
+    # As qubo-brute and sa do.  On this game the sampled energy-table value
+    # plus the Ising offset is a few ULPs away from it.
+    game = generate_game(2, DistributionSpec(kind="mu"), 0)
+    report = solve(game, "qaoa", p=1, shots=256)
+    qubo = build_qubo(build_bilp(game))
+    assert report.metadata["best_energy"] == qubo_energy(qubo, report.metadata["best_x"])
 
 
 def test_solve_qaoa_guard_fires_before_the_reference_scan(monkeypatch):

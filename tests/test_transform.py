@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,6 +25,7 @@ from csgp import (
     qubo_to_ising,
 )
 from csgp.game import DISTRIBUTION_KINDS
+from csgp.transform import quadratic_table
 from csgp.solvers import partitions
 
 
@@ -115,6 +117,50 @@ def test_coupling_matrix_is_symmetric_with_zero_diagonal():
     assert (couple == couple.T).all()
     assert not couple.diagonal().any()
     assert couple[0, 2] == 3.0 and couple[0, 1] == 0.0  # {1} & {1,2} share one agent
+
+
+def _assignments(m):
+    return ["".join(str(k >> j & 1) for j in range(m)) for k in range(1 << m)]
+
+
+def _offdiag_matrix(qubo):
+    quad = np.zeros((qubo.m, qubo.m))
+    for (i, j), val in qubo.offdiag.items():
+        quad[i, j] = val
+    return quad
+
+
+def _random_integer_qubo(m, seed):
+    rng = np.random.default_rng(seed)
+    offdiag = {
+        (i, j): float(rng.integers(-50, 50)) for i in range(m) for j in range(i + 1, m) if rng.random() < 0.6
+    }
+    diag = tuple(float(d) for d in rng.integers(-100, 100, size=m))
+    return QuboInstance(m=m, diag=diag, offdiag=offdiag, c=float(rng.integers(0, 1000)))
+
+
+def test_quadratic_table_is_bitwise_qubo_energy_on_integer_qubos():
+    # Integers far below 2^53 sum exactly in any order.
+    integer_game = CoalitionGame(n=3, values={c: float(c % 5 - 2) for c in range(1, 8)})
+    qubos = [_random_integer_qubo(m, m) for m in range(1, 11)]
+    qubos += [build_qubo(build_bilp(integer_game), lam) for lam in (None, 3.0)]
+    for qubo in qubos:
+        table = quadratic_table(qubo.diag, _offdiag_matrix(qubo), qubo.c)
+        want = [float(qubo_energy(qubo, x) + qubo.c) for x in _assignments(qubo.m)]
+        assert [v.hex() for v in table.tolist()] == [v.hex() for v in want], qubo.m
+
+
+@pytest.mark.parametrize("kind", DISTRIBUTION_KINDS)
+def test_quadratic_table_equals_qubo_energy(kind):
+    for n in (2, 3):
+        bilp = build_bilp(generate_game(n, DistributionSpec(kind=kind), seed=1))
+        qubo = build_qubo(bilp)
+        couple = coupling_matrix(bilp, qubo.lam)
+        table = quadratic_table(qubo.diag, couple)
+        # Only the upper triangle is read.
+        assert table.tobytes() == quadratic_table(qubo.diag, np.triu(couple)).tobytes()
+        want = np.array([qubo_energy(qubo, x) for x in _assignments(qubo.m)])
+        assert np.allclose(table, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
