@@ -27,8 +27,11 @@ from .errors import (
 from .game import (
     DISTRIBUTION_KINDS, GENERATE_MAX_AGENTS, DistributionSpec, generate_game, load_game, save_game
 )
-from .solvers import METHODS, SA_MAX_VARIABLES, checked_bilp, solve, solve_dp
-from .transform import QuboInstance, build_qubo, qubo_to_ising
+from . import qaoa
+from .solvers import (
+    AGENT_LIMITS, METHODS, SA_MAX_VARIABLES, VARIABLE_LIMITS, checked_bilp, solve, solve_dp
+)
+from .transform import QuboInstance, build_qubo, check_penalty, qubo_to_ising
 
 def _parse_agent_spec(text: str) -> range:
     """Parse `N` or `A..B` (inclusive) into a range of agent counts, never a list."""
@@ -291,6 +294,23 @@ def _cmd_bench(args) -> int:
         )
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    n_max = counts[-1]  # at most GENERATE_MAX_AGENTS from here on
+    for method in methods:
+        if method in AGENT_LIMITS and n_max > AGENT_LIMITS[method]:
+            raise ResourceLimitError(
+                f"{method} is limited to {AGENT_LIMITS[method]} agents, got {n_max}"
+            )
+        if method in VARIABLE_LIMITS and (1 << n_max) - 1 > VARIABLE_LIMITS[method]:
+            raise ResourceLimitError(
+                f"{method} is limited to {VARIABLE_LIMITS[method]} QUBO variables,"
+                f" got {(1 << n_max) - 1} at n = {n_max}"
+            )
+    if "qaoa" in methods:
+        qaoa.check_shots(args.shots)
+        if args.p_max is not None:
+            qaoa.check_depth(args.p_max, "p_max")
+    if args.lam is not None and any(method in VARIABLE_LIMITS for method in methods):
+        check_penalty(args.lam)
 
     out_dir = Path(args.out or "bench_out")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -4,9 +4,10 @@ sampling, and classical angle optimization.
 The optimizer evaluates angles with a diagonal-phase kernel: each cost layer
 is one elementwise multiply by exp(-i*gamma*E) over the energy table (built
 once per optimize call, in O(2^m), by transform.quadratic_table), each mixer
-layer one RX(2*beta) per qubit.  The gate list from build_circuit, replayed
-by simulate, is the gate-exact reference the kernel is tested against and
-the source of gate counts; the optimizer never builds it.
+layer applies RX(2*beta) to every qubit q as cos(beta)*psi - i*sin(beta)*X_q psi,
+with X_q psi a flipped view of the state, not a copy.  The gate list from
+build_circuit, replayed by simulate, is the gate-exact reference the kernel is
+tested against and the source of gate counts; the optimizer never builds it.
 
 Conventions, fixed once here and relied on by the tests:
 
@@ -277,16 +278,22 @@ class QaoaResult:
 def _qaoa_state(m: int, table: np.ndarray, betas, gammas) -> np.ndarray:
     """Ansatz state from the uniform superposition, one phase multiply per cost layer.
 
+    The mixer applies RX(2*beta) to qubit q as cos(beta)*psi - i*sin(beta)*X_q psi,
+    where X_q psi is the view of the (2^(m-q-1), 2, 2^q) reshape with its middle
+    axis reversed: three ufunc calls per qubit into one scratch buffer.
     Equals simulate(build_circuit(...)) amplitude by amplitude, not just up
     to a global phase: the table excludes the Ising offset, as the gates do.
     """
     state = np.full(1 << m, 1.0 / math.sqrt(1 << m), dtype=np.complex128)
+    other = np.empty_like(state)
     for beta, gamma in zip(betas, gammas):
         state *= np.exp(-1j * gamma * table)
-        cos, sin = math.cos(beta), math.sin(beta)
-        rx = np.array([[cos, -1j * sin], [-1j * sin, cos]], dtype=np.complex128)
+        diag, off = math.cos(beta), -1j * math.sin(beta)  # RX(2*beta)'s entries
         for q in range(m):
-            _apply_one_qubit(state, m, q, rx)
+            shape = (1 << (m - q - 1), 2, 1 << q)
+            np.multiply(state.reshape(shape)[:, ::-1, :], off, out=other.reshape(shape))
+            state *= diag
+            state += other
     return state
 
 

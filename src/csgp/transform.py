@@ -115,6 +115,14 @@ def coupling_matrix(bilp: BilpInstance, lam: float) -> np.ndarray:
     return couple
 
 
+def check_penalty(lam: float) -> float:
+    """lam as a float; one that is not a positive finite number is a ConfigError."""
+    lam = float(lam)
+    if not 0 < lam < math.inf:
+        raise ConfigError(f"penalty weight must be positive and finite, got {lam}")
+    return lam
+
+
 def build_qubo(bilp: BilpInstance, lam: float | None = None) -> QuboInstance:
     """Fold Sx = 1 into the objective with penalty weight lam.
 
@@ -126,11 +134,7 @@ def build_qubo(bilp: BilpInstance, lam: float | None = None) -> QuboInstance:
     so is one whose coefficients' magnitudes, which bound every energy,
     sum to more than a float holds.
     """
-    if lam is None:
-        lam = default_penalty(bilp)
-    lam = float(lam)
-    if not 0 < lam < math.inf:
-        raise ConfigError(f"penalty weight must be positive and finite, got {lam}")
+    lam = check_penalty(default_penalty(bilp) if lam is None else lam)
     diag = tuple(-v - lam * c.bit_count() for v, c in zip(bilp.values, bilp.columns))
     # The couplings sum to lam times the ordered pairs of columns that share an agent.
     shared = sum(c * (c - 1) for c in map(int.bit_count, bilp.row_masks))

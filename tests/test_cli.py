@@ -611,6 +611,49 @@ def test_agent_ranges_are_checked_before_any_work(tmp_path, capsys, monkeypatch,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, code, kind",
+    [
+        (["--methods", "qubo-brute", "--dists", "abu", "--agents", "3..5"], 3, "ResourceLimitError"),
+        (["--methods", "dp,sa", "--dists", "abu", "--agents", "15..16"], 3, "ResourceLimitError"),
+        (["--methods", "dp,qaoa", "--dists", "abu", "--agents", "2..5"], 3, "ResourceLimitError"),
+        (["--methods", "enum", "--dists", "abu", "--agents", "11..13"], 3, "ResourceLimitError"),
+        (["--methods", "dp,qaoa", "--dists", "abu", "--agents", "2..3", "--shots", "0"], 2, "ConfigError"),
+        (["--methods", "dp,qaoa", "--dists", "abu", "--agents", "2..3", "--p-max", "0"], 2, "ConfigError"),
+        (["--methods", "dp,qaoa", "--dists", "abu", "--agents", "2..3", "--p-max", "65"], 3,
+         "ResourceLimitError"),
+        (["--methods", "dp,qaoa", "--dists", "abu", "--agents", "2..3", "--lambda", "nan"], 2, "ConfigError"),
+        (["--methods", "dp,sa", "--dists", "abu", "--agents", "2..3", "--lambda", "0"], 2, "ConfigError"),
+    ],
+    ids=[
+        "brute-variables", "sa-variables", "qaoa-qubits", "enum-agents", "shots", "p-max-low",
+        "p-max-high", "lambda-nan", "lambda-zero",
+    ],
+)
+def test_bench_checks_every_method_before_any_work(tmp_path, capsys, monkeypatch, argv, code, kind):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell ran before every method's preconditions were checked")
+
+    for name in ("generate_game", "solve", "solve_dp"):
+        monkeypatch.setattr(f"csgp.cli.{name}", refuse)
+    out_dir = tmp_path / "grid"
+    got, out, err = run_cli(capsys, "bench", *argv, "--out", str(out_dir))
+    assert got == code
+    assert out == "" and err.count("\n") == 1
+    doc = stderr_error(err)
+    assert (doc["kind"], doc["exit"]) == (kind, code)
+    assert not out_dir.exists()
+
+
+def test_bench_checks_the_penalty_only_for_qubo_methods(tmp_path, capsys):
+    # enum and dp never build a QUBO, so a penalty they would ignore is not refused.
+    code, _, _ = run_cli(
+        capsys, "bench", "--methods", "dp", "--dists", "abu", "--agents", "2",
+        "--lambda", "nan", "--out", str(tmp_path / "grid"),
+    )
+    assert code == 0
+
+
 def test_bench_rejects_unknown_method(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "bench", "--methods", "magic", "--agents", "2", "--out", str(tmp_path / "x")

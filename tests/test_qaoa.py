@@ -216,6 +216,76 @@ def test_phase_kernel_matches_gate_simulator(n, p):
     assert abs(np.linalg.norm(got) - 1.0) < 1e-10
 
 
+def _matrix_mixer_state(m, table, betas, gammas):
+    """_qaoa_state as first written: each mixer layer builds the 2x2 RX(2*beta)
+    matrix and applies it qubit by qubit through simulate's _apply_one_qubit."""
+    state = np.full(1 << m, 1.0 / math.sqrt(1 << m), dtype=np.complex128)
+    for beta, gamma in zip(betas, gammas):
+        state *= np.exp(-1j * gamma * table)
+        cos, sin = math.cos(beta), math.sin(beta)
+        rx = np.array([[cos, -1j * sin], [-1j * sin, cos]], dtype=np.complex128)
+        for q in range(m):
+            qaoa_module._apply_one_qubit(state, m, q, rx)
+    return state
+
+
+def _assert_mixers_agree_bitwise(m, table, p, rng, draws):
+    for _ in range(draws):
+        betas = rng.uniform(-math.pi, math.pi, p)
+        gammas = rng.uniform(-2 * math.pi, 2 * math.pi, p)
+        want = _matrix_mixer_state(m, table, betas, gammas)
+        assert _qaoa_state(m, table, betas, gammas).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_flipped_view_mixer_is_bitwise_the_matrix_mixer(m, p):
+    # The same complex products, summed in the other order, which IEEE addition ignores.
+    rng = np.random.default_rng(1000 * m + p)
+    _assert_mixers_agree_bitwise(m, energy_table(_random_ising(m, p)), p, rng, draws=5)
+
+
+def test_flipped_view_mixer_is_bitwise_the_matrix_mixer_at_fifteen_qubits():
+    rng = np.random.default_rng(15)
+    _assert_mixers_agree_bitwise(15, energy_table(_random_ising(15, 0)), 1, rng, draws=2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_flipped_view_mixer_is_bitwise_the_matrix_mixer_on_game_chains(n):
+    _, _, ising = _chain_for(n)
+    rng = np.random.default_rng(n)
+    for p in (1, 2, 3):
+        _assert_mixers_agree_bitwise(ising.m, energy_table(ising), p, rng, draws=3)
+
+
+def test_optimize_never_dispatches_single_qubit_gates(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the kernel must apply the mixer without _apply_one_qubit")
+
+    _, _, ising = _chain_for(2)
+    monkeypatch.setattr(qaoa_module, "_apply_one_qubit", refuse)
+    result = optimize(ising, p=1, config=OptimizerConfig(starts=2, maxiter=50), seed=0)
+    assert sum(result.counts.values()) == 1024
+
+
+def test_simulate_still_dispatches_single_qubit_gates(monkeypatch):
+    # The gate-level oracle keeps its own path: one _apply_one_qubit per H and RX gate.
+    _, _, ising = _chain_for(2)
+    params = QaoaParams(p=2, betas=(0.4, 1.3), gammas=(2.1, 0.6))
+    calls = []
+    apply_one_qubit = qaoa_module._apply_one_qubit
+
+    def counted(*args):
+        calls.append(args[2])
+        apply_one_qubit(*args)
+
+    monkeypatch.setattr(qaoa_module, "_apply_one_qubit", counted)
+    got = simulate(build_circuit(ising, params))
+    assert calls == [0, 1, 2] * 3
+    want = _qaoa_state(ising.m, energy_table(ising), params.betas, params.gammas)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 # ------------------------------------------------------- energies and readout
 
 
