@@ -10,6 +10,7 @@ input problems, 3 for resource-limit guards, 4 for infeasible instances.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -72,8 +73,16 @@ def _parse_exclude(text: str | None) -> frozenset[int]:
     return frozenset(_parse_int_list(text, "exclusion")) if text else frozenset()
 
 
-def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def _write_json(doc: dict, *streams) -> None:
+    """json.dumps(doc, indent=2) plus a newline to each stream, encoded once and
+    streamed without holding the whole text.  The encoder's chunks are joined 2^14
+    at a time, because sys.stdout writes through: json.dump's one write per chunk
+    made printing a long SA trace about 1.5x slower."""
+    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    batches = iter(lambda: "".join(itertools.islice(chunks, 1 << 14)), "")
+    for text in itertools.chain(batches, ["\n"]):
+        for fh in streams:
+            fh.write(text)
 
 
 def _load_or_generate(args) -> tuple:
@@ -99,7 +108,7 @@ def write_qubo_json(qubo: QuboInstance, fh) -> None:
         "c": qubo.c,
         "lambda": qubo.lam,
     }
-    fh.write(_dump_json(doc))
+    _write_json(doc, fh)
 
 
 def write_ising_json(qubo: QuboInstance, fh) -> None:
@@ -110,7 +119,7 @@ def write_ising_json(qubo: QuboInstance, fh) -> None:
         "J": [[i, j, ising.J[(i, j)]] for (i, j) in sorted(ising.J)],
         "offset": ising.offset,
     }
-    fh.write(_dump_json(doc))
+    _write_json(doc, fh)
 
 
 def write_qubo_text(qubo: QuboInstance, fh) -> None:
@@ -234,11 +243,13 @@ def _cmd_solve(args) -> int:
             "chosen_p": report.metadata["chosen_p"],
             "results": [r.to_json() for r in report.qaoa_results],
         }
-        Path(args.qaoa_out).write_text(_dump_json(doc), encoding="utf-8")
-    text = _dump_json(report.to_json())
+        with open(args.qaoa_out, "w", encoding="utf-8") as fh:
+            _write_json(doc, fh)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            _write_json(report.to_json(), fh, sys.stdout)
+    else:
+        _write_json(report.to_json(), sys.stdout)
     return 0
 
 
@@ -336,7 +347,8 @@ def _cmd_bench(args) -> int:
                             and math.isclose(report.best_value, reference, rel_tol=1e-9, abs_tol=1e-9)
                         )
                         cell_path = out_dir / f"{method}_{dist}_n{n}_seed{seed}.json"
-                        cell_path.write_text(_dump_json(report.to_json()), encoding="utf-8")
+                        with open(cell_path, "w", encoding="utf-8") as fh:
+                            _write_json(report.to_json(), fh)
                         best = "" if report.best_value is None else repr(report.best_value)
                         summary.write(
                             f"{method},{dist},{n},{seed},{best},{str(report.feasible).lower()},"

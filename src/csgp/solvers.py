@@ -29,6 +29,8 @@ from .transform import (
     build_qubo,
     coupling_matrix,
     decode_solution,
+    matrix_energy,
+    penalty_diagonal,
     quadratic_table,
     qubo_energy,
     qubo_to_ising,
@@ -253,7 +255,7 @@ def solve_dp(game: CoalitionGame) -> SolveReport:
     )
 
 
-def _pick_qubo_winner(bilp: BilpInstance, qubo: QuboInstance, candidates: list[str]):
+def _pick_qubo_winner(bilp: BilpInstance, candidates: list[str]):
     """Resolve energy ties: feasible first, then smallest block tuple / bitstring."""
     best = None
     for x in candidates:
@@ -268,9 +270,10 @@ def _pick_qubo_winner(bilp: BilpInstance, qubo: QuboInstance, candidates: list[s
     return best[1]
 
 
-def _report_from_assignment(method, bilp, qubo, decoded, energy, metadata, elapsed):
-    """Report of a decoded assignment.  The QUBO fields below follow ``metadata``
-    in the JSON, except those it already holds a key for, which keep its place."""
+def _report_from_assignment(method, bilp, decoded, energy, metadata, elapsed, *, s, lam, c):
+    """Report of a decoded assignment to the QUBO of ``bilp`` with s nonzero couplings,
+    penalty lam and constant c.  The QUBO fields below follow ``metadata`` in the
+    JSON, except those it already holds a key for, which keep its place."""
     if decoded.feasible:
         col_value = {c: v for c, v in zip(bilp.columns, bilp.values)}
         best_value = sum(col_value[b] for b in decoded.cs.blocks)
@@ -279,12 +282,12 @@ def _report_from_assignment(method, bilp, qubo, decoded, energy, metadata, elaps
     metadata = dict(metadata)
     metadata.update(
         {
-            "m": qubo.m,
-            "s": qubo.interaction_count,
-            "lambda": qubo.lam,
+            "m": bilp.num_variables,
+            "s": s,
+            "lambda": lam,
             "best_x": decoded.x,
             "best_energy": energy,
-            "constant": qubo.c,
+            "constant": c,
         }
     )
     return SolveReport(
@@ -299,20 +302,24 @@ def _report_from_assignment(method, bilp, qubo, decoded, energy, metadata, elaps
 
 def solve_qubo_exhaustive(bilp: BilpInstance, qubo: QuboInstance) -> SolveReport:
     """Exact QUBO minimum over all 2^m energies, quadratic_table(qubo.diag, coupling_matrix(
-    bilp, qubo.lam)): ``qubo`` must be build_qubo(bilp, lam).  qubo_energy rescores the winner."""
+    bilp, qubo.lam)): ``qubo`` must be build_qubo(bilp, lam).  matrix_energy rescores the winner."""
     if qubo.m > BRUTE_MAX_VARIABLES:
         raise ResourceLimitError(
             f"exhaustive QUBO scan is limited to {BRUTE_MAX_VARIABLES} variables, got {qubo.m}"
         )
     start = time.perf_counter()
-    table = quadratic_table(qubo.diag, coupling_matrix(bilp, qubo.lam))
+    couple = coupling_matrix(bilp, qubo.lam)
+    table = quadratic_table(qubo.diag, couple)
     ties = np.flatnonzero(table == table.min()).tolist()
     candidates = [format(k, f"0{qubo.m}b")[::-1] for k in ties]  # bit b of k is variable b
-    decoded = _pick_qubo_winner(bilp, qubo, candidates)
-    energy = qubo_energy(qubo, decoded.x)
+    decoded = _pick_qubo_winner(bilp, candidates)
+    energy = matrix_energy(qubo.diag, couple, decoded.x)
     elapsed = (time.perf_counter() - start) * 1e3
     meta = {"n": bilp.n, "assignments_examined": len(table), "ties": len(candidates)}
-    return _report_from_assignment("qubo-brute", bilp, qubo, decoded, energy, meta, elapsed)
+    return _report_from_assignment(
+        "qubo-brute", bilp, decoded, energy, meta, elapsed,
+        s=qubo.interaction_count, lam=qubo.lam, c=qubo.c,
+    )
 
 
 @dataclass(frozen=True)
@@ -367,8 +374,8 @@ def default_schedule(bilp: BilpInstance, seed: int = 0) -> AnnealSchedule:
     )
 
 
-def solve_qubo_sa(bilp: BilpInstance, qubo: QuboInstance, schedule: AnnealSchedule) -> SolveReport:
-    """Single-flip Metropolis annealing on the QUBO.
+def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | None = None) -> SolveReport:
+    """Single-flip Metropolis annealing on the QUBO build_qubo(bilp, lam) would give.
 
     Each restart r runs its own PCG64 stream seeded with seed + r.  The
     local field g[i] (energy change contribution of variable i) is kept
@@ -388,16 +395,19 @@ def solve_qubo_sa(bilp: BilpInstance, qubo: QuboInstance, schedule: AnnealSchedu
     Restarts are merged under the module tie-breaking rule and the
     winner's energy is recomputed from scratch before reporting.
 
-    ``qubo`` must be build_qubo(bilp, lam): the local field is kept from
-    coupling_matrix(bilp, qubo.lam); qubo.offdiag is read only by qubo_energy.
+    The QUBO is never built.  penalty_diagonal checks lam and gives the
+    diagonal; the one coupling_matrix(bilp, lam) feeds the local field, the
+    report's coupling count s and matrix_energy, which scores each
+    restart's initial state and the winner bitwise as qubo_energy would.
     """
-    m = qubo.m
+    m = bilp.num_variables
     if m > SA_MAX_VARIABLES:
         raise ResourceLimitError(
             f"annealing is limited to {SA_MAX_VARIABLES} variables, got {m}"
         )
     start = time.perf_counter()
-    couple = coupling_matrix(bilp, qubo.lam)
+    lam, diag = penalty_diagonal(bilp, lam)
+    couple = coupling_matrix(bilp, lam)
     temps = np.fromiter(map(schedule.temperature, range(schedule.sweeps)), float, schedule.sweeps)
     # Sweeps are drawn and screened in blocks of about 2048 attempts.
     rows = max(1, min(schedule.sweeps, 2048 // m))
@@ -410,10 +420,10 @@ def solve_qubo_sa(bilp: BilpInstance, qubo: QuboInstance, schedule: AnnealSchedu
     for r in range(schedule.restarts):
         rng = np.random.default_rng(schedule.seed + r)
         x = rng.integers(0, 2, size=m)
-        g = np.array(qubo.diag)
+        g = np.array(diag)
         for i in np.flatnonzero(x).tolist():
             g += couple[i]
-        energy = float(qubo_energy(qubo, x))
+        energy = float(matrix_energy(diag, couple, x))
         # From here on the state is s = 1 - 2x: flipping k changes the
         # energy by delta_k = s_k * g_k.
         s = 1.0 - 2.0 * x
@@ -470,9 +480,9 @@ def solve_qubo_sa(bilp: BilpInstance, qubo: QuboInstance, schedule: AnnealSchedu
 
     lowest = min(e for e, _, _ in restart_best)
     near = [cand for cand in restart_best if cand[0] == lowest]
-    decoded = _pick_qubo_winner(bilp, qubo, [x for _, x, _ in near])
+    decoded = _pick_qubo_winner(bilp, [x for _, x, _ in near])
     winner_trace = next(t for e, x, t in restart_best if x == decoded.x and e == lowest)
-    energy = qubo_energy(qubo, decoded.x)
+    energy = matrix_energy(diag, couple, decoded.x)
     elapsed = (time.perf_counter() - start) * 1e3
     meta = {
         "n": bilp.n,
@@ -484,12 +494,15 @@ def solve_qubo_sa(bilp: BilpInstance, qubo: QuboInstance, schedule: AnnealSchedu
         "restart_energies": [e for e, _, _ in restart_best],
         "trace": winner_trace,
     }
-    return _report_from_assignment("sa", bilp, qubo, decoded, energy, meta, elapsed)
+    return _report_from_assignment(
+        "sa", bilp, decoded, energy, meta, elapsed,
+        s=int(np.count_nonzero(couple)) // 2, lam=lam, c=lam * bilp.n,
+    )
 
 
 def checked_bilp(game: CoalitionGame, exclude=frozenset(), *, limit: int, what: str):
     """The BILP without the ``exclude`` coalitions.  One of more than ``limit``
-    variables is refused, as ``what``, before a caller's O(m^2) build_qubo."""
+    variables is refused, as ``what``, before a caller's O(m^2) coupling build."""
     bilp = build_bilp(game, exclude)
     if bilp.num_variables > limit:
         raise ResourceLimitError(
@@ -507,7 +520,8 @@ def solve_qaoa(
     depth whose sample reaches it, and metadata["chosen_p"] names the depth
     that did (None if none did).  The report decodes the lowest sampled
     QUBO energy over every depth run, the smaller p on ties, and recomputes
-    its energy with qubo_energy, as qubo-brute and sa do.
+    its energy with qubo_energy, which qubo-brute's and sa's matrix_energy
+    equals bit for bit.
     """
     limit = VARIABLE_LIMITS["qaoa"]  # checked before the reference scan
     if qubo.m > limit:
@@ -546,7 +560,9 @@ def solve_qaoa(
     }
     energy = qubo_energy(qubo, decoded.x)
     elapsed = (time.perf_counter() - start) * 1e3
-    report = _report_from_assignment("qaoa", bilp, qubo, decoded, energy, meta, elapsed)
+    report = _report_from_assignment(
+        "qaoa", bilp, decoded, energy, meta, elapsed, s=qubo.interaction_count, lam=qubo.lam, c=qubo.c
+    )
     return replace(report, qaoa_results=tuple(results))
 
 
@@ -559,11 +575,11 @@ def solve(
     A negative seed and, for qaoa, a depth or shot count that
     qaoa.check_depth or check_shots refuses are refused before any work.
     enum and dp take no exclusions.  The QUBO methods run checked_bilp with
-    the method's VARIABLE_LIMITS entry, then build_qubo; sa anneals
-    default_schedule(bilp, seed) with each given sweeps/restarts/temp_hi/
-    temp_lo replacing its field, refused before build_qubo if invalid or over
-    SA_MAX_SWEEPS; qaoa runs solve_qaoa at depth p, or else up to p_max
-    (default 12).
+    the method's VARIABLE_LIMITS entry.  sa then anneals default_schedule(
+    bilp, seed) with each given sweeps/restarts/temp_hi/temp_lo replacing its
+    field, refused before the coupling build if invalid or over SA_MAX_SWEEPS,
+    and never builds the QUBO dict.  qubo-brute and qaoa run build_qubo; qaoa
+    runs solve_qaoa at depth p, or else up to p_max (default 12).
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
@@ -587,7 +603,7 @@ def solve(
         schedule = replace(
             default_schedule(bilp, seed=seed), **{k: v for k, v in given.items() if v is not None}
         )
-        return solve_qubo_sa(bilp, build_qubo(bilp, lam), schedule)
+        return solve_qubo_sa(bilp, schedule, lam)
     qubo = build_qubo(bilp, lam)
     if method == "qubo-brute":
         return solve_qubo_exhaustive(bilp, qubo)

@@ -20,6 +20,8 @@ import numpy as np
 from .errors import ConfigError, InfeasibleError
 from .game import CoalitionGame, CoalitionStructure, n_coalitions
 
+ENERGY_BLOCK = 1 << 20  # coupling entries matrix_energy reads per numpy pass
+
 
 @dataclass(frozen=True)
 class BilpInstance:
@@ -108,7 +110,7 @@ def default_penalty(bilp: BilpInstance) -> float:
 
 def coupling_matrix(bilp: BilpInstance, lam: float) -> np.ndarray:
     """Couplings 2*lam*|C_i & C_j| as a dense symmetric m x m array, zero on the
-    diagonal: the one place that rule is evaluated (build_qubo, solve_qubo_sa)."""
+    diagonal: the one place that rule is evaluated (build_qubo and the solvers)."""
     cols = np.array(bilp.columns, dtype=np.int64)
     couple = (2.0 * lam) * np.bitwise_count(cols[:, None] & cols)
     np.fill_diagonal(couple, 0.0)
@@ -123,16 +125,13 @@ def check_penalty(lam: float) -> float:
     return lam
 
 
-def build_qubo(bilp: BilpInstance, lam: float | None = None) -> QuboInstance:
-    """Fold Sx = 1 into the objective with penalty weight lam.
+def penalty_diagonal(bilp: BilpInstance, lam: float | None = None) -> tuple[float, tuple[float, ...]]:
+    """The checked penalty weight (default_penalty(bilp) when None) and the QUBO
+    diagonal -v_j - lam*|C_j|, in O(n + m): the checks every coupling build waits for.
 
-    Minimizes lam * ||Sx - 1||^2 - v.x.  Expanding the square gives
-    diagonal terms -v_j - lam*|C_j|, off-diagonal terms 2*lam*|C_i & C_j|
-    for intersecting pairs (coupling_matrix), and the constant lam*n.
-
-    A penalty that is not a positive finite number is a ConfigError, and
-    so is one whose coefficients' magnitudes, which bound every energy,
-    sum to more than a float holds.
+    A penalty that is not a positive finite number is a ConfigError, and so
+    is one whose coefficients' magnitudes, which bound every energy, sum to
+    more than a float holds.
     """
     lam = check_penalty(default_penalty(bilp) if lam is None else lam)
     diag = tuple(-v - lam * c.bit_count() for v, c in zip(bilp.values, bilp.columns))
@@ -140,6 +139,18 @@ def build_qubo(bilp: BilpInstance, lam: float | None = None) -> QuboInstance:
     shared = sum(c * (c - 1) for c in map(int.bit_count, bilp.row_masks))
     if not math.isfinite(sum(map(abs, diag)) + lam * shared + 2.0 * lam * bilp.n):
         raise ConfigError(f"penalty weight {lam} makes the QUBO's coefficients overflow a float")
+    return lam, diag
+
+
+def build_qubo(bilp: BilpInstance, lam: float | None = None) -> QuboInstance:
+    """Fold Sx = 1 into the objective with penalty weight lam.
+
+    Minimizes lam * ||Sx - 1||^2 - v.x.  Expanding the square gives
+    diagonal terms -v_j - lam*|C_j| (penalty_diagonal, which also checks
+    lam), off-diagonal terms 2*lam*|C_i & C_j| for intersecting pairs
+    (coupling_matrix), and the constant lam*n.
+    """
+    lam, diag = penalty_diagonal(bilp, lam)
     offdiag = {}
     for i, row in enumerate(coupling_matrix(bilp, lam)):
         j = np.flatnonzero(row[i + 1 :]) + (i + 1)
@@ -184,6 +195,31 @@ def qubo_energy(qubo: QuboInstance, x) -> float:
     for (i, j), val in qubo.offdiag.items():
         if bits[i] and bits[j]:
             energy += val
+    return energy
+
+
+def matrix_energy(diag, couple: np.ndarray, x) -> float:
+    """qubo_energy of the QUBO with this diagonal and coupling_matrix ``couple``,
+    bit for bit, without its offdiag dict.
+
+    The selected diagonal entries are summed as qubo_energy sums them; the
+    nonzero couplings among the set bits are then added one at a time in
+    row-major upper-triangle order, which is the order build_qubo inserts
+    them in (np.cumsum adds sequentially).  Rows are read about ENERGY_BLOCK
+    entries at a time, so the temporaries stay small next to ``couple``.
+    An all-zero x gives the int 0.
+    """
+    bits = _as_bits(x, len(diag))
+    energy = sum(d for d, b in zip(diag, bits) if b)
+    on = np.flatnonzero(bits)
+    step = max(1, ENERGY_BLOCK // (len(on) or 1))
+    for first in range(0, len(on), step):
+        rows = couple[np.ix_(on[first : first + step], on)]
+        # Row r is set bit first + r: keep its couplings to later set bits only.
+        rows[np.arange(first, first + len(rows))[:, None] >= np.arange(len(on))] = 0.0
+        pairs = rows[rows != 0.0]
+        if len(pairs):
+            energy = np.cumsum(np.concatenate(([energy], pairs)))[-1].item()
     return energy
 
 

@@ -180,7 +180,7 @@ def test_criterion_7_sa_medium_scale():
         game = generate_game(7, DistributionSpec(kind=kind), 0)
         bilp = build_bilp(game)
         start = time.perf_counter()
-        report = solve_qubo_sa(bilp, build_qubo(bilp), default_schedule(bilp, seed=0))
+        report = solve_qubo_sa(bilp, default_schedule(bilp, seed=0))
         elapsed = time.perf_counter() - start
         if elapsed >= 10.0:
             slow.append((kind, elapsed))

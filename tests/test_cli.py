@@ -122,6 +122,36 @@ def test_solve_sa_is_deterministic(tmp_path, capsys):
     assert a == b
 
 
+def test_solve_sa_builds_no_qubo_dict(tmp_path, capsys, monkeypatch):
+    path = make_game(tmp_path, capsys, n=4, dist="wrc", seed=1)
+    argv = ("solve", str(path), "--method", "sa", "--lambda", "7.5")
+    _, want, _ = run_cli(capsys, *argv)
+    for name in ("csgp.solvers.build_qubo", "csgp.solvers.qubo_energy", "csgp.transform.qubo_energy"):
+        monkeypatch.setattr(name, _refuse(name))
+    code, got, _ = run_cli(capsys, *argv)
+    assert code == 0
+    a, b = json.loads(want), json.loads(got)
+    a.pop("timing")
+    b.pop("timing")
+    assert a == b and a["metadata"]["lambda"] == 7.5
+
+
+def test_json_outputs_are_indented_json_dumps(tmp_path, capsys):
+    # The streamed writer emits json.dumps(doc, indent=2) + "\n" byte for byte.
+    def dumped(text):
+        return json.dumps(json.loads(text), indent=2) + "\n"
+
+    path = make_game(tmp_path, capsys, n=3, dist="mu", seed=2)
+    report = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "solve", str(path), "--method", "sa", "--out", str(report))
+    assert code == 0 and out == dumped(out) and report.read_text(encoding="utf-8") == out
+    for fmt in ("qubo-json", "ising-json"):
+        export = tmp_path / f"{fmt}.json"
+        run_cli(capsys, "export", str(path), "--format", fmt, "--out", str(export))
+        text = export.read_text(encoding="utf-8")
+        assert text == dumped(text), fmt
+
+
 def test_solve_lambda_flag_reaches_qubo(tmp_path, capsys):
     path = make_game(tmp_path, capsys, n=2, dist="abn", seed=3)
     code, out, _ = run_cli(
@@ -260,11 +290,12 @@ def _refuse(what):
 def test_qubo_method_guards_fire_before_the_coupling_build(
     tmp_path, capsys, monkeypatch, agents, method
 ):
-    # n = 16 gives 65,535 variables, whose O(m^2) coupling dict alone
-    # exhausts memory; n = 5 gives 31, above the brute-force and simulator
-    # limits.
+    # n = 16 gives 65,535 variables, whose O(m^2) couplings alone exhaust
+    # memory; n = 5 gives 31, above the brute-force and simulator limits.
+    # sa builds only the coupling matrix, the others build_qubo.
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("csgp.solvers.build_qubo", _refuse("build_qubo"))
+    monkeypatch.setattr("csgp.solvers.coupling_matrix", _refuse("coupling_matrix"))
     code, out, err = run_cli(
         capsys, "solve", "--agents", agents, "--dist", "normal", "--method", method
     )
@@ -288,7 +319,7 @@ def test_qaoa_guard_fires_before_the_reference_scan(tmp_path, capsys, monkeypatc
 def test_export_guard_fires_before_the_coupling_build(tmp_path, capsys, monkeypatch):
     # n = 16 gives 65,535 variables, more than read_qubo_text accepts.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr("csgp.solvers.build_qubo", _refuse("build_qubo"))
+    monkeypatch.setattr("csgp.cli.build_qubo", _refuse("build_qubo"))
     code, out, err = run_cli(
         capsys, "export", "--agents", "16", "--dist", "normal", "--format", "qubo-text"
     )
@@ -300,7 +331,9 @@ def test_export_guard_fires_before_the_coupling_build(tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("method", ["sa", "qubo-brute", "qaoa"])
 @pytest.mark.parametrize("lam", ["nan", "inf", "1e308"])
 def test_penalty_that_is_not_finite_exit_code(tmp_path, capsys, monkeypatch, method, lam):
+    # Refused before any coupling build: sa's own, or the brute-force reference's.
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("csgp.solvers.coupling_matrix", _refuse("coupling_matrix"))
     code, out, err = run_cli(
         capsys, "solve", "--agents", "2", "--dist", "abu", "--method", method, "--lambda", lam
     )
@@ -340,7 +373,7 @@ def test_game_whose_default_penalty_overflows_exit_code(tmp_path, capsys, monkey
     [["--sweeps", "100000000", "--restarts", "1"], ["--restarts", "200000", "--sweeps", "3000"]],
 )
 def test_sa_sweep_budget_exit_code(capsys, monkeypatch, schedule):
-    monkeypatch.setattr("csgp.solvers.build_qubo", _refuse("build_qubo"))
+    monkeypatch.setattr("csgp.solvers.coupling_matrix", _refuse("coupling_matrix"))
     code, out, err = run_cli(
         capsys, "solve", "--agents", "2", "--dist", "abu", "--method", "sa", *schedule
     )

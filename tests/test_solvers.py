@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from csgp import (
     AnnealSchedule,
+    BilpInstance,
     CoalitionGame,
     ConfigError,
     DistributionSpec,
@@ -36,6 +37,13 @@ from csgp.transform import qubo_energy
 
 def _zero_game(n):
     return CoalitionGame(n=n, values={c: 0.0 for c in range(1, (1 << n))})
+
+
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{what} was called")
+
+    return refuse
 
 
 def test_partition_counts():
@@ -246,11 +254,16 @@ def _chunked_exhaustive(bilp, qubo):
         if lo == best_energy:
             best_indices.extend(int(k) for k in idx[energy == lo])
     candidates = ["".join(str(k >> b & 1) for b in range(m)) for k in best_indices]
-    decoded = _pick_qubo_winner(bilp, qubo, candidates)
+    decoded = _pick_qubo_winner(bilp, candidates)
     meta = {"n": bilp.n, "assignments_examined": 1 << m, "ties": len(candidates)}
     return _report_from_assignment(
-        "qubo-brute", bilp, qubo, decoded, qubo_energy(qubo, decoded.x), meta, 0.0
+        "qubo-brute", bilp, decoded, qubo_energy(qubo, decoded.x), meta, 0.0, **_qubo_fields(qubo)
     )
+
+
+def _qubo_fields(qubo):
+    """The QUBO fields a report prints, read off the built instance."""
+    return {"s": qubo.interaction_count, "lam": qubo.lam, "c": qubo.c}
 
 
 def _weighted_additive(n):
@@ -349,9 +362,8 @@ def test_default_schedule_scales(g2):
 
 def test_sa_solves_g2(g2):
     bilp = build_bilp(g2)
-    qubo = build_qubo(bilp, lam=10.0)
     sched = AnnealSchedule(sweeps=100, temp_hi=30.0, temp_lo=1e-3, restarts=3, seed=0)
-    report = solve_qubo_sa(bilp, qubo, sched)
+    report = solve_qubo_sa(bilp, sched, lam=10.0)
     assert report.metadata["best_x"] == "001"
     assert report.best_value == 4.0
 
@@ -361,7 +373,7 @@ def test_sa_default_schedule_n5():
     for seed in range(1, 11):
         game = generate_game(5, DistributionSpec(kind="abu"), seed=seed)
         bilp = build_bilp(game)
-        report = solve_qubo_sa(bilp, build_qubo(bilp), default_schedule(bilp, seed=seed))
+        report = solve_qubo_sa(bilp, default_schedule(bilp, seed=seed))
         if report.feasible and math.isclose(
             report.best_value, solve_dp(game).best_value, rel_tol=1e-9
         ):
@@ -371,16 +383,15 @@ def test_sa_default_schedule_n5():
 
 def test_sa_zero_game_returns_feasible():
     bilp = build_bilp(_zero_game(4))
-    report = solve_qubo_sa(bilp, build_qubo(bilp), default_schedule(bilp))
+    report = solve_qubo_sa(bilp, default_schedule(bilp))
     assert report.feasible
     assert report.best_value == 0.0
 
 
 def test_sa_deterministic_and_trace_monotone(g2):
     bilp = build_bilp(g2)
-    qubo = build_qubo(bilp)
-    a = solve_qubo_sa(bilp, qubo, default_schedule(bilp, seed=3))
-    b = solve_qubo_sa(bilp, qubo, default_schedule(bilp, seed=3))
+    a = solve_qubo_sa(bilp, default_schedule(bilp, seed=3))
+    b = solve_qubo_sa(bilp, default_schedule(bilp, seed=3))
     assert json.dumps(a.to_json(include_timing=False)) == json.dumps(
         b.to_json(include_timing=False)
     )
@@ -388,12 +399,13 @@ def test_sa_deterministic_and_trace_monotone(g2):
     assert all(later <= earlier for earlier, later in zip(trace, trace[1:]))
 
 
-def test_sa_guard():
-    bilp = build_bilp(_zero_game(2))
-    qubo = build_qubo(bilp)
-    big = type(qubo)(m=(1 << 15) + 1, diag=(0.0,) * ((1 << 15) + 1), offdiag={}, c=0.0)
-    with pytest.raises(ResourceLimitError):
-        solve_qubo_sa(bilp, big, default_schedule(bilp))
+def test_sa_guard(monkeypatch):
+    # One variable over SA_MAX_VARIABLES; the O(m^2) couplings must never be built.
+    m = SA_MAX_VARIABLES + 1
+    big = BilpInstance(n=16, columns=tuple(range(1, m + 1)), values=(0.0,) * m)
+    monkeypatch.setattr("csgp.solvers.coupling_matrix", _refuse("coupling_matrix"))
+    with pytest.raises(ResourceLimitError, match="annealing is limited"):
+        solve_qubo_sa(big, AnnealSchedule(sweeps=1, temp_hi=1.0, temp_lo=1.0, restarts=1))
 
 
 def _scalar_sa(bilp, qubo, schedule):
@@ -449,7 +461,7 @@ def _scalar_sa(bilp, qubo, schedule):
 
     lowest = min(e for e, _, _ in restart_best)
     near = [cand for cand in restart_best if cand[0] == lowest]
-    decoded = _pick_qubo_winner(bilp, qubo, [x for _, x, _ in near])
+    decoded = _pick_qubo_winner(bilp, [x for _, x, _ in near])
     winner_trace = next(t for e, x, t in restart_best if x == decoded.x and e == lowest)
     meta = {
         "n": bilp.n,
@@ -462,7 +474,7 @@ def _scalar_sa(bilp, qubo, schedule):
         "trace": winner_trace,
     }
     energy = qubo_energy(qubo, decoded.x)
-    return _report_from_assignment("sa", bilp, qubo, decoded, energy, meta, 0.0)
+    return _report_from_assignment("sa", bilp, decoded, energy, meta, 0.0, **_qubo_fields(qubo))
 
 
 def _sa_case(n, kind, seed=0, lam=None, **schedule):
@@ -496,9 +508,52 @@ SA_ORACLE_PANEL = {
 @pytest.mark.parametrize("case", sorted(SA_ORACLE_PANEL))
 def test_sa_sweep_equals_scalar_loop(case):
     bilp, qubo, sched = _sa_case(**SA_ORACLE_PANEL[case])
-    fast = solve_qubo_sa(bilp, qubo, sched).to_json(include_timing=False)
+    fast = solve_qubo_sa(bilp, sched, qubo.lam).to_json(include_timing=False)
     slow = _scalar_sa(bilp, qubo, sched).to_json(include_timing=False)
     assert json.dumps(fast) == json.dumps(slow)
+
+
+SA_COUNT_CASES = [
+    (n, kind, lam, exclude)
+    for n, kind in ((1, "abu"), (2, "normal"), (4, "wrc"), (6, "laplace"), (7, "f"))
+    for lam in (None, 0.5, 30.0)
+    for exclude in (frozenset(), frozenset({3}))
+    if not (exclude and n < 2)
+]
+
+
+@pytest.mark.parametrize("n,kind,lam,exclude", SA_COUNT_CASES)
+def test_sa_reports_the_qubo_fields_of_build_qubo(n, kind, lam, exclude):
+    # SA reports these fields without building the dict; they must be the dict's.
+    game = generate_game(n, DistributionSpec(kind=kind), n)
+    bilp = build_bilp(game, exclude)
+    qubo = build_qubo(bilp, lam)
+    sched = AnnealSchedule(sweeps=3, temp_hi=5.0, temp_lo=0.1, restarts=1, seed=n)
+    meta = solve_qubo_sa(bilp, sched, lam).metadata
+    assert meta["s"] == len(qubo.offdiag)
+    assert (meta["m"], meta["lambda"], meta["constant"]) == (qubo.m, qubo.lam, qubo.c)
+    assert repr(meta["best_energy"]) == repr(qubo_energy(qubo, meta["best_x"]))
+
+
+def test_sa_and_brute_force_never_call_qubo_energy(monkeypatch):
+    game = generate_game(5, DistributionSpec(kind="abn"), 2)
+    small = generate_game(4, DistributionSpec(kind="mu"), 1)
+    want_sa = json.dumps(solve(game, "sa", seed=1).to_json(include_timing=False))
+    want_brute = json.dumps(solve(small, "qubo-brute").to_json(include_timing=False))
+    monkeypatch.setattr("csgp.solvers.qubo_energy", _refuse("qubo_energy"))
+    monkeypatch.setattr("csgp.transform.qubo_energy", _refuse("qubo_energy"))
+    assert json.dumps(solve(small, "qubo-brute").to_json(include_timing=False)) == want_brute
+    # sa builds no QUBO dict at all.
+    monkeypatch.setattr("csgp.solvers.build_qubo", _refuse("build_qubo"))
+    assert json.dumps(solve(game, "sa", seed=1).to_json(include_timing=False)) == want_sa
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0, 1e308])
+def test_sa_checks_the_penalty_before_the_coupling_build(monkeypatch, lam):
+    monkeypatch.setattr("csgp.solvers.coupling_matrix", _refuse("coupling_matrix"))
+    game = generate_game(3, DistributionSpec(kind="abu"), 0)
+    with pytest.raises(ConfigError, match="penalty weight"):
+        solve(game, "sa", lam=lam)
 
 
 def test_sa_sweep_budget():
@@ -589,10 +644,7 @@ def test_solve_checks_shots_before_the_chain(g2, monkeypatch):
 
 
 def test_solve_checks_sa_overrides_before_the_coupling_build(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("build_qubo ran before the schedule check")
-
-    monkeypatch.setattr("csgp.solvers.build_qubo", refuse)
+    monkeypatch.setattr("csgp.solvers.coupling_matrix", _refuse("coupling_matrix"))
     game = generate_game(4, DistributionSpec(kind="normal"), 0)
     bad = {
         "sweeps must be >= 1": {"sweeps": 0},

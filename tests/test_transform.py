@@ -25,7 +25,7 @@ from csgp import (
     qubo_to_ising,
 )
 from csgp.game import DISTRIBUTION_KINDS
-from csgp.transform import quadratic_table
+from csgp.transform import matrix_energy, quadratic_table
 from csgp.solvers import partitions
 
 
@@ -161,6 +161,41 @@ def test_quadratic_table_equals_qubo_energy(kind):
         assert table.tobytes() == quadratic_table(qubo.diag, np.triu(couple)).tobytes()
         want = np.array([qubo_energy(qubo, x) for x in _assignments(qubo.m)])
         assert np.allclose(table, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def _check_matrix_energy(kind, agents):
+    # The all-zero x gives the int 0 in both; every other x a float, bit for bit.
+    rng = np.random.default_rng(len(kind))
+    for n in agents:
+        game = generate_game(n, DistributionSpec(kind=kind), seed=n)
+        # Excluded below n = 9: every coalition of two or more agents whose index is a multiple of 3.
+        exclusions = [frozenset()]
+        if 2 <= n <= 8:
+            exclusions.append(frozenset(c for c in range(3, 1 << n, 3) if c.bit_count() >= 2))
+        for exclude in exclusions:
+            bilp = build_bilp(game, exclude)
+            m = bilp.num_variables
+            singletons = encode_structure(CoalitionStructure([1 << a for a in range(n)]), bilp)
+            xs = ["0" * m, "1" * m, singletons] + ["".join(map(str, rng.integers(0, 2, m))) for _ in range(2)]
+            for lam in (None, 0.5, 30.0):
+                qubo = build_qubo(bilp, lam)
+                couple = coupling_matrix(bilp, qubo.lam)
+                for x in xs:
+                    want, got = qubo_energy(qubo, x), matrix_energy(qubo.diag, couple, x)
+                    assert type(got) is type(want) and repr(got) == repr(want), (n, lam, x)
+                    assert repr(matrix_energy(qubo.diag, couple, [int(b) for b in x])) == repr(want)
+
+
+@pytest.mark.parametrize("kind", DISTRIBUTION_KINDS)
+def test_matrix_energy_is_qubo_energy_in_repr_and_type(kind):
+    _check_matrix_energy(kind, range(1, 10))
+
+
+@pytest.mark.parametrize("kind", DISTRIBUTION_KINDS)
+def test_matrix_energy_carries_its_sum_across_row_blocks(kind, monkeypatch):
+    # Seven entries per pass: from one row per block to several rows per block.
+    monkeypatch.setattr("csgp.transform.ENERGY_BLOCK", 7)
+    _check_matrix_energy(kind, range(1, 7))
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
