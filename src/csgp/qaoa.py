@@ -5,7 +5,9 @@ The optimizer evaluates angles with a diagonal-phase kernel: each cost layer
 is one elementwise multiply by exp(-i*gamma*E) over the energy table (built
 once per optimize call, in O(2^m), by transform.quadratic_table), each mixer
 layer applies RX(2*beta) to every qubit q as cos(beta)*psi - i*sin(beta)*X_q psi,
-with X_q psi a flipped view of the state, not a copy.  The gate list from
+with X_q psi a flipped view of the state, not a copy.  L-BFGS-B gets the
+expectation and all 2p derivatives from one adjoint sweep through the same
+kernel, forwards and then backwards (_value_and_grad).  The gate list from
 build_circuit, replayed by simulate, is the gate-exact reference the kernel is
 tested against and the source of gate counts; the optimizer never builds it.
 
@@ -35,7 +37,9 @@ from .errors import ConfigError, ResourceLimitError
 from .transform import IsingInstance, quadratic_table
 
 SIMULATOR_MAX_QUBITS = 20
-OPTIMIZER_MAX_LAYERS = 64  # the simplex over 2p angles holds (2p + 1) * 2p floats
+OPTIMIZER_MAX_LAYERS = 64  # each value+gradient call costs O(p * m * 2^m)
+LBFGS_FTOL = 1e-12  # L-BFGS-B stops when a step lowers the scaled expectation by less
+LBFGS_GTOL = 1e-6  # or when no gradient entry exceeds this
 MAX_SHOTS = np.iinfo(np.int64).max  # the most draws numpy's multinomial takes
 
 _H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
@@ -232,7 +236,8 @@ def sample(state: np.ndarray, shots: int, seed: int) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Multi-start simplex search settings."""
+    """Multi-start L-BFGS-B settings: the number of starts and each start's
+    iteration cap (its tolerances are LBFGS_FTOL and LBFGS_GTOL)."""
 
     starts: int = 10
     maxiter: int = 500
@@ -275,34 +280,73 @@ class QaoaResult:
         return doc
 
 
-def _qaoa_state(m: int, table: np.ndarray, betas, gammas) -> np.ndarray:
-    """Ansatz state from the uniform superposition, one phase multiply per cost layer.
+def _mix(state: np.ndarray, scratch: np.ndarray, m: int, beta: float) -> None:
+    """Apply RX(2*beta) to every qubit of state, in place.
 
-    The mixer applies RX(2*beta) to qubit q as cos(beta)*psi - i*sin(beta)*X_q psi,
-    where X_q psi is the view of the (2^(m-q-1), 2, 2^q) reshape with its middle
-    axis reversed: three ufunc calls per qubit into one scratch buffer.
+    Qubit q gets cos(beta)*psi - i*sin(beta)*X_q psi, where X_q psi is the view
+    of the (2^(m-q-1), 2, 2^q) reshape with its middle axis reversed: three
+    ufunc calls per qubit into the scratch buffer.  RX(-2*beta) undoes it.
+    """
+    diag, off = math.cos(beta), -1j * math.sin(beta)  # RX(2*beta)'s entries
+    for q in range(m):
+        shape = (1 << (m - q - 1), 2, 1 << q)
+        np.multiply(state.reshape(shape)[:, ::-1, :], off, out=scratch.reshape(shape))
+        state *= diag
+        state += scratch
+
+
+def _phase(out: np.ndarray, table: np.ndarray, gamma: float) -> np.ndarray:
+    """The cost layer's diagonal exp(-i*gamma*table), written into out."""
+    return np.exp(np.multiply(-1j * gamma, table, out=out), out=out)
+
+
+def _qaoa_state(m: int, table: np.ndarray, betas, gammas) -> np.ndarray:
+    """Ansatz state from the uniform superposition: per layer, one multiply by
+    _phase, then _mix, both through one scratch buffer.
+
     Equals simulate(build_circuit(...)) amplitude by amplitude, not just up
     to a global phase: the table excludes the Ising offset, as the gates do.
     """
     state = np.full(1 << m, 1.0 / math.sqrt(1 << m), dtype=np.complex128)
-    other = np.empty_like(state)
+    scratch = np.empty_like(state)
     for beta, gamma in zip(betas, gammas):
-        state *= np.exp(-1j * gamma * table)
-        diag, off = math.cos(beta), -1j * math.sin(beta)  # RX(2*beta)'s entries
-        for q in range(m):
-            shape = (1 << (m - q - 1), 2, 1 << q)
-            np.multiply(state.reshape(shape)[:, ::-1, :], off, out=other.reshape(shape))
-            state *= diag
-            state += other
+        state *= _phase(scratch, table, gamma)
+        _mix(state, scratch, m, beta)
     return state
 
 
-def _objective(m: int, p: int, table: np.ndarray):
-    def f(theta: np.ndarray) -> float:
-        probs = np.abs(_qaoa_state(m, table, theta[:p], theta[p:])) ** 2
-        return float(probs @ table)
+def _value_and_grad(m: int, table: np.ndarray, betas, gammas) -> tuple[float, np.ndarray]:
+    """Expectation <psi|E|psi> of the _qaoa_state and its gradient over
+    (betas, gammas), by one adjoint sweep (Jones & Gacon, arXiv:2009.02823).
 
-    return f
+    After the forward pass, lam = E psi; the sweep walks the layers backwards,
+    un-applying each mixer and cost phase to both psi and lam.  With
+    B = sum_q X_q, d/dbeta_l = 2 Im<lam|B|psi> is read at the end of layer l
+    (B commutes with its mixer), and d/dgamma_l = 2 Im<lam|E|psi> once that
+    mixer is undone.  The value is computed as optimize reports it, from the
+    same forward state, so the two agree bitwise.
+    """
+    p = len(betas)
+    psi = _qaoa_state(m, table, betas, gammas)
+    value = float((np.abs(psi) ** 2) @ table)
+    lam = table * psi
+    scratch = np.empty_like(psi)
+    grad = np.empty(2 * p)
+    for layer in reversed(range(p)):
+        scratch.fill(0.0)
+        for q in range(m):
+            shape = (1 << (m - q - 1), 2, 1 << q)
+            view = scratch.reshape(shape)
+            view += psi.reshape(shape)[:, ::-1, :]
+        grad[layer] = 2.0 * np.vdot(lam, scratch).imag  # scratch holds B psi
+        _mix(psi, scratch, m, -betas[layer])
+        _mix(lam, scratch, m, -betas[layer])
+        grad[p + layer] = 2.0 * np.vdot(lam, np.multiply(table, psi, out=scratch)).imag
+        if layer:
+            _phase(scratch, table, -gammas[layer])
+            psi *= scratch
+            lam *= scratch
+    return value, grad
 
 
 def optimize(
@@ -312,53 +356,62 @@ def optimize(
     seed: int = 0,
     shots: int = 1024,
 ) -> QaoaResult:
-    """Multi-start derivative-free search over the 2p angles.
+    """Multi-start L-BFGS-B search over the 2p angles.
 
     The objective is the analytic expectation (no shot noise) of the
-    _qaoa_state kernel; the 1024-shot sample is drawn once, from the same
-    kernel at the best angles found.  Starts are drawn uniformly from beta
-    in [0, pi), gamma in [0, 2*pi).  Runs that hit the iteration cap are
-    kept and flagged via metadata["converged"].
+    _qaoa_state kernel, with its gradient from _value_and_grad.  The search
+    runs on the energy table divided by scale = max|E| (1 when the table is
+    all zero): its variables are beta and scale * gamma, its objective the
+    expectation divided by scale.  Starts are drawn uniformly from beta in
+    [0, pi) and scale * gamma in [0, 2*pi).  Each start runs L-BFGS-B for at
+    most config.maxiter iterations.  The best angles any evaluation saw win;
+    the reported expectation is theirs on the unscaled table, and the sample
+    of `shots` draws is taken once, from the same kernel at those angles.
+    metadata["evals"] counts value+gradient calls over all starts,
+    metadata["converged"] says whether the winning start's L-BFGS-B run
+    reported success and metadata["converged_starts"] how many starts did.
     """
     check_depth(p)
     check_shots(shots)
     start = time.perf_counter()
     table = energy_table(ising)
-    fun = _objective(ising.m, p, table)
+    scale = float(np.max(np.abs(table))) or 1.0
 
     start_seq, sample_seq = np.random.SeedSequence(seed).spawn(2)
     start_rng = np.random.default_rng(start_seq)
     best = None
     evals_total = 0
+    converged_starts = 0
     for s in range(config.starts):
         theta0 = np.concatenate(
             [start_rng.uniform(0.0, math.pi, size=p), start_rng.uniform(0.0, 2.0 * math.pi, size=p)]
         )
         trace: list[tuple[QaoaParams, float]] = []
-        best_seen = math.inf
 
-        def tracked(theta: np.ndarray) -> float:
-            nonlocal best_seen, evals_total
+        def fun(theta: np.ndarray) -> tuple[float, np.ndarray]:
+            nonlocal evals_total
             evals_total += 1
-            val = fun(theta)
-            if val < best_seen:
-                best_seen = val
-                trace.append(
-                    (QaoaParams(p=p, betas=tuple(theta[:p]), gammas=tuple(theta[p:])), val)
-                )
-            return val
+            gammas = theta[p:] / scale
+            val, grad = _value_and_grad(ising.m, table, theta[:p], gammas)
+            if not trace or val < trace[-1][1]:
+                trace.append((QaoaParams(p=p, betas=tuple(theta[:p]), gammas=tuple(gammas)), val))
+            # d/dbeta and d/d(scale * gamma) of val / scale
+            grad[:p] /= scale
+            grad[p:] /= scale * scale
+            return val / scale, grad
 
         res = minimize(
-            tracked,
+            fun,
             theta0,
-            method="Nelder-Mead",
-            options={"maxiter": config.maxiter, "xatol": 1e-8, "fatol": 1e-8},
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": config.maxiter, "ftol": LBFGS_FTOL, "gtol": LBFGS_GTOL},
         )
-        if best is None or res.fun < best[0]:
-            best = (float(res.fun), res.x.copy(), bool(res.success), tuple(trace), s)
+        converged_starts += bool(res.success)
+        if best is None or trace[-1][1] < best[0]:
+            best = (trace[-1][1], trace[-1][0], bool(res.success), tuple(trace), s)
 
-    fbest, theta, converged, trace, start_index = best
-    params = QaoaParams(p=p, betas=tuple(theta[:p]), gammas=tuple(theta[p:]))
+    fbest, params, converged, trace, start_index = best
     state = _qaoa_state(ising.m, table, params.betas, params.gammas)
     sample_seed = int(sample_seq.generate_state(1)[0])
     counts = sample(state, shots, sample_seed)
@@ -381,6 +434,7 @@ def optimize(
         "evals": evals_total,
         "best_start": start_index,
         "converged": converged,
+        "converged_starts": converged_starts,
         "offset": ising.offset,
         "best_sampled_energy": best_energy,
         "best_sampled_qubo_energy": best_energy + ising.offset,
