@@ -40,6 +40,7 @@ SIMULATOR_MAX_QUBITS = 20
 OPTIMIZER_MAX_LAYERS = 64  # each value+gradient call costs O(p * m * 2^m)
 LBFGS_FTOL = 1e-12  # L-BFGS-B stops when a step lowers the scaled expectation by less
 LBFGS_GTOL = 1e-6  # or when no gradient entry exceeds this
+START_DRAWS = 16  # each L-BFGS-B start is the lowest-expectation one of this many draws
 MAX_SHOTS = np.iinfo(np.int64).max  # the most draws numpy's multinomial takes
 
 _H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
@@ -280,17 +281,22 @@ class QaoaResult:
         return doc
 
 
+def _flipped(state: np.ndarray, m: int, q: int) -> np.ndarray:
+    """X_q state as a view, not a copy: the (2^(m-q-1), 2, 2^q) reshape of
+    state with its middle axis reversed."""
+    return state.reshape(1 << (m - q - 1), 2, 1 << q)[:, ::-1, :]
+
+
 def _mix(state: np.ndarray, scratch: np.ndarray, m: int, beta: float) -> None:
     """Apply RX(2*beta) to every qubit of state, in place.
 
-    Qubit q gets cos(beta)*psi - i*sin(beta)*X_q psi, where X_q psi is the view
-    of the (2^(m-q-1), 2, 2^q) reshape with its middle axis reversed: three
-    ufunc calls per qubit into the scratch buffer.  RX(-2*beta) undoes it.
+    Qubit q gets cos(beta)*psi - i*sin(beta)*X_q psi: three ufunc calls per
+    qubit into the scratch buffer.  RX(-2*beta) undoes it.
     """
     diag, off = math.cos(beta), -1j * math.sin(beta)  # RX(2*beta)'s entries
     for q in range(m):
-        shape = (1 << (m - q - 1), 2, 1 << q)
-        np.multiply(state.reshape(shape)[:, ::-1, :], off, out=scratch.reshape(shape))
+        flipped = _flipped(state, m, q)
+        np.multiply(flipped, off, out=scratch.reshape(flipped.shape))
         state *= diag
         state += scratch
 
@@ -322,7 +328,8 @@ def _value_and_grad(m: int, table: np.ndarray, betas, gammas) -> tuple[float, np
     After the forward pass, lam = E psi; the sweep walks the layers backwards,
     un-applying each mixer and cost phase to both psi and lam.  With
     B = sum_q X_q, d/dbeta_l = 2 Im<lam|B|psi> is read at the end of layer l
-    (B commutes with its mixer), and d/dgamma_l = 2 Im<lam|E|psi> once that
+    (B commutes with its mixer), with B psi summed from the flipped views
+    into the scratch buffer, and d/dgamma_l = 2 Im<lam|E|psi> once that
     mixer is undone.  The value is computed as optimize reports it, from the
     same forward state, so the two agree bitwise.
     """
@@ -335,9 +342,9 @@ def _value_and_grad(m: int, table: np.ndarray, betas, gammas) -> tuple[float, np
     for layer in reversed(range(p)):
         scratch.fill(0.0)
         for q in range(m):
-            shape = (1 << (m - q - 1), 2, 1 << q)
-            view = scratch.reshape(shape)
-            view += psi.reshape(shape)[:, ::-1, :]
+            flipped = _flipped(psi, m, q)
+            view = scratch.reshape(flipped.shape)
+            view += flipped
         grad[layer] = 2.0 * np.vdot(lam, scratch).imag  # scratch holds B psi
         _mix(psi, scratch, m, -betas[layer])
         _mix(lam, scratch, m, -betas[layer])
@@ -362,11 +369,15 @@ def optimize(
     _qaoa_state kernel, with its gradient from _value_and_grad.  The search
     runs on the energy table divided by scale = max|E| (1 when the table is
     all zero): its variables are beta and scale * gamma, its objective the
-    expectation divided by scale.  Starts are drawn uniformly from beta in
-    [0, pi) and scale * gamma in [0, 2*pi).  Each start runs L-BFGS-B for at
-    most config.maxiter iterations.  The best angles any evaluation saw win;
-    the reported expectation is theirs on the unscaled table, and the sample
-    of `shots` draws is taken once, from the same kernel at those angles.
+    expectation divided by scale.  Angles are drawn uniformly from beta in
+    [0, pi) and gamma in [0, 2*pi), so scale * gamma spans [0, 2*pi*scale):
+    the deep minima of penalty-dominated tables lie there, among many shallow
+    ones, not in the table's first period.  Each start is the draw with the
+    lowest expectation out of START_DRAWS (one forward pass each) and runs
+    L-BFGS-B for at most config.maxiter iterations.  The best angles any
+    evaluation saw win; the reported expectation is theirs on the unscaled
+    table, and the sample of `shots` draws is taken once, from the same kernel
+    at those angles.
     metadata["evals"] counts value+gradient calls over all starts,
     metadata["converged"] says whether the winning start's L-BFGS-B run
     reported success and metadata["converged_starts"] how many starts did.
@@ -383,9 +394,14 @@ def optimize(
     evals_total = 0
     converged_starts = 0
     for s in range(config.starts):
-        theta0 = np.concatenate(
-            [start_rng.uniform(0.0, math.pi, size=p), start_rng.uniform(0.0, 2.0 * math.pi, size=p)]
+        draws = [
+            (start_rng.uniform(0.0, math.pi, size=p), start_rng.uniform(0.0, 2.0 * math.pi, size=p))
+            for _ in range(START_DRAWS)
+        ]
+        betas0, gammas0 = min(
+            draws, key=lambda d: float(np.abs(_qaoa_state(ising.m, table, *d)) ** 2 @ table)
         )
+        theta0 = np.concatenate([betas0, scale * gammas0])
         trace: list[tuple[QaoaParams, float]] = []
 
         def fun(theta: np.ndarray) -> tuple[float, np.ndarray]:

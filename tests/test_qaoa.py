@@ -460,12 +460,10 @@ def test_reported_expectation_matches_resimulation(g2):
 
 
 def test_optimizer_reaches_concentrating_basin(g2):
-    # With two layers the multi-start search lands in the deep attractor and
-    # piles most of the probability mass onto the ground state.  At p = 1 the
-    # search on the scaled table settles at -6.35 from this seed (README,
-    # Known limitations).
+    # At this seed the multi-start search lands in the deep attractor and
+    # piles most of the probability mass onto the ground state.
     _, _, ising = _g2_chain(g2)
-    result = optimize(ising, p=2, seed=1)
+    result = optimize(ising, p=1, seed=1)
     assert result.expectation < -8.0
     probs = np.abs(simulate(build_circuit(ising, result.best_params))) ** 2
     assert probs[3] > 0.5
@@ -527,9 +525,35 @@ def test_the_scaled_objective_matches_its_gradient(monkeypatch):
 
 
 def test_optimize_needs_a_tenth_of_the_simplex_evaluations():
-    # Nelder-Mead took 6,808 evaluations here; L-BFGS-B takes about 420 calls.
+    # Nelder-Mead took 6,808 evaluations here; L-BFGS-B takes about 270 calls.
     result = optimize(_abn_chain(), p=2, seed=0)
     assert result.metadata["evals"] <= 700
+
+
+def test_each_start_is_the_lowest_of_its_draws(g2, monkeypatch):
+    # A start draws START_DRAWS (beta, gamma) pairs from [0, pi) x [0, 2 pi)
+    # and L-BFGS-B begins at the lowest-expectation one, as (beta, max|E| * gamma).
+    starts = []
+    real_minimize = qaoa_module.minimize
+
+    def recording(fun, x0, **kwargs):
+        starts.append(x0.copy())
+        return real_minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(qaoa_module, "minimize", recording)
+    _, _, ising = _g2_chain(g2)
+    optimize(ising, p=1, config=OptimizerConfig(starts=3, maxiter=2), seed=4)
+    table = energy_table(ising)
+    rng = np.random.default_rng(np.random.SeedSequence(4).spawn(2)[0])
+    for x0 in starts:
+        draws = [
+            (rng.uniform(0.0, math.pi, 1), rng.uniform(0.0, 2.0 * math.pi, 1))
+            for _ in range(qaoa_module.START_DRAWS)
+        ]
+        values = [float(np.abs(_qaoa_state(3, table, b, g)) ** 2 @ table) for b, g in draws]
+        betas, gammas = draws[int(np.argmin(values))]
+        assert x0.tolist() == [betas[0], np.max(np.abs(table)) * gammas[0]]
+    assert len(starts) == 3
 
 
 def test_optimize_counts_the_starts_that_converged(g2):
