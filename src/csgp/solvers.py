@@ -39,6 +39,7 @@ from .transform import (
 ENUM_MAX_AGENTS = 12
 DP_MAX_AGENTS = 20
 DP_CHUNK = 1 << 15  # splits solve_dp evaluates per numpy pass
+ENUM_CHUNK = 1 << 12  # partitions of agents 0..n-2 solve_enum extends and scores per pass
 BRUTE_MAX_VARIABLES = 24
 SA_MAX_VARIABLES = 1 << 15
 # sweeps * restarts: every sweep keeps a temperature, and a trace entry per restart.
@@ -111,24 +112,90 @@ def partitions(n: int):
     yield from place(0, [])
 
 
+def _smallest_blocks(part: np.ndarray) -> tuple[int, ...]:
+    """The lexicographically smallest ascending block tuple among the
+    partitions in the columns of ``part`` (block masks, 0 for an unused slot)."""
+    # Two partitions of one agent set never have one ascending tuple as a
+    # proper prefix of the other, so padding with a mask above every block
+    # compares as the tuples do.
+    keys = np.sort(np.where(part, part, np.uint16(0xFFFF)), axis=0)
+    for s in range(len(keys)):
+        keys = keys[:, keys[s] == keys[s].min()]
+    return tuple(b for b in keys[:, 0].tolist() if b != 0xFFFF)
+
+
 def solve_enum(game: CoalitionGame) -> SolveReport:
-    """Exact solver by full partition enumeration (Bell-number cost)."""
+    """Exact solver by full partition enumeration (Bell-number cost).
+
+    Every partition that ``partitions`` yields is built and scored, in numpy.
+    The partitions of agents 0..n-2 are held as columns of uint16 block masks,
+    one slot per block in order of the block's lowest member (the order
+    ``partitions`` gives) and 0 in unused slots: Bell(n - 1) * n * 2 bytes,
+    16 MB at n = 12.  They are grown one agent at a time: for each slot s,
+    every partition with at least s blocks, with the agent added to block s
+    (a new block when it has exactly s).  The last agent is placed the same
+    way while scoring, ENUM_CHUNK prefix partitions per pass.
+
+    A partition's value is 0.0 plus v(block) for each block in slot order,
+    left to right, as ``sum(values[b] for b in blocks)`` adds on Python 3.11.
+    The running sum over slots 0..k-1 is shared by the placements in slots
+    k, k+1, ..., so best_value is bitwise that loop's.  The partitions tied at a
+    pass's maximum are narrowed to their smallest ascending block tuple in
+    numpy, and that tuple is compared with the best so far: ties resolve to
+    the lexicographically smallest tuple, as the loop's did.
+    """
     if game.n > ENUM_MAX_AGENTS:
         raise ResourceLimitError(
             f"enumeration is limited to {ENUM_MAX_AGENTS} agents, got {game.n}"
         )
     start = time.perf_counter()
-    values = game.values
+    n = game.n
+    full = n_coalitions(n)
+    fv = np.zeros(full + 1)
+    fv[1:] = np.fromiter(game.values.values(), float, full)  # CoalitionGame sorts its keys
+    blocks = np.zeros((n, 1), dtype=np.uint16)  # the one partition of no agents
+    count = np.zeros(1, dtype=np.uint8)  # blocks per partition
+    for agent in range(n - 1):
+        grown = np.empty((n, int(count.sum()) + len(count)), dtype=np.uint16)
+        grown_count = np.empty(grown.shape[1], dtype=np.uint8)
+        end = 0
+        for s in range(agent + 1):
+            keep = count >= s
+            first, end = end, end + np.count_nonzero(keep)
+            grown[:, first:end] = blocks[:, keep]
+            grown[s, first:end] |= 1 << agent
+            np.maximum(count[keep], s + 1, out=grown_count[first:end])
+        blocks, count = grown, grown_count
+
+    bit = 1 << (n - 1)
     best_value = -math.inf
     best_blocks: tuple[int, ...] | None = None
     examined = 0
-    for blocks in partitions(game.n):
-        examined += 1
-        value = sum(values[b] for b in blocks)
-        key = tuple(sorted(blocks))
-        if value > best_value or (value == best_value and key < best_blocks):
-            best_value = value
-            best_blocks = key
+    for first in range(0, len(count), ENUM_CHUNK):
+        # Most blocks first, so the partitions with at least k blocks are the
+        # first at_least[k].
+        chunk = count[first : first + ENUM_CHUNK]
+        order = np.argsort(chunk, kind="stable")[::-1]
+        part = blocks[:, first : first + ENUM_CHUNK].take(order, axis=1)
+        most = int(chunk[order[0]])
+        at_least = np.bincount(chunk, minlength=most + 2)[::-1].cumsum()[::-1].tolist()
+        vals = fv.take(part)
+        head = np.zeros(len(order))  # 0.0 plus the values of slots 0..k-1
+        for k in range(most + 1):
+            placed = at_least[k]
+            examined += placed
+            value = head[:placed] + fv.take(part[k, :placed] | bit)
+            for c in range(k + 1, most):
+                value[: at_least[c + 1]] += vals[c, : at_least[c + 1]]
+            head[: at_least[k + 1]] += vals[k, : at_least[k + 1]]
+            top = value.max().item()
+            if top >= best_value:
+                tied = part[:, np.flatnonzero(value == top)]
+                tied[k] |= bit
+                key = _smallest_blocks(tied)
+                if top > best_value or key < best_blocks:
+                    best_value = top
+                    best_blocks = key
     elapsed = (time.perf_counter() - start) * 1e3
     return SolveReport(
         method="enum",

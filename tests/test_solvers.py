@@ -217,6 +217,87 @@ def test_dp_equals_scalar_loop_in_tiny_chunks(monkeypatch):
         assert report.metadata["splits"] == splits
 
 
+def _scalar_enum(game):
+    """solve_enum as one Python iteration per partition, in partitions() order.
+
+    A partition's value is 0.0 plus its block values from left to right, the
+    float sum Python 3.11's sum() takes (from 3.12 sum() compensates).  The
+    numpy enumeration must give this loop's value bit for bit, and its blocks
+    and partition count.
+    """
+    values = game.values
+    best_value = -math.inf
+    best_blocks = None
+    examined = 0
+    for blocks in partitions(game.n):
+        examined += 1
+        value = 0.0
+        for b in blocks:
+            value += values[b]
+        key = tuple(sorted(blocks))
+        if value > best_value or (value == best_value and key < best_blocks):
+            best_value = value
+            best_blocks = key
+    return best_value, best_blocks, examined
+
+
+ENUM_ORACLE_PANEL = {
+    **{case: games for case, games in DP_ORACLE_PANEL.items() if case != "n11-n12"},
+    "n10-n11": [
+        generate_game(n, DistributionSpec(kind=kind), 0) for n in (10, 11) for kind in ("abn", "laplace")
+    ],
+}
+
+
+def _assert_enum_equals_scalar_loop(game):
+    value, blocks, examined = _scalar_enum(game)
+    report = solve_enum(game)
+    assert repr(report.best_value) == repr(value), (game.n, game.seed)
+    assert report.best_cs.blocks == blocks, (game.n, game.seed)
+    assert report.metadata["partitions_examined"] == examined
+
+
+@pytest.mark.parametrize("case", sorted(ENUM_ORACLE_PANEL))
+def test_enum_equals_scalar_loop(case):
+    for game in ENUM_ORACLE_PANEL[case]:
+        _assert_enum_equals_scalar_loop(game)
+
+
+def test_enum_tie_goes_to_the_smallest_tuple_not_the_first_found():
+    # {0, 3} + {1, 2} and {0, 1, 3} + {2} tie at 5.0, and everything else is
+    # lower.  solve_enum scores the first before the second in one numpy pass;
+    # the second has the smaller ascending tuple, (4, 11) < (6, 9).
+    values = {c: 0.0 for c in range(1, 16)}
+    values.update({9: 3.0, 6: 2.0, 11: 4.0, 4: 1.0})
+    game = CoalitionGame(n=4, values=values)
+    assert _scalar_enum(game) == (5.0, (4, 11), 15)
+    report = solve_enum(game)
+    assert (report.best_value, report.best_cs.blocks) == (5.0, (4, 11))
+
+
+def test_enum_equals_scalar_loop_in_tiny_chunks(monkeypatch):
+    # One, two or three prefix partitions per pass: every slot spans many passes.
+    for chunk in (1, 2, 3):
+        monkeypatch.setattr("csgp.solvers.ENUM_CHUNK", chunk)
+        for game in (
+            _valued_game(6, lambda c: float(c.bit_count() - c % 3)),
+            generate_game(7, DistributionSpec(kind="wrc"), 1),
+        ):
+            _assert_enum_equals_scalar_loop(game)
+
+
+@pytest.mark.parametrize("kind", ["normal", "weibull"])
+def test_enum_equals_dp_at_the_enum_guard(kind):
+    game = generate_game(12, DistributionSpec(kind=kind), 0)
+    enum = solve_enum(game)
+    dp = solve_dp(game)
+    assert enum.metadata["partitions_examined"] == 4213597  # Bell(12)
+    # One partition, its block values summed in two orders: slot order in
+    # enum, DP's split tree in dp.  The sums may differ in the last bits.
+    assert math.isclose(enum.best_value, dp.best_value, rel_tol=1e-12)
+    assert enum.best_cs.blocks == dp.best_cs.blocks
+
+
 def test_brute_g2(g2):
     bilp = build_bilp(g2)
     report = solve_qubo_exhaustive(bilp, build_qubo(bilp, lam=10.0))
