@@ -29,6 +29,7 @@ from .transform import (
     QuboInstance,
     build_bilp,
     build_qubo,
+    coupling_counts,
     coupling_matrix,
     decode_solution,
     default_penalty,

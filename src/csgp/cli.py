@@ -32,7 +32,10 @@ from . import qaoa
 from .solvers import (
     AGENT_LIMITS, METHODS, SA_MAX_VARIABLES, VARIABLE_LIMITS, checked_bilp, solve, solve_dp
 )
-from .transform import QuboInstance, build_qubo, check_penalty, qubo_to_ising
+from .transform import (
+    BilpInstance, QuboInstance, check_penalty, coupling_counts, ising_fields, penalty_diagonal,
+    upper_couplings,
+)
 
 def _parse_agent_spec(text: str) -> range:
     """Parse `N` or `A..B` (inclusive) into a range of agent counts, never a list."""
@@ -100,38 +103,75 @@ def _load_or_generate(args) -> tuple:
     return generate_game(n, spec, args.seed)
 
 
-def write_qubo_json(qubo: QuboInstance, fh) -> None:
-    doc = {
-        "m": qubo.m,
-        "diag": list(qubo.diag),
-        "offdiag": [[i, j, qubo.offdiag[(i, j)]] for (i, j) in sorted(qubo.offdiag)],
-        "c": qubo.c,
-        "lambda": qubo.lam,
-    }
-    _write_json(doc, fh)
+def _export_terms(bilp, lam):
+    """The checked penalty, the QUBO diagonal, the coupling counts and the n + 1
+    levels (2*lam)*k that every coupling is one of, so each value is formatted once."""
+    lam, diag = penalty_diagonal(bilp, lam)
+    return lam, diag, coupling_counts(bilp), [(2.0 * lam) * k for k in range(bilp.n + 1)]
 
 
-def write_ising_json(qubo: QuboInstance, fh) -> None:
-    ising = qubo_to_ising(qubo)
-    doc = {
-        "m": ising.m,
-        "h": list(ising.h),
-        "J": [[i, j, ising.J[(i, j)]] for (i, j) in sorted(ising.J)],
-        "offset": ising.offset,
-    }
-    _write_json(doc, fh)
+def _coupling_rows(counts, head, tails, sep):
+    """The text of each row i's couplings to j > i, for the rows that have one: items
+    head(i) + f"{j}{tails[count]}" in ascending j, joined by sep.  Every (j, count)
+    end is formatted once, so a row is one join of strings already made."""
+    ends = [f"{j}{tail}" for j in range(len(counts)) for tail in tails]
+    for i, j, k in upper_couplings(counts):
+        if len(j):
+            start = head(i)
+            yield start + (sep + start).join(map(ends.__getitem__, (j * len(tails) + k).tolist()))
 
 
-def write_qubo_text(qubo: QuboInstance, fh) -> None:
+def _json_list(fh, chunks) -> None:
+    """A list valued member of an indent-2 JSON object, laid out as json.dumps(doc,
+    indent=2) lays it out, from nonempty chunks of items already joined at that depth."""
+    sep = "[\n    "
+    for chunk in chunks:
+        fh.write(sep + chunk)
+        sep = ",\n    "
+    fh.write("[]" if sep == "[\n    " else "\n  ]")
+
+
+def _json_triples(counts, texts):
+    """Chunks of [i, j, texts[count]] items, one per nonzero count with i < j, row-major."""
+    tails = [f",\n      {text}\n    ]" for text in texts]
+    return _coupling_rows(counts, "[\n      {},\n      ".format, tails, ",\n    ")
+
+
+# json writes a finite float as float.__repr__ does (a numpy float64 too).
+_float_text = float.__repr__
+
+
+def write_qubo_json(bilp: BilpInstance, lam: float | None, fh) -> None:
+    """{m, diag, offdiag: [[i, j, value] for i < j], c, lambda} as json.dumps(doc,
+    indent=2) plus a newline would write it, streamed from the coupling counts."""
+    lam, diag, counts, levels = _export_terms(bilp, lam)
+    fh.write(f'{{\n  "m": {len(diag)},\n  "diag": ')
+    _json_list(fh, [",\n    ".join(map(_float_text, diag))])
+    fh.write(',\n  "offdiag": ')
+    _json_list(fh, _json_triples(counts, map(_float_text, levels)))
+    fh.write(f',\n  "c": {_float_text(lam * bilp.n)},\n  "lambda": {_float_text(lam)}\n}}\n')
+
+
+def write_ising_json(bilp: BilpInstance, lam: float | None, fh) -> None:
+    """{m, h, J: [[i, j, value] for i < j], offset} of qubo_to_ising(build_qubo(bilp,
+    lam)) as json.dumps(doc, indent=2) plus a newline would write it, streamed from
+    the coupling counts."""
+    lam, diag, counts, levels = _export_terms(bilp, lam)
+    quarters = [level / 4.0 for level in levels]
+    h, offset = ising_fields(diag, counts, quarters)
+    fh.write(f'{{\n  "m": {len(h)},\n  "h": ')
+    _json_list(fh, [",\n    ".join(map(_float_text, h))])
+    fh.write(',\n  "J": ')
+    _json_list(fh, _json_triples(counts, map(_float_text, quarters)))
+    fh.write(f',\n  "offset": {_float_text(offset)}\n}}\n')
+
+
+def write_qubo_text(bilp: BilpInstance, lam: float | None, fh) -> None:
     """Line-oriented annealer-style dump; structured comments carry c and lambda."""
-    fh.write(f"# c {qubo.c:.17g}\n")
-    if qubo.lam is not None:
-        fh.write(f"# lambda {qubo.lam:.17g}\n")
-    fh.write(f"n {qubo.m}\n")
-    for i, d in enumerate(qubo.diag):
-        fh.write(f"{i} {i} {d:.17g}\n")
-    for (i, j) in sorted(qubo.offdiag):
-        fh.write(f"{i} {j} {qubo.offdiag[(i, j)]:.17g}\n")
+    lam, diag, counts, levels = _export_terms(bilp, lam)
+    fh.write(f"# c {lam * bilp.n:.17g}\n# lambda {lam:.17g}\nn {len(diag)}\n")
+    fh.writelines([f"{i} {i} {d:.17g}\n" for i, d in enumerate(diag)])
+    fh.writelines(_coupling_rows(counts, "{} ".format, [f" {level:.17g}\n" for level in levels], ""))
 
 
 def read_qubo_text(path) -> QuboInstance:
@@ -257,7 +297,7 @@ def _cmd_export(args) -> int:
     game = _load_or_generate(args)
     # The largest QUBO read_qubo_text accepts, checked before the coupling build.
     bilp = checked_bilp(game, _parse_exclude(args.exclude), limit=SA_MAX_VARIABLES, what="export")
-    qubo = build_qubo(bilp, args.lam)
+    lam, _ = penalty_diagonal(bilp, args.lam)  # a bad penalty is refused before the file opens
     if args.game is not None:
         base = Path(args.game).stem
     else:
@@ -265,7 +305,7 @@ def _cmd_export(args) -> int:
     suffix, write = _export_formats()[args.format]
     out = args.out or base + suffix
     with open(out, "w", encoding="utf-8") as fh:
-        write(qubo, fh)
+        write(bilp, lam, fh)
     print(out)
     return 0
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, InfeasibleError
 from .game import CoalitionGame, CoalitionStructure, n_coalitions
 
-ENERGY_BLOCK = 1 << 20  # coupling entries matrix_energy reads per numpy pass
+ENERGY_BLOCK = 1 << 16  # coupling entries one numpy pass reads or builds
 
 
 @dataclass(frozen=True)
@@ -108,13 +108,45 @@ def default_penalty(bilp: BilpInstance) -> float:
     return 1.0 + 2.0 * sum(abs(v) for v in bilp.values)
 
 
-def coupling_matrix(bilp: BilpInstance, lam: float) -> np.ndarray:
-    """Couplings 2*lam*|C_i & C_j| as a dense symmetric m x m array, zero on the
-    diagonal: the one place that rule is evaluated (build_qubo and the solvers)."""
+def _count_blocks(bilp: BilpInstance):
+    """(first row, uint8 rows of |C_i & C_j|, zero on the diagonal), about
+    ENERGY_BLOCK entries at a time, so no m x m int64 temporary is held."""
     cols = np.array(bilp.columns, dtype=np.int64)
-    couple = (2.0 * lam) * np.bitwise_count(cols[:, None] & cols)
-    np.fill_diagonal(couple, 0.0)
+    step = max(1, ENERGY_BLOCK // len(cols))
+    for first in range(0, len(cols), step):
+        block = np.bitwise_count(cols[first : first + step, None] & cols)
+        np.fill_diagonal(block[:, first:], 0)
+        yield first, block
+
+
+def coupling_counts(bilp: BilpInstance) -> np.ndarray:
+    """|C_i & C_j| as a symmetric m x m uint8 array, zero on the diagonal (counts are
+    at most n): the one place the coupling rule reads the columns.  Coupling (i, j)
+    of the QUBO is 2*lam times entry (i, j)."""
+    m = bilp.num_variables
+    counts = np.empty((m, m), dtype=np.uint8)
+    for first, block in _count_blocks(bilp):
+        counts[first : first + len(block)] = block
+    return counts
+
+
+def coupling_matrix(bilp: BilpInstance, lam: float) -> np.ndarray:
+    """Couplings 2*lam*|C_i & C_j| as a dense symmetric float m x m array, zero on
+    the diagonal: (2.0 * lam) * coupling_counts(bilp), filled block by block so that
+    the counts are never held whole next to it."""
+    m = bilp.num_variables
+    couple = np.empty((m, m))
+    for first, block in _count_blocks(bilp):
+        np.multiply(2.0 * lam, block, out=couple[first : first + len(block)])
     return couple
+
+
+def upper_couplings(counts: np.ndarray):
+    """(i, j, counts[i, j]) for the nonzero counts of each row i with j > i, row by
+    row and j ascending: the order build_qubo inserts its couplings in."""
+    for i, row in enumerate(counts):
+        j = np.flatnonzero(row[i + 1 :]) + (i + 1)
+        yield i, j, row[j]
 
 
 def check_penalty(lam: float) -> float:
@@ -148,13 +180,12 @@ def build_qubo(bilp: BilpInstance, lam: float | None = None) -> QuboInstance:
     Minimizes lam * ||Sx - 1||^2 - v.x.  Expanding the square gives
     diagonal terms -v_j - lam*|C_j| (penalty_diagonal, which also checks
     lam), off-diagonal terms 2*lam*|C_i & C_j| for intersecting pairs
-    (coupling_matrix), and the constant lam*n.
+    (coupling_counts), and the constant lam*n.
     """
     lam, diag = penalty_diagonal(bilp, lam)
     offdiag = {}
-    for i, row in enumerate(coupling_matrix(bilp, lam)):
-        j = np.flatnonzero(row[i + 1 :]) + (i + 1)
-        offdiag.update(zip(zip([i] * len(j), j.tolist()), row[j].tolist()))
+    for i, j, k in upper_couplings(coupling_counts(bilp)):
+        offdiag.update(zip(zip([i] * len(j), j.tolist()), ((2.0 * lam) * k).tolist()))
     return QuboInstance(m=len(diag), diag=diag, offdiag=offdiag, c=lam * bilp.n, lam=lam)
 
 
@@ -255,6 +286,33 @@ def qubo_to_ising(qubo: QuboInstance) -> IsingInstance:
         h[j] += val / 4.0
         offset += val / 4.0
     return IsingInstance(m=qubo.m, h=tuple(h), J=J, offset=offset)
+
+
+def ising_fields(diag, counts: np.ndarray, quarters) -> tuple[list[float], float]:
+    """h and offset of qubo_to_ising, bit for bit, for the QUBO with this diagonal and
+    coupling_counts matrix, where quarters[k] is the Ising coupling of count k.
+
+    qubo_to_ising adds to h[i] the quarters of row i's couplings in ascending
+    column order, and to the offset those of the upper triangle in row-major
+    order.  np.cumsum adds sequentially.  Each row is summed over its zero
+    entries too: adding 0.0 changes no sum except a start of -0.0, so a row with
+    no coupling keeps d_i / 2 as it is.  Rows are read about ENERGY_BLOCK entries
+    at a time.
+    """
+    quarters = np.asarray(quarters, dtype=float)
+    halves = np.asarray(diag, dtype=float) / 2.0
+    h = []
+    offset = sum(diag) / 2.0
+    step = max(1, ENERGY_BLOCK // len(counts))
+    for first in range(0, len(counts), step):
+        block = counts[first : first + step]
+        start = halves[first : first + len(block)]
+        q = quarters[block]
+        sums = np.cumsum(np.concatenate((start[:, None], q), axis=1), axis=1)[:, -1]
+        h += np.where(block.any(axis=1), sums, start).tolist()
+        upper = q[np.triu(block, first + 1) != 0]
+        offset = np.cumsum(np.concatenate(([offset], upper)))[-1].item()
+    return h, offset
 
 
 def ising_energy(ising: IsingInstance, z) -> float:

@@ -5,15 +5,18 @@ determinism of repeated runs, and the exit-code contract (2 config/parse,
 3 resource guard, 4 infeasible).
 """
 
+import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
+from csgp import cli
 from csgp.analysis import CSV_HEADER
 from csgp.cli import main, read_qubo_text
 from csgp.errors import ParseError, ResourceLimitError
-from csgp.game import load_game
+from csgp.game import DISTRIBUTION_KINDS, CoalitionGame, DistributionSpec, generate_game, load_game
 from csgp.solvers import solve_dp
 from csgp.transform import build_bilp, build_qubo, qubo_to_ising
 
@@ -317,9 +320,11 @@ def test_qaoa_guard_fires_before_the_reference_scan(tmp_path, capsys, monkeypatc
 
 
 def test_export_guard_fires_before_the_coupling_build(tmp_path, capsys, monkeypatch):
-    # n = 16 gives 65,535 variables, more than read_qubo_text accepts.
+    # n = 16 gives 65,535 variables, more than read_qubo_text accepts; the
+    # writers' m x m count matrix is the O(m^2) allocation the guard protects.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr("csgp.cli.build_qubo", _refuse("build_qubo"))
+    monkeypatch.setattr("csgp.transform.build_qubo", _refuse("build_qubo"))
+    monkeypatch.setattr("csgp.cli.coupling_counts", _refuse("coupling_counts"))
     code, out, err = run_cli(
         capsys, "export", "--agents", "16", "--dist", "normal", "--format", "qubo-text"
     )
@@ -484,6 +489,155 @@ def test_export_ising_json_fields(tmp_path, capsys):
     assert doc["h"] == list(want.h)
     assert doc["offset"] == want.offset
     assert {(i, j): v for i, j, v in doc["J"]} == want.J
+
+
+def _dict_writers():
+    """csgp export's three writers as they were when they formatted the build_qubo
+    dict: format -> writer(qubo, fh).  The Ising file goes through qubo_to_ising, and
+    both JSON files through json's indent-2 encoder, which is what cli._write_json
+    streams.  The streamed writers must write these bytes."""
+
+    def write_json(doc, fh):
+        fh.write(json.dumps(doc, indent=2) + "\n")
+
+    def qubo_json(qubo, fh):
+        offdiag = [[i, j, qubo.offdiag[(i, j)]] for (i, j) in sorted(qubo.offdiag)]
+        write_json({"m": qubo.m, "diag": list(qubo.diag), "offdiag": offdiag, "c": qubo.c, "lambda": qubo.lam}, fh)
+
+    def ising_json(qubo, fh):
+        ising = qubo_to_ising(qubo)
+        J = [[i, j, ising.J[(i, j)]] for (i, j) in sorted(ising.J)]
+        write_json({"m": ising.m, "h": list(ising.h), "J": J, "offset": ising.offset}, fh)
+
+    def qubo_text(qubo, fh):
+        fh.write(f"# c {qubo.c:.17g}\n")
+        if qubo.lam is not None:
+            fh.write(f"# lambda {qubo.lam:.17g}\n")
+        fh.write(f"n {qubo.m}\n")
+        for i, d in enumerate(qubo.diag):
+            fh.write(f"{i} {i} {d:.17g}\n")
+        for (i, j) in sorted(qubo.offdiag):
+            fh.write(f"{i} {j} {qubo.offdiag[(i, j)]:.17g}\n")
+
+    return {"qubo-json": qubo_json, "qubo-text": qubo_text, "ising-json": ising_json}
+
+
+EXPORT_FORMATS = ("qubo-text", "qubo-json", "ising-json")
+
+
+def _dict_export(bilp, lam, fmt):
+    fh = io.StringIO()
+    _dict_writers()[fmt](build_qubo(bilp, lam), fh)
+    return fh.getvalue()
+
+
+def _streamed_export(bilp, lam, fmt):
+    fh = io.StringIO()
+    cli._export_formats()[fmt][1](bilp, lam, fh)
+    return fh.getvalue()
+
+
+def _assert_exports_equal(game, lam=None, exclude=frozenset()):
+    bilp = build_bilp(game, exclude)
+    for fmt in EXPORT_FORMATS:
+        assert _streamed_export(bilp, lam, fmt) == _dict_export(bilp, lam, fmt), (fmt, lam, sorted(exclude))
+
+
+def _composite_exclusions(n):
+    """Every third coalition of two or more agents: no agent loses its singleton, and
+    at n = 2 the two remaining columns share no agent."""
+    return frozenset(c for c in range(3, 1 << n, 3) if c.bit_count() > 1)
+
+
+@pytest.mark.parametrize("kind", DISTRIBUTION_KINDS)
+def test_export_equals_dict_writers(kind):
+    for n in range(1, 8):
+        for seed in (0, 1):
+            _assert_exports_equal(generate_game(n, DistributionSpec(kind=kind), seed))
+
+
+@pytest.mark.parametrize("exclude", [False, True])
+@pytest.mark.parametrize("lam", [None, 0.5, 30.0])
+def test_export_equals_dict_writers_across_penalties(lam, exclude):
+    for kind in DISTRIBUTION_KINDS:
+        for n in (2, 3, 5):
+            game = generate_game(n, DistributionSpec(kind=kind), seed=0)
+            _assert_exports_equal(game, lam, _composite_exclusions(n) if exclude else frozenset())
+
+
+def test_export_equals_dict_writers_on_a_zero_diagonal():
+    # v(C) = -|C| at lam = 1 makes every d_j = -v_j - |C_j| exactly 0.0, so h[i]
+    # and the offset start from 0.0.
+    for n in range(1, 6):
+        game = CoalitionGame(n=n, values={c: -float(c.bit_count()) for c in range(1, 1 << n)})
+        assert set(build_qubo(build_bilp(game), 1.0).diag) == {0.0}
+        _assert_exports_equal(game, 1.0)
+        _assert_exports_equal(game, 1.0, _composite_exclusions(n))
+
+
+def test_export_keeps_a_negative_zero_field_of_an_uncoupled_column():
+    # With the smallest positive penalty a zero game has d_j = -5e-324, so
+    # d_j / 2.0 is -0.0, and the quarter 2*lam/4 of a count of 1 rounds to 0.0.
+    # At n = 2 with coalition {1, 2} dropped no coupling is left, so h stays -0.0.
+    lam = 5e-324
+    zero = CoalitionGame(n=2, values={1: 0.0, 2: 0.0, 3: 0.0})
+    ising = json.loads(_streamed_export(build_bilp(zero, {3}), lam, "ising-json"))
+    assert [math.copysign(1.0, h) for h in ising["h"]] == [-1.0, -1.0] and ising["J"] == []
+    _assert_exports_equal(zero, lam, {3})
+    for n in (1, 3, 4):
+        _assert_exports_equal(CoalitionGame(n=n, values={c: 0.0 for c in range(1, 1 << n)}), lam)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_export_equals_dict_writers_in_small_row_blocks(monkeypatch, rows):
+    # The count build, h and the offset (a sum carried across blocks) all read
+    # ENERGY_BLOCK entries per pass; here that is one or three rows of m = 31.
+    monkeypatch.setattr("csgp.transform.ENERGY_BLOCK", rows * 31)
+    game = generate_game(5, DistributionSpec(kind="laplace"), seed=1)
+    for lam in (None, 0.5):
+        _assert_exports_equal(game, lam)
+    _assert_exports_equal(generate_game(5, DistributionSpec(kind="wrc"), seed=0), 30.0, {3, 6, 12, 24})
+
+
+def test_export_files_equal_dict_writers(tmp_path, capsys):
+    path = make_game(tmp_path, capsys, n=4, dist="abn", seed=5)
+    bilp = build_bilp(load_game(path), {3, 5})
+    for fmt in EXPORT_FORMATS:
+        out_path = tmp_path / fmt
+        code, _, _ = run_cli(
+            capsys, "export", str(path), "--format", fmt, "--lambda", "3.25", "--exclude", "3,5",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        assert out_path.read_bytes() == _dict_export(bilp, 3.25, fmt).encode(), fmt
+
+
+def test_export_builds_no_qubo_dict(tmp_path, capsys, monkeypatch):
+    path = make_game(tmp_path, capsys, n=5, dist="mu", seed=2)
+    want = {fmt: _dict_export(build_bilp(load_game(path)), None, fmt) for fmt in EXPORT_FORMATS}
+    for name in ("csgp.transform.build_qubo", "csgp.transform.qubo_to_ising", "csgp.cli._write_json"):
+        monkeypatch.setattr(name, _refuse(name))
+    for fmt in EXPORT_FORMATS:
+        out_path = tmp_path / fmt
+        code, _, _ = run_cli(capsys, "export", str(path), "--format", fmt, "--out", str(out_path))
+        assert code == 0 and out_path.read_text(encoding="utf-8") == want[fmt], fmt
+
+
+@pytest.mark.parametrize("fmt", ["ising-json", "qubo-text"])
+def test_export_memory_stays_flat(tmp_path, capsys, fmt):
+    # n = 10 writes 495k couplings (29 MB of Ising JSON); the dict writers peaked
+    # at 175 MiB (ising-json) and 80 MiB (qubo-text) of traced allocations.
+    out_path = tmp_path / fmt
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(
+            capsys, "export", "--agents", "10", "--dist", "normal", "--format", fmt, "--out", str(out_path)
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out_path.stat().st_size > 10_000_000
+    assert peak < 32 * 2**20, peak
 
 
 def test_read_qubo_text_tolerates_reordering(tmp_path):

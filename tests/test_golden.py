@@ -25,6 +25,10 @@ expectation of -11.07 instead of -9.64, and QAOA_P_SCAN_FILE
 (94ad4678...0131 -> e54c5fdb...47f6) follows it.  Both reports keep
 their best_value and blocks.  BENCH_SUMMARY did not move: its columns
 hold no angle or expectation.
+
+EXPORT_GOLDEN was recorded while `csgp export` still wrote its files from
+the `build_qubo` dict (through `qubo_to_ising` and `json`'s indent-2
+encoder); the writers that stream the coupling counts must keep those bytes.
 """
 
 import hashlib
@@ -70,6 +74,21 @@ QAOA_P_STDOUT = "af0efadaac8514c02a2b2fd4bcaa076a7475487249a5a1eb02e5123f3cf1909
 QAOA_P_SCAN_FILE = "e54c5fdb97bdab8b899439e78819cd5175a1f898da0a4a89c85653279b3e47f6"
 BENCH = "--methods dp,qubo-brute,sa,qaoa --agents 2 --dists abu,wrc,normal --seeds 2 --p-max 2 --shots 256"
 BENCH_SUMMARY = "9165a419f2c7cedb4ef4f7a48b9e5c05743288336756c970ea755e76e313e473"
+# `csgp export` file bytes, per format and flags.
+EXPORT_GOLDEN = {
+    ("qubo-text", "--agents 4 --dist wrc --seed 3"):
+        "2682f1b923e771192715219320002f8f810e71e4f26c0f15cbcc4fa10156f157",
+    ("qubo-text", "--agents 4 --dist normal --seed 1 --exclude 3,6,12 --lambda 2.5"):
+        "278de77f7d90133429bc37b1b68bb6643d10a80b394e1fc0377332d22e9cfeab",
+    ("qubo-json", "--agents 4 --dist wrc --seed 3"):
+        "ea4927e1ac2c8564c9ad2015ed8ec5f146ac0797fcacda3fddcb113a314fd3e6",
+    ("qubo-json", "--agents 4 --dist normal --seed 1 --exclude 3,6,12 --lambda 2.5"):
+        "bfb6bef3236a10da365b714ed2298ec8ea86ca5941d42f2ea9896ec08add70fb",
+    ("ising-json", "--agents 4 --dist wrc --seed 3"):
+        "46a694f72acf5f7de90bbe740355a0e9e280d04fdda1f33136ac5d1de71beb27",
+    ("ising-json", "--agents 4 --dist normal --seed 1 --exclude 3,6,12 --lambda 2.5"):
+        "994c509aff3c80e2e72986de9abdd4e0147a2593e233740934be254e06454f8a",
+}
 # `csgp gen --agents 3 --seed 0 --dist <family>` file bytes: they pin every
 # family's fixed parameters and its draw order.
 GEN_GOLDEN = {
@@ -117,6 +136,13 @@ def test_solve_report_bytes(capsys, case):
     flags, digest = SOLVE_GOLDEN[case]
     out = run_cli(capsys, ["solve", *flags.split()])
     assert sha256(without_timing(out)) == digest
+
+
+@pytest.mark.parametrize("fmt,flags", sorted(EXPORT_GOLDEN))
+def test_export_file_bytes(tmp_path, capsys, fmt, flags):
+    path = tmp_path / "instance"
+    run_cli(capsys, ["export", *flags.split(), "--format", fmt, "--out", str(path)])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORT_GOLDEN[fmt, flags]
 
 
 def test_qaoa_fixed_depth_report_and_scan_file_bytes(tmp_path, capsys):

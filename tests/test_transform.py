@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from csgp import (
     QuboInstance,
     build_bilp,
     build_qubo,
+    coupling_counts,
     coupling_matrix,
     cs_value,
     decode_solution,
@@ -117,6 +119,56 @@ def test_coupling_matrix_is_symmetric_with_zero_diagonal():
     assert (couple == couple.T).all()
     assert not couple.diagonal().any()
     assert couple[0, 2] == 3.0 and couple[0, 1] == 0.0  # {1} & {1,2} share one agent
+
+
+def _one_expression_couplings(bilp, lam):
+    """coupling_matrix as the single numpy expression it once was, with its int64
+    m x m temporary."""
+    cols = np.array(bilp.columns, dtype=np.int64)
+    couple = (2.0 * lam) * np.bitwise_count(cols[:, None] & cols)
+    np.fill_diagonal(couple, 0.0)
+    return couple
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_coupling_matrix_equals_the_one_expression(n):
+    game = generate_game(n, DistributionSpec(kind="normal"), seed=n)
+    composite = frozenset(c for c in range(3, 1 << n, 3) if c.bit_count() > 1)
+    for exclude in (frozenset(), composite):
+        bilp = build_bilp(game, exclude)
+        counts = coupling_counts(bilp)
+        assert counts.dtype == np.uint8 and counts.shape == (bilp.num_variables,) * 2
+        for lam in (default_penalty(bilp), 0.5, 1e300):
+            want = _one_expression_couplings(bilp, lam)
+            assert coupling_matrix(bilp, lam).tobytes() == want.tobytes()
+            assert ((2.0 * lam) * counts).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 20])
+def test_coupling_counts_do_not_depend_on_the_block_size(monkeypatch, block):
+    bilp = build_bilp(generate_game(6, DistributionSpec(kind="abu"), seed=2), {5, 9, 40})
+    want = _one_expression_couplings(bilp, 0.5)
+    monkeypatch.setattr("csgp.transform.ENERGY_BLOCK", block)
+    assert (1.0 * coupling_counts(bilp)).tobytes() == want.tobytes()
+    assert coupling_matrix(bilp, 0.5).tobytes() == want.tobytes()
+
+
+def test_coupling_builds_hold_no_int64_square():
+    # m = 1023: an int64 (or float64) m x m array is 8 MiB, the counts 1 MiB, and
+    # one block's int64 temporary ENERGY_BLOCK * 8 bytes = 0.5 MiB.
+    bilp = build_bilp(generate_game(10, DistributionSpec(kind="normal"), seed=0))
+    m2 = bilp.num_variables**2
+    tracemalloc.start()
+    try:
+        coupling_counts(bilp)
+        counts_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        coupling_matrix(bilp, 1.0)
+        matrix_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts_peak < 2 * m2, counts_peak
+    assert matrix_peak < 8 * m2 + 2**20, matrix_peak  # the float result, and no count matrix beside it
 
 
 def _assignments(m):
