@@ -103,6 +103,22 @@ GEN_GOLDEN = {
     "f": "8f84d66559439b9edef9ed33fdfa0f7f731c746ae4eb6f695cb2808688a2c84d",
     "laplace": "c04b3886d2a9ec4aba3e3409185f9e1fde16399325eae93047ad202ff8cabe6f",
 }
+# `csgp gen --agents 10 --seed 0 --dist <family>` file bytes, recorded while
+# every sampler still drew one coalition at a time.  At n = 10, ABU/ABN sum
+# rows of up to ten baselines and ten bonuses, and MU and F reach spikes and
+# resamples, which n = 3 does not pin.
+GEN10_GOLDEN = {
+    "abu": "40d9123b6c871ae4d769d6c136fddeba780190b104229b8b72b70a959276b184",
+    "abn": "8393219b210ab25d416ae99d918ce969dc03740dda4e8ad548bdd7d15a425e9f",
+    "mu": "c932246d19c5290f5f189204ab36a08890f4c6f74deb3db1a050dc68ec254b0c",
+    "normal": "0406809ffd2403b01656eaff744ddfa2c429cf823d437da5081fde7db10727bb",
+    "sva_beta": "41acc5071ee18c56a6f47c578eb46d2e4ef8832c87abdfcc9037c08054660026",
+    "weibull": "2a35a7d06e7ddb0e4a3e052c2462ca80a81a4f0a0129cf3ff6b353c8661c3e60",
+    "rayleigh": "bfcbfb27d9bac82da894ed60c578e4c620802881912a9aacb2cbb624b2055021",
+    "wrc": "a07178c0a6c07fd3f8fb301e23931d787249169386268193e4639abfeba26ca3",
+    "f": "07d30929f8fb6cfafd8e6268d7cf968bdc462b05406e9c50caad6443ac042d3e",
+    "laplace": "2cbb1505e34351dfb19f8e72bad6bcbcca059545b9a2552f288ac9d78c38e0d4",
+}
 
 
 def sha256(text: str) -> str:
@@ -129,6 +145,13 @@ def test_gen_file_bytes(tmp_path, capsys, dist):
     path = tmp_path / "game.json"
     run_cli(capsys, ["gen", "--agents", "3", "--dist", dist, "--seed", "0", "--out", str(path)])
     assert sha256(path.read_text(encoding="utf-8")) == GEN_GOLDEN[dist]
+
+
+@pytest.mark.parametrize("dist", sorted(GEN10_GOLDEN))
+def test_gen_file_bytes_at_ten_agents(tmp_path, capsys, dist):
+    path = tmp_path / "game.json"
+    run_cli(capsys, ["gen", "--agents", "10", "--dist", dist, "--seed", "0", "--out", str(path)])
+    assert sha256(path.read_text(encoding="utf-8")) == GEN10_GOLDEN[dist]
 
 
 @pytest.mark.parametrize("case", sorted(SOLVE_GOLDEN))
