@@ -9,7 +9,9 @@ All types in this module are immutable after construction and safe to
 share across threads.  Instance generation is a pure function of
 ``(n, spec, seed)``: it uses a single seeded PCG64 stream (numpy's
 ``default_rng``) and consumes per-coalition draws in coalition-index
-order, so games are reproducible across platforms.
+order, so games are reproducible across platforms.  Every family but WRC
+takes those draws in one to three array calls; the stream order, and so
+every value, is the one a per-coalition loop of scalar draws gives.
 """
 
 from __future__ import annotations
@@ -108,20 +110,27 @@ class CoalitionGame:
                 f"value map must cover coalition indices 1..{full} exactly"
                 f" (got {len(self.values)} values for n={self.n})"
             )
-        extra = [
-            k for k in self.values if not (isinstance(k, (int, np.integer)) and 1 <= k <= full)
-        ]
-        if extra:
-            raise SchemaError(
-                f"value map must cover coalition indices 1..{full} exactly"
-                f" (unexpected {extra[:5]})"
-            )
-        clean = {}
-        for key in sorted(self.values):
-            val = float(self.values[key])
-            if not math.isfinite(val):
-                raise SchemaError(f"coalition {key} has non-finite value {val!r}")
-            clean[key] = val
+        # Plain int keys are checked by their smallest and largest; any other
+        # key type goes through the per-key check that names the offenders.
+        keys = sorted(self.values) if set(map(type, self.values)) == {int} else None
+        if keys is None or keys[0] < 1 or keys[-1] > full:
+            extra = [
+                k for k in self.values if not (isinstance(k, (int, np.integer)) and 1 <= k <= full)
+            ]
+            if extra:
+                raise SchemaError(
+                    f"value map must cover coalition indices 1..{full} exactly"
+                    f" (unexpected {extra[:5]})"
+                )
+            keys = sorted(self.values)
+        if keys == list(self.values) and set(map(type, self.values.values())) == {float}:
+            clean = dict(self.values)  # keys ascend and values are floats already
+        else:
+            clean = {key: float(self.values[key]) for key in keys}
+        finite = np.isfinite(np.fromiter(clean.values(), float, full))
+        if not finite.all():
+            key = keys[int(finite.argmin())]  # the smallest key with a non-finite value
+            raise SchemaError(f"coalition {key} has non-finite value {clean[key]!r}")
         object.__setattr__(self, "values", clean)
 
 
@@ -155,77 +164,105 @@ def cs_value(game: CoalitionGame, cs: CoalitionStructure) -> float:
     return sum(game.values[block] for block in cs.blocks)
 
 
+def _sum_additive(base, bonus, sizes):
+    """v(C) = sum of C's baselines + sum of C's bonuses, each summed as one row.
+
+    ``bonus`` holds every coalition's bonuses in coalition-index order,
+    |C| of them each.  One popcount k at a time, the members and the bonuses
+    of the k-agent coalitions are gathered into (count, k) matrices whose
+    row sums are bitwise numpy's ``.sum()`` of each coalition's own row.
+    """
+    n = len(base)
+    counts = sizes.astype(np.int32)
+    first = np.cumsum(counts, dtype=np.int32) - counts  # where C's bonuses start
+    bits = np.arange(n, dtype=np.int32)
+    values = np.empty(len(sizes))
+    for k in range(1, n + 1):
+        idx = np.flatnonzero(counts == k).astype(np.int32)
+        members = np.nonzero((idx[:, None] + 1) >> bits & 1)[1].reshape(-1, k)
+        own = first[idx, None] + bits[:k]
+        values[idx] = base[members].sum(axis=1) + bonus[own].sum(axis=1)
+    return values
+
+
 def _sample_abu(rng, n, sizes, p):
     base = rng.uniform(p["agent_low"], p["agent_high"], size=n)
-    values = {}
-    for c in range(1, n_coalitions(n) + 1):
-        members = [i for i in range(n) if c >> i & 1]
-        bonus = rng.uniform(p["coalition_low"], p["coalition_high"], size=len(members))
-        values[c] = float(base[members].sum() + bonus.sum())
-    return values
+    bonus = rng.uniform(p["coalition_low"], p["coalition_high"], size=n << (n - 1))
+    return _sum_additive(base, bonus, sizes)
 
 
 def _sample_abn(rng, n, sizes, p):
     base = rng.normal(p["agent_mean"], math.sqrt(p["agent_var"]), size=n)
-    values = {}
-    for c in range(1, n_coalitions(n) + 1):
-        members = [i for i in range(n) if c >> i & 1]
-        bonus = rng.normal(p["coalition_mean"], math.sqrt(p["coalition_var"]), size=len(members))
-        values[c] = float(base[members].sum() + bonus.sum())
-    return values
+    bonus = rng.normal(p["coalition_mean"], math.sqrt(p["coalition_var"]), size=n << (n - 1))
+    return _sum_additive(base, bonus, sizes)
 
 
 def _sample_mu(rng, n, sizes, p):
-    values = {}
-    for c, size in sizes:
-        v = rng.uniform(0.0, p["high_per_agent"] * size)
-        if rng.uniform() < p["spike_prob"]:
-            v += rng.uniform(0.0, p["spike_high"])
-        values[c] = float(v)
+    # A coalition takes one uniform for its value, one for the spike test
+    # and, when the test passes, a third for the spike, so 3N uniforms always
+    # suffice.  The coalition that starts at position pos is followed by one
+    # at jump[pos] = pos + 2 + spiked[pos + 1].  Pointer doubling lists the
+    # starts 0, jump[0], jump[jump[0]], ...: each round appends the next
+    # len(starts) of them and squares the jump.
+    u = rng.random(3 * len(sizes))
+    spiked = u < p["spike_prob"]
+    jump = np.arange(2, len(u) + 3, dtype=np.int32)
+    jump[:-2] += spiked[1:]
+    np.minimum(jump, len(u), out=jump)  # position len(u) is a sink
+    starts = np.zeros(1, dtype=np.int32)
+    while len(starts) < len(sizes):
+        starts = np.concatenate((starts, jump[starts]))
+        jump = jump[jump]
+    starts = starts[: len(sizes)]
+    # Generator.uniform(0.0, high) is 0.0 + high * u, and 0.0 + x == x here.
+    values = p["high_per_agent"] * sizes * u[starts]
+    spike = spiked[starts + 1]
+    values[spike] += p["spike_high"] * u[starts[spike] + 2]
     return values
 
 
 def _sample_normal(rng, n, sizes, p):
-    sd = math.sqrt(p["var"])
-    return {c: float(rng.normal(p["mean_per_agent"] * size, sd)) for c, size in sizes}
+    return rng.normal(p["mean_per_agent"] * sizes, math.sqrt(p["var"]))
 
 
 def _sample_sva_beta(rng, n, sizes, p):
-    values = {}
-    for c, size in sizes:
-        weight = size + p["valuable_bonus"] * (c & 1)  # agent a1 is the valuable one
-        values[c] = float(p["scale"] * rng.beta(p["alpha"], p["beta"]) * weight)
-    return values
+    # Agent a1 is the valuable one: it is in the odd coalition indices.
+    weight = sizes + p["valuable_bonus"] * (np.arange(1, len(sizes) + 1) & 1)
+    return p["scale"] * rng.beta(p["alpha"], p["beta"], size=len(sizes)) * weight
 
 
 def _sample_weibull(rng, n, sizes, p):
-    return {c: float(p["scale"] * rng.weibull(size)) for c, size in sizes}
+    return p["scale"] * rng.weibull(sizes)
 
 
 def _sample_rayleigh(rng, n, sizes, p):
-    return {c: float(rng.rayleigh(p["scale_per_sqrt_size"] * math.sqrt(size))) for c, size in sizes}
+    return rng.rayleigh(p["scale_per_sqrt_size"] * np.sqrt(sizes))
 
 
 def _sample_wrc(rng, n, sizes, p):
-    values = {}
-    for c, size in sizes:
-        w = rng.uniform(p["weight_low"], p["weight_high"])
-        values[c] = float(w * size + rng.chisquare(p["chi_df"]))
-    return values
+    # The only per-coalition loop: each weight's uniform and the chi-square
+    # draw after it interleave, and a chi-square consumes a variable number
+    # of raw draws, so no array call reproduces the stream.
+    return np.array(
+        [
+            rng.uniform(p["weight_low"], p["weight_high"]) * size + rng.chisquare(p["chi_df"])
+            for size in sizes.tolist()
+        ]
+    )
 
 
 def _sample_f(rng, n, sizes, p):
-    values = {}
-    for c, size in sizes:
-        draw = rng.f(p["dfnum"], p["dfden"])
-        while draw > p["resample_above"]:
-            draw = rng.f(p["dfnum"], p["dfden"])
-        values[c] = float(draw * size)
-    return values
+    # Resampling only discards the draws above the cap, so the accepted
+    # values are the draws at or below it, in stream order.
+    kept = np.empty(0)
+    while len(kept) < len(sizes):
+        draws = rng.f(p["dfnum"], p["dfden"], size=len(sizes) - len(kept))
+        kept = np.concatenate((kept, draws[draws <= p["resample_above"]]))
+    return kept * sizes
 
 
 def _sample_laplace(rng, n, sizes, p):
-    return {c: float(rng.laplace(p["loc_per_agent"] * size, p["scale"])) for c, size in sizes}
+    return rng.laplace(p["loc_per_agent"] * sizes, p["scale"])
 
 
 _SAMPLERS = {
@@ -247,7 +284,9 @@ def generate_game(n: int, spec: DistributionSpec, seed: int) -> CoalitionGame:
 
     Draws come from a PCG64 stream seeded with ``seed``.  ABU/ABN first
     draw their per-agent baselines in agent order; every family then
-    consumes its per-coalition draws in coalition-index order.
+    consumes its per-coalition draws in coalition-index order.  The draws
+    are taken in a few array calls (WRC alone makes two per coalition), but
+    in the same order as one coalition at a time, so the values are too.
     """
     if not isinstance(n, int) or n < 1:
         raise ConfigError(f"agent count must be an integer >= 1, got {n!r}")
@@ -259,9 +298,12 @@ def generate_game(n: int, spec: DistributionSpec, seed: int) -> CoalitionGame:
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    sizes = [(c, c.bit_count()) for c in range(1, n_coalitions(n) + 1)]
+    coalitions = np.arange(1, n_coalitions(n) + 1, dtype=np.int32)
+    sizes = np.bitwise_count(coalitions).astype(np.float64)
     values = _SAMPLERS[spec.kind](rng, n, sizes, _DEFAULT_PARAMS[spec.kind])
-    return CoalitionGame(n=n, values=values, dist_label=spec.kind, seed=seed)
+    return CoalitionGame(
+        n=n, values=dict(zip(coalitions.tolist(), values.tolist())), dist_label=spec.kind, seed=seed
+    )
 
 
 def save_game(game: CoalitionGame, path) -> None:

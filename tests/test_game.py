@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,7 +22,107 @@ from csgp import (
     n_coalitions,
     save_game,
 )
+from csgp import game as game_module
+from csgp.game import _DEFAULT_PARAMS
 from csgp.solvers import partitions
+
+
+# The samplers as they were when every family drew one coalition at a time:
+# the oracle that the array draws of `generate_game` must match bit for bit.
+# Each records what it saw in ORACLE_EVENTS, so the panel can show that it
+# reaches F resamples and MU spikes.
+ORACLE_EVENTS = {"f resample": 0, "mu spike": 0}
+
+
+def _oracle_abu(rng, n, sizes, p):
+    base = rng.uniform(p["agent_low"], p["agent_high"], size=n)
+    values = {}
+    for c in range(1, n_coalitions(n) + 1):
+        members = [i for i in range(n) if c >> i & 1]
+        bonus = rng.uniform(p["coalition_low"], p["coalition_high"], size=len(members))
+        values[c] = float(base[members].sum() + bonus.sum())
+    return values
+
+
+def _oracle_abn(rng, n, sizes, p):
+    base = rng.normal(p["agent_mean"], math.sqrt(p["agent_var"]), size=n)
+    values = {}
+    for c in range(1, n_coalitions(n) + 1):
+        members = [i for i in range(n) if c >> i & 1]
+        bonus = rng.normal(p["coalition_mean"], math.sqrt(p["coalition_var"]), size=len(members))
+        values[c] = float(base[members].sum() + bonus.sum())
+    return values
+
+
+def _oracle_mu(rng, n, sizes, p):
+    values = {}
+    for c, size in sizes:
+        v = rng.uniform(0.0, p["high_per_agent"] * size)
+        if rng.uniform() < p["spike_prob"]:
+            ORACLE_EVENTS["mu spike"] += 1
+            v += rng.uniform(0.0, p["spike_high"])
+        values[c] = float(v)
+    return values
+
+
+def _oracle_normal(rng, n, sizes, p):
+    sd = math.sqrt(p["var"])
+    return {c: float(rng.normal(p["mean_per_agent"] * size, sd)) for c, size in sizes}
+
+
+def _oracle_sva_beta(rng, n, sizes, p):
+    values = {}
+    for c, size in sizes:
+        weight = size + p["valuable_bonus"] * (c & 1)  # agent a1 is the valuable one
+        values[c] = float(p["scale"] * rng.beta(p["alpha"], p["beta"]) * weight)
+    return values
+
+
+def _oracle_weibull(rng, n, sizes, p):
+    return {c: float(p["scale"] * rng.weibull(size)) for c, size in sizes}
+
+
+def _oracle_rayleigh(rng, n, sizes, p):
+    return {c: float(rng.rayleigh(p["scale_per_sqrt_size"] * math.sqrt(size))) for c, size in sizes}
+
+
+def _oracle_wrc(rng, n, sizes, p):
+    values = {}
+    for c, size in sizes:
+        w = rng.uniform(p["weight_low"], p["weight_high"])
+        values[c] = float(w * size + rng.chisquare(p["chi_df"]))
+    return values
+
+
+def _oracle_f(rng, n, sizes, p):
+    values = {}
+    for c, size in sizes:
+        draw = rng.f(p["dfnum"], p["dfden"])
+        while draw > p["resample_above"]:
+            ORACLE_EVENTS["f resample"] += 1
+            draw = rng.f(p["dfnum"], p["dfden"])
+        values[c] = float(draw * size)
+    return values
+
+
+def _oracle_laplace(rng, n, sizes, p):
+    return {c: float(rng.laplace(p["loc_per_agent"] * size, p["scale"])) for c, size in sizes}
+
+
+def oracle_values(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    sizes = [(c, c.bit_count()) for c in range(1, n_coalitions(n) + 1)]
+    return globals()[f"_oracle_{kind}"](rng, n, sizes, _DEFAULT_PARAMS[kind])
+
+
+ORACLE_PANEL = [(n, seed) for n in range(1, 11) for seed in range(5)] + [
+    (n, seed) for n in (13, 16) for seed in range(2)
+]
+
+
+def as_hex(values):
+    """Keys in order with each value's exact bits, so -0.0 differs from 0.0."""
+    return [(key, float(value).hex()) for key, value in values.items()]
 
 
 def test_coalition_members_examples():
@@ -59,6 +160,20 @@ def test_game_requires_complete_value_map():
         CoalitionGame(n=2, values={1: 1.0, 2: 2.0, 4: 3.0})
 
 
+def test_first_non_finite_value_is_reported_by_smallest_key():
+    with pytest.raises(SchemaError, match=r"coalition 2 has non-finite value inf"):
+        CoalitionGame(n=2, values={3: math.nan, 1: 1.0, 2: math.inf})
+    with pytest.raises(SchemaError, match=r"coalition 1 has non-finite value nan"):
+        CoalitionGame(n=2, values={1: math.nan, 2: 2.0, 3: -math.inf})
+
+
+def test_game_values_come_out_as_floats_in_key_order():
+    game = CoalitionGame(n=2, values={3: 3, 1: np.float64(1.5), 2: -0.0})
+    assert list(game.values.items()) == [(1, 1.5), (2, -0.0), (3, 3.0)]
+    assert all(type(v) is float for v in game.values.values())
+    assert math.copysign(1.0, game.values[2]) == -1.0
+
+
 def test_game_size_is_checked_before_indices_are_built():
     # 2^34 - 1 coalitions: any structure of that size would exhaust memory.
     with pytest.raises(SchemaError):
@@ -88,6 +203,57 @@ def test_generate_game_deterministic(kind):
     assert a.values == b.values
     c = generate_game(3, DistributionSpec(kind=kind), seed=43)
     assert a.values != c.values
+
+
+@pytest.mark.parametrize("kind", DISTRIBUTION_KINDS)
+def test_array_draws_equal_the_per_coalition_oracle(kind):
+    for n, seed in ORACLE_PANEL:
+        game = generate_game(n, DistributionSpec(kind=kind), seed=seed)
+        assert as_hex(game.values) == as_hex(oracle_values(n, kind, seed)), (n, seed)
+
+
+def test_oracle_panel_reaches_f_resamples_and_mu_spikes():
+    ORACLE_EVENTS.update({"f resample": 0, "mu spike": 0})
+    for n, seed in ORACLE_PANEL:
+        oracle_values(n, "f", seed)
+        oracle_values(n, "mu", seed)
+    assert ORACLE_EVENTS["f resample"] >= 1
+    assert ORACLE_EVENTS["mu spike"] >= 1
+
+
+class CountingRng:
+    """A generator that counts the calls made to it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("kind", DISTRIBUTION_KINDS)
+def test_generation_makes_a_handful_of_generator_calls(monkeypatch, kind):
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed):
+        made.append(CountingRng(default_rng(seed)))
+        return made[-1]
+
+    monkeypatch.setattr(game_module.np.random, "default_rng", counting_rng)
+    generate_game(13, DistributionSpec(kind=kind), seed=0)
+    assert len(made) == 1
+    if kind == "wrc":  # a uniform and a chi-square per coalition
+        assert made[0].calls == 2 * n_coalitions(13)
+    else:
+        assert made[0].calls <= 4
 
 
 def test_generate_game_guard():
