@@ -10,7 +10,7 @@ share across threads.  Instance generation is a pure function of
 ``(n, spec, seed)``: it uses a single seeded PCG64 stream (numpy's
 ``default_rng``) and consumes per-coalition draws in coalition-index
 order, so games are reproducible across platforms.  Every family but WRC
-takes those draws in one to three array calls; the stream order, and so
+takes those draws in a few array calls; the stream order, and so
 every value, is the one a per-coalition loop of scalar draws gives.
 """
 
