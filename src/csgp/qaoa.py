@@ -31,7 +31,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConfigError, ResourceLimitError
 from .transform import IsingInstance, quadratic_table
@@ -230,9 +229,7 @@ def sample(state: np.ndarray, shots: int, seed: int) -> dict[str, int]:
     probs = np.abs(state) ** 2
     probs = probs / probs.sum()
     draws = np.random.default_rng(seed).multinomial(shots, probs)
-    return {
-        assignment_string(b, m): int(draws[b]) for b in range(len(draws)) if draws[b] > 0
-    }
+    return {assignment_string(b, m): int(draws[b]) for b in np.flatnonzero(draws).tolist()}
 
 
 @dataclass(frozen=True)
@@ -384,6 +381,8 @@ def optimize(
     """
     check_depth(p)
     check_shots(shots)
+    from scipy.optimize import minimize  # scipy loads on the first call only
+
     start = time.perf_counter()
     table = energy_table(ising)
     scale = float(np.max(np.abs(table))) or 1.0

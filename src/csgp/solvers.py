@@ -505,12 +505,14 @@ def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | Non
             # reach bounds from above every uphill delta the exact test can
             # accept: u < exp(-delta / temp) iff delta < -temp * log(u),
             # widened by a relative and an absolute 1e-9 so that rounding
-            # never screens out an accepted flip.
-            with np.errstate(divide="ignore"):
+            # never screens out an accepted flip.  At huge temperatures it
+            # overflows to +inf, which lets the attempt through to the exact
+            # test.
+            with np.errstate(divide="ignore", over="ignore"):
                 np.log(us, out=reach)
-            np.multiply(reach, -(1.0 + 1e-9), out=reach)
-            np.add(reach, 1e-9, out=reach)
-            np.multiply(reach, temps[first : first + count, None], out=reach)
+                np.multiply(reach, -(1.0 + 1e-9), out=reach)
+                np.add(reach, 1e-9, out=reach)
+                np.multiply(reach, temps[first : first + count, None], out=reach)
             # Attempt pos of the block is variable pos % m in sweep pos // m.
             # A rejected attempt changes nothing, so one pass over the rest
             # of the block finds the next attempt that can be accepted.  The

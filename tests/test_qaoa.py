@@ -14,6 +14,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import csgp.qaoa as qaoa_module
 from csgp.errors import ConfigError, ResourceLimitError
@@ -415,6 +416,23 @@ def test_sampling_is_seed_deterministic():
         sample(state, 0, seed=5)
 
 
+@pytest.mark.parametrize("m", range(1, 13))
+def test_sample_equals_the_loop_over_every_basis_state(m):
+    # The counts dict the loop over all 2^m draws built, in items and order.
+    rng = np.random.default_rng(m)
+    state = rng.normal(size=2**m) + 1j * rng.normal(size=2**m)
+    state[rng.random(2**m) < 0.5] = 0.0
+    state[0] = 0.0
+    state[-1] = 1.0
+    for shots, seed in ((1, 0), (7, 1), (1024, 2)):
+        probs = np.abs(state) ** 2
+        draws = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+        loop = {
+            assignment_string(b, m): int(draws[b]) for b in range(len(draws)) if draws[b] > 0
+        }
+        assert list(sample(state, shots, seed).items()) == list(loop.items())
+
+
 def test_shot_estimate_agrees_with_analytic_expectation(g2):
     _, _, ising = _g2_chain(g2)
     params = QaoaParams(p=1, betas=(0.3,), gammas=(0.2,))
@@ -508,13 +526,13 @@ def test_adjoint_gradient_matches_central_differences_on_the_abn_chain(p):
 def test_the_scaled_objective_matches_its_gradient(monkeypatch):
     # What L-BFGS-B sees: the value divided by max|E| over (beta, max|E| * gamma).
     seen = []
-    real_minimize = qaoa_module.minimize
+    real_minimize = scipy.optimize.minimize
 
     def recording(fun, x0, **kwargs):
         seen.append(fun)
         return real_minimize(fun, x0, **kwargs)
 
-    monkeypatch.setattr(qaoa_module, "minimize", recording)
+    monkeypatch.setattr(scipy.optimize, "minimize", recording)
     optimize(_abn_chain(), p=2, config=OptimizerConfig(starts=1, maxiter=2), seed=0)
     fun = seen[0]
     theta = np.array([0.4, 1.1, 2.3, 0.7])
@@ -534,13 +552,13 @@ def test_each_start_is_the_lowest_of_its_draws(g2, monkeypatch):
     # A start draws START_DRAWS (beta, gamma) pairs from [0, pi) x [0, 2 pi)
     # and L-BFGS-B begins at the lowest-expectation one, as (beta, max|E| * gamma).
     starts = []
-    real_minimize = qaoa_module.minimize
+    real_minimize = scipy.optimize.minimize
 
     def recording(fun, x0, **kwargs):
         starts.append(x0.copy())
         return real_minimize(fun, x0, **kwargs)
 
-    monkeypatch.setattr(qaoa_module, "minimize", recording)
+    monkeypatch.setattr(scipy.optimize, "minimize", recording)
     _, _, ising = _g2_chain(g2)
     optimize(ising, p=1, config=OptimizerConfig(starts=3, maxiter=2), seed=4)
     table = energy_table(ising)

@@ -579,6 +579,7 @@ SA_ORACLE_PANEL = {
     "n9-short": dict(n=9, kind="normal", sweeps=50),
     "hot": dict(n=5, kind="mu", seed=2, sweeps=100, temp_hi=1e12, temp_lo=1e12),
     "cold": dict(n=5, kind="mu", seed=2, sweeps=100, temp_hi=1e-6, temp_lo=1e-6),
+    "huge-temp": dict(n=5, kind="mu", seed=2, sweeps=100, temp_hi=1e308, temp_lo=1e308),
     "lambda-0.5": dict(n=5, kind="normal", seed=3, lam=0.5),
     "lambda-10": dict(n=5, kind="normal", seed=3, lam=10.0),
     "zero-game": dict(n=4, kind="zero"),
@@ -586,6 +587,7 @@ SA_ORACLE_PANEL = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(SA_ORACLE_PANEL))
 def test_sa_sweep_equals_scalar_loop(case):
     bilp, qubo, sched = _sa_case(**SA_ORACLE_PANEL[case])
