@@ -381,7 +381,7 @@ def optimize(
     """
     check_depth(p)
     check_shots(shots)
-    from scipy.optimize import minimize  # scipy loads on the first call only
+    from scipy.optimize import minimize  # here, so that only QAOA loads scipy
 
     start = time.perf_counter()
     table = energy_table(ising)
