@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,49 +90,47 @@ class DistributionSpec:
         object.__setattr__(self, "kind", kind)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoalitionGame:
-    """A characteristic-function game: n agents and one value per nonempty coalition."""
+    """A characteristic-function game: n agents and one value per nonempty coalition.
+
+    ``values`` is a read-only float64 array of 2^n entries: ``values[c]`` is
+    v(c), and ``values[0]``, the empty coalition, is 0.0.  The constructor
+    takes that array, or a mapping {coalition index: value} over 1..2^n - 1.
+    """
 
     n: int
-    values: dict[int, float]
+    values: np.ndarray
     dist_label: str | None = None
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise SchemaError(f"agent count must be an integer >= 1, got {self.n!r}")
-        # Count first, then each key's range: a small map claiming a huge n
-        # fails before anything of size 2^n is built.  Distinct in-range keys,
-        # as many as there are coalitions, cover them exactly.
-        full = n_coalitions(self.n)
-        if len(self.values) != full:
-            raise SchemaError(
-                f"value map must cover coalition indices 1..{full} exactly"
-                f" (got {len(self.values)} values for n={self.n})"
-            )
-        # Plain int keys are checked by their smallest and largest; any other
-        # key type goes through the per-key check that names the offenders.
-        keys = sorted(self.values) if set(map(type, self.values)) == {int} else None
-        if keys is None or keys[0] < 1 or keys[-1] > full:
-            extra = [
-                k for k in self.values if not (isinstance(k, (int, np.integer)) and 1 <= k <= full)
-            ]
+        n, given = self.n, self.values
+        if not isinstance(n, int) or n < 1:
+            raise SchemaError(f"agent count must be an integer >= 1, got {n!r}")
+        is_map = isinstance(given, Mapping)
+        full = len(given) - (not is_map)  # the nonempty coalitions given
+        # 2^n - 1 has n bits: the count is compared with n by bit length before 2^n
+        # is formed, so a small table claiming a huge n fails before anything big.
+        if full.bit_length() != n or full != n_coalitions(n):
+            raise SchemaError(f"values must cover coalitions 1..2^n - 1 exactly (got {full} for n={n})")
+        if is_map:
+            # Distinct in-range keys, as many as there are coalitions, cover them exactly.
+            extra = [k for k in given if not (isinstance(k, (int, np.integer)) and 1 <= k <= full)]
             if extra:
-                raise SchemaError(
-                    f"value map must cover coalition indices 1..{full} exactly"
-                    f" (unexpected {extra[:5]})"
-                )
-            keys = sorted(self.values)
-        if keys == list(self.values) and set(map(type, self.values.values())) == {float}:
-            clean = dict(self.values)  # keys ascend and values are floats already
+                raise SchemaError(f"value map keys must be 1..{full} (unexpected {extra[:5]})")
+            table = np.zeros(full + 1)
+            table[np.fromiter(given, np.int64, full)] = np.fromiter(map(float, given.values()), float, full)
         else:
-            clean = {key: float(self.values[key]) for key in keys}
-        finite = np.isfinite(np.fromiter(clean.values(), float, full))
+            table = np.array(given, dtype=np.float64)
+            if table.shape != (full + 1,) or table[0] != 0.0:
+                raise SchemaError("a value array must be one-dimensional with values[0] = 0.0")
+        finite = np.isfinite(table)
         if not finite.all():
-            key = keys[int(finite.argmin())]  # the smallest key with a non-finite value
-            raise SchemaError(f"coalition {key} has non-finite value {clean[key]!r}")
-        object.__setattr__(self, "values", clean)
+            key = int(finite.argmin())  # the smallest coalition with a non-finite value
+            raise SchemaError(f"coalition {key} has non-finite value {table[key].item()!r}")
+        table.flags.writeable = False
+        object.__setattr__(self, "values", table)
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,7 @@ class CoalitionStructure:
 def cs_value(game: CoalitionGame, cs: CoalitionStructure) -> float:
     """Total value of a coalition structure: the sum of its blocks' values."""
     cs.validate(game.n)
-    return sum(game.values[block] for block in cs.blocks)
+    return sum(game.values[list(cs.blocks)].tolist())
 
 
 def _sum_additive(base, bonus, sizes):
@@ -298,12 +297,9 @@ def generate_game(n: int, spec: DistributionSpec, seed: int) -> CoalitionGame:
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    coalitions = np.arange(1, n_coalitions(n) + 1, dtype=np.int32)
-    sizes = np.bitwise_count(coalitions).astype(np.float64)
+    sizes = np.bitwise_count(np.arange(1, n_coalitions(n) + 1, dtype=np.int32)).astype(np.float64)
     values = _SAMPLERS[spec.kind](rng, n, sizes, _DEFAULT_PARAMS[spec.kind])
-    return CoalitionGame(
-        n=n, values=dict(zip(coalitions.tolist(), values.tolist())), dist_label=spec.kind, seed=seed
-    )
+    return CoalitionGame(n=n, values=np.concatenate(([0.0], values)), dist_label=spec.kind, seed=seed)
 
 
 def save_game(game: CoalitionGame, path) -> None:
@@ -312,7 +308,7 @@ def save_game(game: CoalitionGame, path) -> None:
         "n": game.n,
         "dist": game.dist_label,
         "seed": game.seed,
-        "values": {str(c): game.values[c] for c in sorted(game.values)},
+        "values": dict(zip(map(str, range(1, len(game.values))), game.values[1:].tolist())),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
@@ -336,13 +332,17 @@ def load_game(path) -> CoalitionGame:
     if not isinstance(doc["values"], dict):
         raise SchemaError(f"{path}: 'values' must be an object")
     values = {}
+    keys = {}  # the key each index was written as
     for key, val in doc["values"].items():
         try:
             index = int(key)
         except ValueError:
             raise SchemaError(f"{path}: value key {key!r} is not a coalition index") from None
+        if index in keys:
+            raise SchemaError(f"{path}: value keys {keys[index]!r} and {key!r} both name coalition {index}")
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise SchemaError(f"{path}: value for coalition {key} must be a number")
+        keys[index] = key
         values[index] = float(val)
     seed = doc.get("seed")
     if seed is not None and not isinstance(seed, int):

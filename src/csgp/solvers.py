@@ -27,6 +27,7 @@ from .transform import (
     QuboInstance,
     build_bilp,
     build_qubo,
+    check_exclusions,
     coupling_matrix,
     decode_solution,
     matrix_energy,
@@ -150,9 +151,7 @@ def solve_enum(game: CoalitionGame) -> SolveReport:
         )
     start = time.perf_counter()
     n = game.n
-    full = n_coalitions(n)
-    fv = np.zeros(full + 1)
-    fv[1:] = np.fromiter(game.values.values(), float, full)  # CoalitionGame sorts its keys
+    fv = game.values
     blocks = np.zeros((n, 1), dtype=np.uint16)  # the one partition of no agents
     count = np.zeros(1, dtype=np.uint8)  # blocks per partition
     for agent in range(n - 1):
@@ -239,8 +238,7 @@ def solve_dp(game: CoalitionGame) -> SolveReport:
     start = time.perf_counter()
     n = game.n
     full = n_coalitions(n)
-    f = np.zeros(full + 1)
-    f[1:] = np.fromiter(game.values.values(), float, full)  # CoalitionGame sorts its keys
+    f = game.values.copy()
     masks = np.arange(full + 1)
     size = np.bitwise_count(masks)
     # key[T] starts as the key of the one-block partition (T,): the index of
@@ -342,8 +340,7 @@ def _report_from_assignment(method, bilp, decoded, energy, metadata, elapsed, *,
     penalty lam and constant c.  The QUBO fields below follow ``metadata`` in the
     JSON, except those it already holds a key for, which keep its place."""
     if decoded.feasible:
-        col_value = {c: v for c, v in zip(bilp.columns, bilp.values)}
-        best_value = sum(col_value[b] for b in decoded.cs.blocks)
+        best_value = sum(bilp.values[np.searchsorted(bilp.columns, decoded.cs.blocks)].tolist())
     else:
         best_value = None
     metadata = dict(metadata)
@@ -432,7 +429,7 @@ def default_schedule(bilp: BilpInstance, seed: int = 0) -> AnnealSchedule:
     1.0 so all-zero games still anneal); sweeps grow linearly with the
     variable count.
     """
-    span = 2.0 * sum(abs(v) for v in bilp.values)
+    span = 2.0 * sum(np.abs(bilp.values).tolist())
     return AnnealSchedule(
         sweeps=10 * bilp.num_variables,
         temp_hi=max(1.0, span),
@@ -570,14 +567,15 @@ def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | Non
 
 
 def checked_bilp(game: CoalitionGame, exclude=frozenset(), *, limit: int, what: str):
-    """The BILP without the ``exclude`` coalitions.  One of more than ``limit``
-    variables is refused, as ``what``, before a caller's O(m^2) coupling build."""
-    bilp = build_bilp(game, exclude)
-    if bilp.num_variables > limit:
-        raise ResourceLimitError(
-            f"{what} is limited to {limit} QUBO variables, got {bilp.num_variables}"
-        )
-    return bilp
+    """The BILP without the ``exclude`` coalitions.  check_exclusions runs first;
+    then a program of more than ``limit`` variables, 2^n - 1 - |exclude|, is
+    refused as ``what`` before it is built, and so before a caller's O(m^2)
+    coupling build."""
+    exclude = check_exclusions(game.n, exclude)
+    m = n_coalitions(game.n) - len(exclude)
+    if m > limit:
+        raise ResourceLimitError(f"{what} is limited to {limit} QUBO variables, got {m}")
+    return build_bilp(game, exclude)
 
 
 def solve_qaoa(

@@ -13,7 +13,7 @@ makes variable ``j`` the coalition with index ``j + 1``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,55 +23,54 @@ from .game import CoalitionGame, CoalitionStructure, n_coalitions
 ENERGY_BLOCK = 1 << 16  # coupling entries one numpy pass reads or builds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BilpInstance:
     """Set-partition integer program: max v.x subject to Sx = 1.
 
-    The constraint matrix S is not materialized; row i is recoverable
-    from ``row_masks[i]``, a bitmask over variables with bit j set iff
-    agent a_{i+1} belongs to coalition ``columns[j]``.
+    Variable j is coalition ``columns[j]`` (int64, ascending), worth
+    ``values[j]`` (float64).  The constraint matrix S is not materialized:
+    row i holds the variables whose coalition has bit i set (agent_counts).
     """
 
     n: int
-    columns: tuple[int, ...]
-    values: tuple[float, ...]
+    columns: np.ndarray
+    values: np.ndarray
     excluded: frozenset[int] = frozenset()
-    row_masks: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        masks = []
-        for agent_bit in range(self.n):
-            mask = 0
-            for j, c in enumerate(self.columns):
-                if c >> agent_bit & 1:
-                    mask |= 1 << j
-            masks.append(mask)
-        object.__setattr__(self, "row_masks", tuple(masks))
 
     @property
     def num_variables(self) -> int:
         return len(self.columns)
 
 
-def build_bilp(game: CoalitionGame, exclude: set[int] | frozenset[int] = frozenset()) -> BilpInstance:
-    """Build the covering program, optionally dropping some coalitions.
+def agent_counts(columns: np.ndarray, n: int) -> list[int]:
+    """For each of the n agents, how many of ``columns`` contain it."""
+    return [int(np.count_nonzero(columns & (1 << a))) for a in range(n)]
 
-    Raises InfeasibleError if the exclusions leave some agent with no
-    coalition containing it (so no partition can exist).
-    """
-    full = n_coalitions(game.n)
+
+def check_exclusions(n: int, exclude) -> frozenset[int]:
+    """``exclude`` as a frozenset of coalition indices for n agents, checked in
+    O(n * |exclude|): an index out of range is a ConfigError, and excluding all
+    2^(n-1) coalitions of some agent (so no partition exists) an InfeasibleError."""
+    full = n_coalitions(n)
     exclude = frozenset(int(c) for c in exclude)
     for c in exclude:
         if not 1 <= c <= full:
             raise ConfigError(f"excluded coalition {c} out of range 1..{full}")
-    columns = tuple(c for c in range(1, full + 1) if c not in exclude)
-    covered = 0
-    for c in columns:
-        covered |= c
-    if covered != full:
-        uncovered = [i + 1 for i in range(game.n) if not covered >> i & 1]
+    counts = agent_counts(np.fromiter(exclude, np.int64, len(exclude)), n)
+    uncovered = [a + 1 for a, count in enumerate(counts) if count == 1 << (n - 1)]
+    if uncovered:
         raise InfeasibleError(f"agents {uncovered} appear in no remaining coalition")
-    values = tuple(game.values[c] for c in columns)
+    return exclude
+
+
+def build_bilp(game: CoalitionGame, exclude: set[int] | frozenset[int] = frozenset()) -> BilpInstance:
+    """Build the covering program without the ``exclude`` coalitions (see check_exclusions)."""
+    exclude = check_exclusions(game.n, exclude)
+    keep = np.ones(len(game.values), dtype=bool)
+    keep[[0, *exclude]] = False
+    columns = np.flatnonzero(keep)
+    values = game.values[columns]
+    columns.flags.writeable = values.flags.writeable = False
     return BilpInstance(n=game.n, columns=columns, values=values, excluded=exclude)
 
 
@@ -105,13 +104,13 @@ class QuboInstance:
 
 def default_penalty(bilp: BilpInstance) -> float:
     """Penalty weight large enough that every infeasible x costs more than any feasible one."""
-    return 1.0 + 2.0 * sum(abs(v) for v in bilp.values)
+    return 1.0 + 2.0 * sum(np.abs(bilp.values).tolist())
 
 
 def _count_blocks(bilp: BilpInstance):
     """(first row, uint8 rows of |C_i & C_j|, zero on the diagonal), about
     ENERGY_BLOCK entries at a time, so no m x m int64 temporary is held."""
-    cols = np.array(bilp.columns, dtype=np.int64)
+    cols = bilp.columns
     step = max(1, ENERGY_BLOCK // len(cols))
     for first in range(0, len(cols), step):
         block = np.bitwise_count(cols[first : first + step, None] & cols)
@@ -166,9 +165,10 @@ def penalty_diagonal(bilp: BilpInstance, lam: float | None = None) -> tuple[floa
     more than a float holds.
     """
     lam = check_penalty(default_penalty(bilp) if lam is None else lam)
-    diag = tuple(-v - lam * c.bit_count() for v, c in zip(bilp.values, bilp.columns))
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        diag = tuple((-bilp.values - lam * np.bitwise_count(bilp.columns)).tolist())
     # The couplings sum to lam times the ordered pairs of columns that share an agent.
-    shared = sum(c * (c - 1) for c in map(int.bit_count, bilp.row_masks))
+    shared = sum(k * (k - 1) for k in agent_counts(bilp.columns, bilp.n))
     if not math.isfinite(sum(map(abs, diag)) + lam * shared + 2.0 * lam * bilp.n):
         raise ConfigError(f"penalty weight {lam} makes the QUBO's coefficients overflow a float")
     return lam, diag
@@ -344,21 +344,17 @@ def decode_solution(bilp: BilpInstance, x) -> DecodedSolution:
     ``violation`` holds (Sx - 1) per agent when infeasible, None when feasible.
     """
     bits = _as_bits(x, bilp.num_variables)
-    selected = 0
-    for j, b in enumerate(bits):
-        if b:
-            selected |= 1 << j
-    counts = [(bilp.row_masks[i] & selected).bit_count() for i in range(bilp.n)]
+    selected = bilp.columns[np.flatnonzero(bits)]
+    counts = agent_counts(selected, bilp.n)
     xs = "".join(str(b) for b in bits)
     if all(count == 1 for count in counts):
-        blocks = [bilp.columns[j] for j, b in enumerate(bits) if b]
-        return DecodedSolution(x=xs, feasible=True, cs=CoalitionStructure(blocks), violation=None)
+        return DecodedSolution(x=xs, feasible=True, cs=CoalitionStructure(selected.tolist()), violation=None)
     return DecodedSolution(x=xs, feasible=False, cs=None, violation=tuple(c - 1 for c in counts))
 
 
 def encode_structure(cs: CoalitionStructure, bilp: BilpInstance) -> str:
     """Bitstring selecting exactly the blocks of cs; inverse of decode_solution."""
-    index = {c: j for j, c in enumerate(bilp.columns)}
+    index = {c: j for j, c in enumerate(bilp.columns.tolist())}
     bits = ["0"] * bilp.num_variables
     for block in cs.blocks:
         if block not in index:

@@ -8,6 +8,7 @@ determinism of repeated runs, and the exit-code contract (2 config/parse,
 import io
 import json
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -333,6 +334,39 @@ def test_export_guard_fires_before_the_coupling_build(tmp_path, capsys, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--method", "qaoa"),
+    ("export", "--format", "qubo-text"),
+])
+def test_n20_is_refused_before_the_bilp_is_built(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("csgp.solvers.build_bilp", _refuse("build_bilp"))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv[:1], "--agents", "20", "--dist", "normal", *argv[1:])
+    assert time.perf_counter() - start < 2.0
+    assert code == 3 and out == ""
+    assert stderr_error(err)["kind"] == "ResourceLimitError"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_exclusions_are_checked_before_the_size_guard(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(
+        capsys, "solve", "--agents", "20", "--dist", "normal", "--method", "qaoa",
+        "--exclude", "1048576",
+    )
+    assert code == 2 and stderr_error(err)["kind"] == "ConfigError"
+    # Dropping the 32 coalitions with agent a6 leaves 31 variables, over the
+    # qaoa and qubo-brute limits (20, 24), but no partition: that exits 4.
+    with_a6 = ",".join(str(c) for c in range(32, 64))
+    for method in ("qaoa", "qubo-brute"):
+        code, _, err = run_cli(
+            capsys, "solve", "--agents", "6", "--dist", "normal", "--method", method,
+            "--exclude", with_a6,
+        )
+        assert code == 4 and stderr_error(err)["kind"] == "InfeasibleError"
+
+
 @pytest.mark.parametrize("method", ["sa", "qubo-brute", "qaoa"])
 @pytest.mark.parametrize("lam", ["nan", "inf", "1e308"])
 def test_penalty_that_is_not_finite_exit_code(tmp_path, capsys, monkeypatch, method, lam):
@@ -422,6 +456,18 @@ def test_oversized_game_file_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "solve", str(path), "--method", "dp")
     assert code == 2
     assert stderr_error(err)["kind"] == "SchemaError"
+
+
+@pytest.mark.parametrize("n", [5000, 10**7, 10**11])
+def test_game_file_with_a_huge_agent_count_exit_code(tmp_path, capsys, n):
+    # One value for 2^n - 1 coalitions: refused on one short line, with 2^n
+    # never formed (1,505 digits at n = 5000, 12 GB at n = 10^11).
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": n, "values": {"1": 1.0}}))
+    code, out, err = run_cli(capsys, "solve", str(path), "--method", "dp")
+    assert code == 2 and out == ""
+    assert stderr_error(err)["kind"] == "SchemaError"
+    assert len(err) < 200
 
 
 def test_malformed_game_file_exit_code(tmp_path, capsys):

@@ -120,9 +120,14 @@ ORACLE_PANEL = [(n, seed) for n in range(1, 11) for seed in range(5)] + [
 ]
 
 
-def as_hex(values):
+def as_hex(pairs):
     """Keys in order with each value's exact bits, so -0.0 differs from 0.0."""
-    return [(key, float(value).hex()) for key, value in values.items()]
+    return [(key, float(value).hex()) for key, value in pairs]
+
+
+def indexed(values):
+    """(coalition, value) for each nonempty coalition of a game's value array."""
+    return list(enumerate(values.tolist()))[1:]
 
 
 def test_coalition_members_examples():
@@ -169,15 +174,37 @@ def test_first_non_finite_value_is_reported_by_smallest_key():
 
 def test_game_values_come_out_as_floats_in_key_order():
     game = CoalitionGame(n=2, values={3: 3, 1: np.float64(1.5), 2: -0.0})
-    assert list(game.values.items()) == [(1, 1.5), (2, -0.0), (3, 3.0)]
-    assert all(type(v) is float for v in game.values.values())
+    assert game.values.dtype == np.float64 and not game.values.flags.writeable
+    assert as_hex(enumerate(game.values.tolist())) == as_hex([(0, 0.0), (1, 1.5), (2, -0.0), (3, 3.0)])
     assert math.copysign(1.0, game.values[2]) == -1.0
+
+
+def test_game_takes_a_value_array_and_keeps_its_own_copy():
+    given = np.array([0.0, 1.5, -0.0, 3.0])
+    game = CoalitionGame(n=2, values=given)
+    assert as_hex(enumerate(game.values.tolist())) == as_hex(enumerate(given.tolist()))
+    assert not game.values.flags.writeable and given.flags.writeable
+    given[1] = 9.0
+    assert game.values[1] == 1.5
+    for bad in ([0.0, 1.0, 2.0], [1.0, 1.0, 2.0, 3.0], np.zeros((4, 2)), [0.0, 1.0, 2.0, math.inf]):
+        with pytest.raises(SchemaError):
+            CoalitionGame(n=2, values=bad)
 
 
 def test_game_size_is_checked_before_indices_are_built():
     # 2^34 - 1 coalitions: any structure of that size would exhaust memory.
     with pytest.raises(SchemaError):
         CoalitionGame(n=34, values={1: 1.0})
+
+
+@pytest.mark.parametrize("n", [5000, 10**7, 10**11])
+def test_huge_agent_count_is_refused_without_forming_two_to_the_n(n):
+    # 2^n itself would be a 1,505-digit message at n = 5000, too long to print
+    # at 10^7 and 12 GB at 10^11.
+    for values in ({1: 1.0}, np.zeros(2)):
+        with pytest.raises(SchemaError) as exc:
+            CoalitionGame(n=n, values=values)
+        assert "2^n" in str(exc.value) and len(str(exc.value)) < 100
 
 
 def test_distribution_spec_normalizes_and_validates():
@@ -190,8 +217,9 @@ def test_distribution_spec_normalizes_and_validates():
 @pytest.mark.parametrize("kind", DISTRIBUTION_KINDS)
 def test_generate_game_covers_all_coalitions(kind):
     game = generate_game(4, DistributionSpec(kind=kind), seed=0)
-    assert set(game.values) == set(range(1, 16))
-    assert all(math.isfinite(v) for v in game.values.values())
+    assert game.values.shape == (16,) and game.values.dtype == np.float64
+    assert math.copysign(1.0, game.values[0]) == 1.0 and game.values[0] == 0.0
+    assert np.isfinite(game.values).all()
     assert game.dist_label == kind
     assert game.seed == 0
 
@@ -200,16 +228,17 @@ def test_generate_game_covers_all_coalitions(kind):
 def test_generate_game_deterministic(kind):
     a = generate_game(3, DistributionSpec(kind=kind), seed=42)
     b = generate_game(3, DistributionSpec(kind=kind), seed=42)
-    assert a.values == b.values
+    assert as_hex(indexed(a.values)) == as_hex(indexed(b.values))
     c = generate_game(3, DistributionSpec(kind=kind), seed=43)
-    assert a.values != c.values
+    assert as_hex(indexed(a.values)) != as_hex(indexed(c.values))
 
 
 @pytest.mark.parametrize("kind", DISTRIBUTION_KINDS)
 def test_array_draws_equal_the_per_coalition_oracle(kind):
     for n, seed in ORACLE_PANEL:
         game = generate_game(n, DistributionSpec(kind=kind), seed=seed)
-        assert as_hex(game.values) == as_hex(oracle_values(n, kind, seed)), (n, seed)
+        assert game.values[0] == 0.0
+        assert as_hex(indexed(game.values)) == as_hex(oracle_values(n, kind, seed).items()), (n, seed)
 
 
 def test_oracle_panel_reaches_f_resamples_and_mu_spikes():
@@ -297,7 +326,7 @@ def test_save_load_round_trip(tmp_path):
     save_game(game, path)
     back = load_game(path)
     assert back.n == game.n
-    assert back.values == game.values  # bit-identical floats
+    assert as_hex(enumerate(back.values.tolist())) == as_hex(enumerate(game.values.tolist()))
     assert back.dist_label == "laplace"
     assert back.seed == 9
 
@@ -322,6 +351,7 @@ def test_load_rejects_malformed_json(tmp_path):
         {"n": 2, "values": {"1": 1.0, "2": 2.0, "3": True}},
         {"n": 2, "values": {"1": 1.0, "2": 2.0}},
         {"n": 2, "values": {"1": 1.0, "2": 2.0, "3": 3.0}, "seed": "zero"},
+        {"n": 2, "values": {"1": 1.0, "2": 2.0, "3": 3.0, "01": 9.0}},
     ],
 )
 def test_load_rejects_schema_violations(tmp_path, doc):

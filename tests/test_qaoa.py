@@ -696,7 +696,7 @@ def test_scan_solution_matches_partition_solver(g2):
     dp = solve_dp(CoalitionGame(n=2, values={1: 1.0, 2: 2.0, 3: 4.0}))
     assert decoded.feasible
     assert sum(
-        bilp.values[bilp.columns.index(b)] for b in decoded.cs.blocks
+        bilp.values.tolist()[bilp.columns.tolist().index(b)] for b in decoded.cs.blocks
     ) == pytest.approx(dp.best_value, abs=1e-9)
 
 

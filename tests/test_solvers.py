@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from csgp import (
     CoalitionGame,
     ConfigError,
     DistributionSpec,
+    InfeasibleError,
     ResourceLimitError,
     build_bilp,
     build_qubo,
@@ -135,7 +137,7 @@ def _scalar_dp(game):
     count must equal this loop's.
     """
     full = (1 << game.n) - 1
-    values = game.values
+    values = game.values.tolist()
     f = [0.0] * (full + 1)
     opt = [()] * (full + 1)
     splits = 0
@@ -225,7 +227,7 @@ def _scalar_enum(game):
     numpy enumeration must give this loop's value bit for bit, and its blocks
     and partition count.
     """
-    values = game.values
+    values = game.values.tolist()
     best_value = -math.inf
     best_blocks = None
     examined = 0
@@ -487,6 +489,33 @@ def test_sa_guard(monkeypatch):
     monkeypatch.setattr("csgp.solvers.coupling_matrix", _refuse("coupling_matrix"))
     with pytest.raises(ResourceLimitError, match="annealing is limited"):
         solve_qubo_sa(big, AnnealSchedule(sweeps=1, temp_hi=1.0, temp_lo=1.0, restarts=1))
+
+
+@pytest.fixture(scope="module")
+def game20():
+    return generate_game(20, DistributionSpec(kind="normal"), seed=0)
+
+
+@pytest.mark.parametrize("method", ["qaoa", "qubo-brute", "sa"])
+def test_qubo_methods_refuse_n20_before_the_bilp_is_built(game20, monkeypatch, method):
+    # 2^20 - 1 variables: the size is known from n and the exclusions alone.
+    monkeypatch.setattr("csgp.solvers.build_bilp", _refuse("build_bilp"))
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=f"^{method} is limited to .* got 1048575$"):
+        solve(game20, method)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_exclusions_are_checked_before_the_size_guard(game20, monkeypatch):
+    monkeypatch.setattr("csgp.solvers.build_bilp", _refuse("build_bilp"))
+    with pytest.raises(ConfigError, match="excluded coalition 1048576 out of range"):
+        solve(game20, "sa", exclude={1, 1 << 20})
+    # Every coalition with agent a20: m = 2^19 - 1 is over every limit, but no
+    # partition exists, and that is what the caller hears.
+    start = time.perf_counter()
+    with pytest.raises(InfeasibleError, match=r"agents \[20\]"):
+        solve(game20, "qaoa", exclude=range(1 << 19, 1 << 20))
+    assert time.perf_counter() - start < 2.0
 
 
 def _scalar_sa(bilp, qubo, schedule):

@@ -27,21 +27,65 @@ from csgp import (
     qubo_to_ising,
 )
 from csgp.game import DISTRIBUTION_KINDS
-from csgp.transform import matrix_energy, quadratic_table
+from csgp import transform
+from csgp.transform import agent_counts, matrix_energy, penalty_diagonal, quadratic_table
 from csgp.solvers import partitions
 
 
 def test_bilp_columns_and_rows(g2):
     bilp = build_bilp(g2)
-    assert bilp.columns == (1, 2, 3)
-    assert bilp.values == (1.0, 2.0, 4.0)
+    assert bilp.columns.dtype == np.int64 and bilp.columns.tolist() == [1, 2, 3]
+    assert bilp.values.dtype == np.float64 and bilp.values.tolist() == [1.0, 2.0, 4.0]
+    assert not bilp.columns.flags.writeable and not bilp.values.flags.writeable
     # row i is the set of variables whose coalition contains agent a_{i+1}
-    assert bilp.row_masks == (0b101, 0b110)
+    assert agent_counts(bilp.columns, bilp.n) == [2, 2]
+
+
+def _row_masks(bilp):
+    """Row i of the constraint matrix as a bitmask over variables, bit j set iff
+    agent a_{i+1} is in coalition columns[j], one Python iteration per entry."""
+    masks = []
+    for agent_bit in range(bilp.n):
+        mask = 0
+        for j, c in enumerate(bilp.columns.tolist()):
+            if c >> agent_bit & 1:
+                mask |= 1 << j
+        masks.append(mask)
+    return masks
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_agent_counts_equal_the_row_mask_loop(n, monkeypatch):
+    game = generate_game(n, DistributionSpec(kind="normal"), seed=n)
+    composite = frozenset(c for c in range(3, 1 << n, 3) if c.bit_count() > 1)
+    rng = np.random.default_rng(n)
+    seen = []
+
+    def spy(columns, agents):
+        seen.append(agent_counts(columns, agents))
+        return seen[-1]
+
+    monkeypatch.setattr(transform, "agent_counts", spy)
+    for exclude in (frozenset(), composite):
+        bilp = build_bilp(game, exclude)
+        m = bilp.num_variables
+        masks = _row_masks(bilp)
+        seen.clear()
+        penalty_diagonal(bilp)
+        assert seen == [[mask.bit_count() for mask in masks]]  # penalty_diagonal's shared
+        singletons = encode_structure(CoalitionStructure([1 << a for a in range(n)]), bilp)
+        draws = [rng.random(m) < share for share in (0.5, n / m, 1 / m) for _ in range(5)]
+        for x in [singletons, "0" * m, *("".join(map(str, d.astype(int).tolist())) for d in draws)]:
+            selected = int(x[::-1], 2)
+            counts = [(mask & selected).bit_count() for mask in masks]
+            decoded = decode_solution(bilp, x)
+            assert decoded.feasible == (counts == [1] * n)
+            assert decoded.violation == (None if decoded.feasible else tuple(c - 1 for c in counts))
 
 
 def test_bilp_exclusions(g2):
     bilp = build_bilp(g2, exclude={3})
-    assert bilp.columns == (1, 2)
+    assert bilp.columns.tolist() == [1, 2]
     with pytest.raises(InfeasibleError):
         build_bilp(g2, exclude={1, 3})
     with pytest.raises(ConfigError):
