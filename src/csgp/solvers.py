@@ -49,7 +49,7 @@ SA_MAX_SWEEPS = 1 << 23
 METHODS = ("enum", "dp", "qubo-brute", "sa", "qaoa")
 # Largest game each exact method accepts, in agents.
 AGENT_LIMITS = {"enum": ENUM_MAX_AGENTS, "dp": DP_MAX_AGENTS}
-# Largest QUBO each QUBO method accepts, checked before the O(m^2) coupling build.
+# Largest QUBO each QUBO method accepts, checked before the BILP and its O(m^2) couplings are built.
 VARIABLE_LIMITS = {
     "qubo-brute": BRUTE_MAX_VARIABLES,
     "sa": SA_MAX_VARIABLES,

@@ -37,7 +37,8 @@ def test_bilp_columns_and_rows(g2):
     assert bilp.columns.dtype == np.int64 and bilp.columns.tolist() == [1, 2, 3]
     assert bilp.values.dtype == np.float64 and bilp.values.tolist() == [1.0, 2.0, 4.0]
     assert not bilp.columns.flags.writeable and not bilp.values.flags.writeable
-    # row i is the set of variables whose coalition contains agent a_{i+1}
+    # row i of S holds the variables whose coalition contains agent a_{i+1}:
+    # {1} and {1, 2} for a1, {2} and {1, 2} for a2
     assert agent_counts(bilp.columns, bilp.n) == [2, 2]
 
 
