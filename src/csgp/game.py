@@ -317,9 +317,19 @@ def save_game(game: CoalitionGame, path) -> None:
 
 def load_game(path) -> CoalitionGame:
     """Read a game JSON file; the inverse of save_game (values bit-identical)."""
+
+    def unique_keys(pairs):
+        # json keeps the last of two equal keys; a game file must not repeat one.
+        doc = {}
+        for key, val in pairs:
+            if key in doc:
+                raise SchemaError(f"{path}: key {key!r} appears twice in one object")
+            doc[key] = val
+        return doc
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):

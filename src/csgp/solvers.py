@@ -212,16 +212,29 @@ def solve_dp(game: CoalitionGame) -> SolveReport:
     The best partition value of a subset T is f(T) = max(v(T), max over
     splits f(T1) + f(T \\ T1)), where T1 ranges over the proper subsets of
     T that contain T's lowest agent.  Subsets are taken one popcount layer
-    at a time, so a split only reads finished layers.  Within a layer, numpy
-    evaluates the splits of a block of subsets (about DP_CHUNK splits) at
-    once, in the order of a scalar loop that starts from v(T), walks the
-    submasks downwards and keeps a split only if it is strictly larger.
-    Every candidate is that loop's float sum, the first maximum wins and
-    v(T) stays on equality, so f is bitwise the loop's.
+    at a time, so a split only reads finished layers.
+
+    As in IDP (Rahwan & Jennings, AAMAS 2008), the layers with 2n/3 < |T| < n
+    are not split: there f(T) = v(T), the value of the one-block partition.
+    N still reaches every partition.  Build a partition's merge tree by
+    always merging its two smallest parts a <= b.  While a third part c >= b
+    remains, 3(a + b) / 2 <= a + b + c <= n, so every merge below the root
+    has at most 2n/3 agents and is a split of a kept layer.  So f(T) is
+    exact only for |T| <= 2n/3 and for T = N (elsewhere a lower bound), and
+    `splits` counts C(n, k) (2^(k-1) - 1) for k in 2..floor(2n/3) and k = n.
+
+    Within a layer, numpy evaluates the splits of a block of subsets (about
+    DP_CHUNK splits) at once, in the order of a scalar loop that starts from
+    v(T), walks the submasks downwards and keeps a split only if it is
+    strictly larger.  Every candidate is that loop's float sum, the first
+    maximum wins and v(T) stays on equality, so f is bitwise the loop's.
 
     Ties resolve as in solve_enum, to the lexicographically smallest
     ascending block tuple.  A split that ties v(T) beats the block (T,):
-    its smallest block is a proper subset of T, so a smaller index.  Each
+    its smallest block is a proper subset of T, so a smaller index.  The
+    smallest tuple of a union of disjoint parts is the union of each part's
+    smallest tuple (blocks of disjoint parts never compare equal), so the
+    merge tree above also reaches the smallest optimal tuple of N.  Each
     subset keeps only its chosen split and an exact integer key of its
     partition, sum over agents a in T of a! times the index of the lowest
     agent of a's block.  The key adds over disjoint blocks, names the
@@ -259,6 +272,8 @@ def solve_dp(game: CoalitionGame) -> SolveReport:
 
     splits = 0
     for k in range(2, n + 1):
+        if 3 * k > 2 * n and k < n:
+            continue  # f, split and key keep the one-block partition (T,)
         layer = np.flatnonzero(size == k)
         half = 1 << (k - 1)  # submasks of the k - 1 agents above the lowest
         splits += len(layer) * (half - 1)

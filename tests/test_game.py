@@ -359,3 +359,19 @@ def test_load_rejects_schema_violations(tmp_path, doc):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
         load_game(path)
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ('{"n": 2, "values": {"1": 1.0, "2": 2.0, "3": 3.0, "1": 9.0}}', "'1'"),
+        ('{"n": 2, "n": 3, "values": {"1": 1.0, "2": 2.0, "3": 3.0}}', "'n'"),
+    ],
+)
+def test_load_rejects_a_key_written_twice(tmp_path, text, key):
+    # json.load alone keeps the last value, here v(1) = 9.0 or n = 3.
+    path = tmp_path / "twice.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=f"key {key} appears twice") as exc:
+        load_game(path)
+    assert "\n" not in str(exc.value)

@@ -26,6 +26,13 @@ expectation of -11.07 instead of -9.64, and QAOA_P_SCAN_FILE
 their best_value and blocks.  BENCH_SUMMARY did not move: its columns
 hold no angle or expectation.
 
+dp and dp-n12 moved when solve_dp stopped splitting the subsets of more
+than 2n/3 and fewer than n agents: metadata.splits went from 90 to 55
+(dp, 2f0757b2...7cb4 -> bae06ce2...523c) and from 261,625 to 159,523
+(dp-n12, 90b70213...d2e9 -> d1906d52...b7cf).  best_value and the blocks
+kept their bytes in both reports.  BENCH_SUMMARY did not move: at n = 2
+no layer is skipped.
+
 EXPORT_GOLDEN was recorded while `csgp export` still wrote its files from
 the `build_qubo` dict (through `qubo_to_ising` and `json`'s indent-2
 encoder); the writers that stream the coupling counts must keep those bytes.
@@ -45,12 +52,12 @@ SOLVE_GOLDEN = {
     ),
     "dp": (
         "--agents 5 --dist wrc --seed 3 --method dp",
-        "2f0757b2b5fbd242740be9d7adbfe834d5fa78ca2dcb5aee1eb304ec17ba7cb4",
+        "bae06ce2346b0f008f3c59defda7a1a044f79c4b57daf466c065132606e0523c",
     ),
-    # Layers of up to 924 subsets, each with up to 2047 splits.
+    # Layers of up to 924 subsets, each with up to 127 splits, then N's 2047.
     "dp-n12": (
         "--agents 12 --dist mu --seed 0 --method dp",
-        "90b70213071584384e3ce4c059ad779c6b2c562ca2fb7fc928333a02576fe2d9",
+        "d1906d52bd2072471eb0f03b5a93f821ee07b9ceb765417da6be40b957f0b7cf",
     ),
     "qubo-brute-exclude-lambda": (
         "--agents 3 --dist wrc --seed 2 --method qubo-brute --exclude 5 --lambda 20",

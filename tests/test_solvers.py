@@ -94,15 +94,23 @@ def test_dp_equals_enum_n6(kind, seed):
     assert dp.best_cs.blocks == enum.best_cs.blocks
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def _split_layer(n, k):
+    """Whether solve_dp splits the subsets of k agents: none with 2n/3 < k < n."""
+    return 3 * k <= 2 * n or k == n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_dp_split_counter(n):
     game = _zero_game(n)
     splits = solve_dp(game).metadata["splits"]
-    assert splits == (3 ** n + 1) // 2 - 2 ** n
+    kept = set(range(2, 2 * n // 3 + 1)) | {n}  # k in 2..floor(2n/3), and n
+    assert splits == sum(math.comb(n, k) * (2 ** (k - 1) - 1) for k in kept)
     # brute-force recount: pairs (T, T1) with T1 a proper subset of T
-    # containing T's lowest agent
+    # containing T's lowest agent, T in a layer that is split
     recount = 0
     for t in range(1, 1 << n):
+        if not _split_layer(n, t.bit_count()):
+            continue
         low = t & -t
         for t1 in range(1, t):
             if t1 & low and t1 | t == t:
@@ -134,7 +142,8 @@ def _scalar_dp(game):
 
     The production DP evaluates a popcount layer's splits in numpy; its
     value must equal this loop's bit for bit, and its blocks and split
-    count must equal this loop's.
+    count must equal this loop's.  Both leave the subsets of more than 2n/3
+    and fewer than n agents unsplit.
     """
     full = (1 << game.n) - 1
     values = game.values.tolist()
@@ -144,6 +153,9 @@ def _scalar_dp(game):
     for t in range(1, full + 1):
         best = values[t]
         best_blocks = (t,)
+        if not _split_layer(game.n, t.bit_count()):
+            f[t], opt[t] = best, best_blocks
+            continue
         low = t & -t
         rest = t ^ low
         sub = rest
@@ -203,6 +215,17 @@ def test_dp_equals_scalar_loop(case):
         assert report.best_value.hex() == value.hex(), (game.n, game.seed)
         assert report.best_cs.blocks == blocks, (game.n, game.seed)
         assert report.metadata["splits"] == splits
+
+
+@pytest.mark.parametrize("case", sorted(case for case in DP_ORACLE_PANEL if case != "n11-n12"))
+def test_dp_equals_enum_on_the_panel(case):
+    # Independent of _scalar_dp: the unsplit layers must not lose the optimum
+    # or its smallest block tuple, tie panels included (every game has n <= 9).
+    for game in DP_ORACLE_PANEL[case]:
+        dp = solve_dp(game)
+        enum = solve_enum(game)
+        assert dp.best_cs.blocks == enum.best_cs.blocks, (game.n, game.seed)
+        assert math.isclose(dp.best_value, enum.best_value, rel_tol=1e-12), (game.n, game.seed)
 
 
 def test_dp_equals_scalar_loop_in_tiny_chunks(monkeypatch):
