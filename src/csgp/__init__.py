@@ -30,7 +30,6 @@ from .transform import (
     build_bilp,
     build_qubo,
     coupling_counts,
-    coupling_matrix,
     decode_solution,
     default_penalty,
     encode_structure,

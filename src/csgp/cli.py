@@ -13,6 +13,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from .solvers import (
     AGENT_LIMITS, METHODS, SA_MAX_VARIABLES, VARIABLE_LIMITS, checked_bilp, solve, solve_dp
 )
 from .transform import (
-    BilpInstance, QuboInstance, check_penalty, coupling_counts, ising_fields, penalty_diagonal,
+    BilpInstance, QuboInstance, check_penalty, ising_fields, penalty_diagonal, penalty_terms,
     upper_couplings,
 )
 
@@ -103,13 +104,6 @@ def _load_or_generate(args) -> tuple:
     return generate_game(n, spec, args.seed)
 
 
-def _export_terms(bilp, lam):
-    """The checked penalty, the QUBO diagonal, the coupling counts and the n + 1
-    levels (2*lam)*k that every coupling is one of, so each value is formatted once."""
-    lam, diag = penalty_diagonal(bilp, lam)
-    return lam, diag, coupling_counts(bilp), [(2.0 * lam) * k for k in range(bilp.n + 1)]
-
-
 def _coupling_rows(counts, head, tails, sep):
     """The text of each row i's couplings to j > i, for the rows that have one: items
     head(i) + f"{j}{tails[count]}" in ascending j, joined by sep.  Every (j, count)
@@ -144,7 +138,7 @@ _float_text = float.__repr__
 def write_qubo_json(bilp: BilpInstance, lam: float | None, fh) -> None:
     """{m, diag, offdiag: [[i, j, value] for i < j], c, lambda} as json.dumps(doc,
     indent=2) plus a newline would write it, streamed from the coupling counts."""
-    lam, diag, counts, levels = _export_terms(bilp, lam)
+    lam, diag, counts, levels = penalty_terms(bilp, lam)
     fh.write(f'{{\n  "m": {len(diag)},\n  "diag": ')
     _json_list(fh, [",\n    ".join(map(_float_text, diag))])
     fh.write(',\n  "offdiag": ')
@@ -156,8 +150,8 @@ def write_ising_json(bilp: BilpInstance, lam: float | None, fh) -> None:
     """{m, h, J: [[i, j, value] for i < j], offset} of qubo_to_ising(build_qubo(bilp,
     lam)) as json.dumps(doc, indent=2) plus a newline would write it, streamed from
     the coupling counts."""
-    lam, diag, counts, levels = _export_terms(bilp, lam)
-    quarters = [level / 4.0 for level in levels]
+    lam, diag, counts, levels = penalty_terms(bilp, lam)
+    quarters = levels / 4.0
     h, offset = ising_fields(diag, counts, quarters)
     fh.write(f'{{\n  "m": {len(h)},\n  "h": ')
     _json_list(fh, [",\n    ".join(map(_float_text, h))])
@@ -168,7 +162,7 @@ def write_ising_json(bilp: BilpInstance, lam: float | None, fh) -> None:
 
 def write_qubo_text(bilp: BilpInstance, lam: float | None, fh) -> None:
     """Line-oriented annealer-style dump; structured comments carry c and lambda."""
-    lam, diag, counts, levels = _export_terms(bilp, lam)
+    lam, diag, counts, levels = penalty_terms(bilp, lam)
     fh.write(f"# c {lam * bilp.n:.17g}\n# lambda {lam:.17g}\nn {len(diag)}\n")
     fh.writelines([f"{i} {i} {d:.17g}\n" for i, d in enumerate(diag)])
     fh.writelines(_coupling_rows(counts, "{} ".format, [f" {level:.17g}\n" for level in levels], ""))
@@ -471,7 +465,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader left (`| head`): as Python's signal docs advise, silence the exit flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ConfigError, InvalidStructureError) as exc:
         return _fail(exc, 2)
     except ResourceLimitError as exc:

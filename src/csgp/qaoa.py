@@ -101,7 +101,9 @@ def check_depth(p: int, name: str = "layer count") -> None:
 
 
 def check_shots(shots: int) -> None:
-    """Refuse a shot count outside 1..MAX_SHOTS (ConfigError)."""
+    """Refuse a shot count that is not an integer in 1..MAX_SHOTS (ConfigError)."""
+    if not isinstance(shots, (int, np.integer)):
+        raise ConfigError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ConfigError(f"shots must be >= 1, got {shots}")
     if shots > MAX_SHOTS:

@@ -28,10 +28,9 @@ from .transform import (
     build_bilp,
     build_qubo,
     check_exclusions,
-    coupling_matrix,
     decode_solution,
     matrix_energy,
-    penalty_diagonal,
+    penalty_terms,
     quadratic_table,
     qubo_energy,
     qubo_to_ising,
@@ -379,25 +378,27 @@ def _report_from_assignment(method, bilp, decoded, energy, metadata, elapsed, *,
     )
 
 
-def solve_qubo_exhaustive(bilp: BilpInstance, qubo: QuboInstance) -> SolveReport:
-    """Exact QUBO minimum over all 2^m energies, quadratic_table(qubo.diag, coupling_matrix(
-    bilp, qubo.lam)): ``qubo`` must be build_qubo(bilp, lam).  matrix_energy rescores the winner."""
-    if qubo.m > BRUTE_MAX_VARIABLES:
+def solve_qubo_exhaustive(bilp: BilpInstance, lam: float | None = None) -> SolveReport:
+    """Exact minimum over all 2^m energies of the QUBO build_qubo(bilp, lam) would
+    give, quadratic_table(diag, levels.take(counts)) of penalty_terms; the QUBO
+    is never built.  matrix_energy rescores the winner."""
+    m = bilp.num_variables
+    if m > BRUTE_MAX_VARIABLES:
         raise ResourceLimitError(
-            f"exhaustive QUBO scan is limited to {BRUTE_MAX_VARIABLES} variables, got {qubo.m}"
+            f"exhaustive QUBO scan is limited to {BRUTE_MAX_VARIABLES} variables, got {m}"
         )
     start = time.perf_counter()
-    couple = coupling_matrix(bilp, qubo.lam)
-    table = quadratic_table(qubo.diag, couple)
+    lam, diag, counts, levels = penalty_terms(bilp, lam)
+    table = quadratic_table(diag, levels.take(counts))
     ties = np.flatnonzero(table == table.min()).tolist()
-    candidates = [format(k, f"0{qubo.m}b")[::-1] for k in ties]  # bit b of k is variable b
+    candidates = [format(k, f"0{m}b")[::-1] for k in ties]  # bit b of k is variable b
     decoded = _pick_qubo_winner(bilp, candidates)
-    energy = matrix_energy(qubo.diag, couple, decoded.x)
+    energy = matrix_energy(diag, counts, levels, decoded.x)
     elapsed = (time.perf_counter() - start) * 1e3
     meta = {"n": bilp.n, "assignments_examined": len(table), "ties": len(candidates)}
     return _report_from_assignment(
         "qubo-brute", bilp, decoded, energy, meta, elapsed,
-        s=qubo.interaction_count, lam=qubo.lam, c=qubo.c,
+        s=int(np.count_nonzero(counts)) // 2, lam=lam, c=lam * bilp.n,
     )
 
 
@@ -474,10 +475,10 @@ def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | Non
     Restarts are merged under the module tie-breaking rule and the
     winner's energy is recomputed from scratch before reporting.
 
-    The QUBO is never built.  penalty_diagonal checks lam and gives the
-    diagonal; the one coupling_matrix(bilp, lam) feeds the local field, the
-    report's coupling count s and matrix_energy, which scores each
-    restart's initial state and the winner bitwise as qubo_energy would.
+    The QUBO is never built: penalty_terms checks lam and gives the uint8
+    counts.  A flip of k adds sign * (2*lam) * counts[k] to the local field,
+    bitwise sign * levels[counts[k]].  The counts give the coupling count s,
+    and matrix_energy scores each initial state and the winner as qubo_energy.
     """
     m = bilp.num_variables
     if m > SA_MAX_VARIABLES:
@@ -485,8 +486,8 @@ def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | Non
             f"annealing is limited to {SA_MAX_VARIABLES} variables, got {m}"
         )
     start = time.perf_counter()
-    lam, diag = penalty_diagonal(bilp, lam)
-    couple = coupling_matrix(bilp, lam)
+    lam, diag, counts, levels = penalty_terms(bilp, lam)
+    couple = np.empty(m)  # one row of couplings, sign * (2*lam) * counts[k]
     temps = np.fromiter(map(schedule.temperature, range(schedule.sweeps)), float, schedule.sweeps)
     # Sweeps are drawn and screened in blocks of about 2048 attempts.
     rows = max(1, min(schedule.sweeps, 2048 // m))
@@ -501,8 +502,8 @@ def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | Non
         x = rng.integers(0, 2, size=m)
         g = np.array(diag)
         for i in np.flatnonzero(x).tolist():
-            g += couple[i]
-        energy = float(matrix_energy(diag, couple, x))
+            g += np.multiply(counts[i], 2.0 * lam, out=couple)
+        energy = float(matrix_energy(diag, counts, levels, x))
         # From here on the state is s = 1 - 2x: flipping k changes the
         # energy by delta_k = s_k * g_k.
         s = 1.0 - 2.0 * x
@@ -549,7 +550,7 @@ def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | Non
                     trace.extend([best_energy] * (first + row - len(trace)))
                     sign = float(s[k])
                     s[k] = -sign
-                    g += sign * couple[k]
+                    g += np.multiply(counts[k], sign * (2.0 * lam), out=couple)
                     energy += d
                     if energy < best_energy:
                         best_energy = energy
@@ -563,7 +564,7 @@ def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | Non
     near = [cand for cand in restart_best if cand[0] == lowest]
     decoded = _pick_qubo_winner(bilp, [x for _, x, _ in near])
     winner_trace = next(t for e, x, t in restart_best if x == decoded.x and e == lowest)
-    energy = matrix_energy(diag, couple, decoded.x)
+    energy = matrix_energy(diag, counts, levels, decoded.x)
     elapsed = (time.perf_counter() - start) * 1e3
     meta = {
         "n": bilp.n,
@@ -577,7 +578,7 @@ def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | Non
     }
     return _report_from_assignment(
         "sa", bilp, decoded, energy, meta, elapsed,
-        s=int(np.count_nonzero(couple)) // 2, lam=lam, c=lam * bilp.n,
+        s=int(np.count_nonzero(counts)) // 2, lam=lam, c=lam * bilp.n,
     )
 
 
@@ -610,7 +611,7 @@ def solve_qaoa(
         raise ResourceLimitError(f"qaoa is limited to {limit} QUBO variables, got {qubo.m}")
     start = time.perf_counter()
     ising = qubo_to_ising(qubo)
-    reference = solve_qubo_exhaustive(bilp, qubo)
+    reference = solve_qubo_exhaustive(bilp, qubo.lam)
     target = reference.metadata["best_energy"]
     if p is not None:
         result, matched = qaoa.optimize_layer(ising, p, shots=shots, seed=seed, target_energy=target)
@@ -660,8 +661,8 @@ def solve(
     the method's VARIABLE_LIMITS entry.  sa then anneals default_schedule(
     bilp, seed) with each given sweeps/restarts/temp_hi/temp_lo replacing its
     field, refused before the coupling build if invalid or over SA_MAX_SWEEPS,
-    and never builds the QUBO dict.  qubo-brute and qaoa run build_qubo; qaoa
-    runs solve_qaoa at depth p, or else up to p_max (default 12).
+    and neither it nor qubo-brute builds the QUBO dict.  qaoa runs build_qubo,
+    then solve_qaoa at depth p, or else up to p_max (default 12).
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
@@ -686,7 +687,7 @@ def solve(
             default_schedule(bilp, seed=seed), **{k: v for k, v in given.items() if v is not None}
         )
         return solve_qubo_sa(bilp, schedule, lam)
-    qubo = build_qubo(bilp, lam)
     if method == "qubo-brute":
-        return solve_qubo_exhaustive(bilp, qubo)
+        return solve_qubo_exhaustive(bilp, lam)
+    qubo = build_qubo(bilp, lam)
     return solve_qaoa(bilp, qubo, p=p, p_max=12 if p_max is None else p_max, shots=shots, seed=seed)

@@ -49,8 +49,10 @@ def agent_counts(columns: np.ndarray, n: int) -> list[int]:
 
 def check_exclusions(n: int, exclude) -> frozenset[int]:
     """``exclude`` as a frozenset of coalition indices for n agents, checked in
-    O(n * |exclude|): an index out of range is a ConfigError, and excluding all
-    2^(n-1) coalitions of some agent (so no partition exists) an InfeasibleError."""
+    O(n * |exclude|): a str, bytes or index out of range is a ConfigError, and excluding
+    all 2^(n-1) coalitions of some agent (so no partition exists) an InfeasibleError."""
+    if isinstance(exclude, (str, bytes)):
+        raise ConfigError(f"exclude must be a collection of coalition indices, got {exclude!r}")
     full = n_coalitions(n)
     exclude = frozenset(int(c) for c in exclude)
     for c in exclude:
@@ -107,37 +109,20 @@ def default_penalty(bilp: BilpInstance) -> float:
     return 1.0 + 2.0 * sum(np.abs(bilp.values).tolist())
 
 
-def _count_blocks(bilp: BilpInstance):
-    """(first row, uint8 rows of |C_i & C_j|, zero on the diagonal), about
-    ENERGY_BLOCK entries at a time, so no m x m int64 temporary is held."""
-    cols = bilp.columns
-    step = max(1, ENERGY_BLOCK // len(cols))
-    for first in range(0, len(cols), step):
-        block = np.bitwise_count(cols[first : first + step, None] & cols)
-        np.fill_diagonal(block[:, first:], 0)
-        yield first, block
-
-
 def coupling_counts(bilp: BilpInstance) -> np.ndarray:
     """|C_i & C_j| as a symmetric m x m uint8 array, zero on the diagonal (counts are
     at most n): the one place the coupling rule reads the columns.  Coupling (i, j)
-    of the QUBO is 2*lam times entry (i, j)."""
-    m = bilp.num_variables
+    of the QUBO is 2*lam times entry (i, j).  Rows are filled about ENERGY_BLOCK
+    entries at a time, so no m x m int64 temporary is held."""
+    cols = bilp.columns
+    m = len(cols)
     counts = np.empty((m, m), dtype=np.uint8)
-    for first, block in _count_blocks(bilp):
-        counts[first : first + len(block)] = block
+    step = max(1, ENERGY_BLOCK // m)
+    for first in range(0, m, step):
+        block = counts[first : first + step]
+        np.bitwise_count(cols[first : first + step, None] & cols, out=block)
+        np.fill_diagonal(block[:, first:], 0)
     return counts
-
-
-def coupling_matrix(bilp: BilpInstance, lam: float) -> np.ndarray:
-    """Couplings 2*lam*|C_i & C_j| as a dense symmetric float m x m array, zero on
-    the diagonal: (2.0 * lam) * coupling_counts(bilp), filled block by block so that
-    the counts are never held whole next to it."""
-    m = bilp.num_variables
-    couple = np.empty((m, m))
-    for first, block in _count_blocks(bilp):
-        np.multiply(2.0 * lam, block, out=couple[first : first + len(block)])
-    return couple
 
 
 def upper_couplings(counts: np.ndarray):
@@ -174,18 +159,26 @@ def penalty_diagonal(bilp: BilpInstance, lam: float | None = None) -> tuple[floa
     return lam, diag
 
 
+def penalty_terms(bilp: BilpInstance, lam: float | None = None):
+    """penalty_diagonal's lam and diag, then coupling_counts and the n + 1 levels[k] =
+    (2*lam)*k: coupling (i, j) of the QUBO is levels[counts[i, j]], the one array form
+    that SA, qubo-brute and the export writers read."""
+    lam, diag = penalty_diagonal(bilp, lam)
+    return lam, diag, coupling_counts(bilp), (2.0 * lam) * np.arange(bilp.n + 1)
+
+
 def build_qubo(bilp: BilpInstance, lam: float | None = None) -> QuboInstance:
     """Fold Sx = 1 into the objective with penalty weight lam.
 
     Minimizes lam * ||Sx - 1||^2 - v.x.  Expanding the square gives
     diagonal terms -v_j - lam*|C_j| (penalty_diagonal, which also checks
     lam), off-diagonal terms 2*lam*|C_i & C_j| for intersecting pairs
-    (coupling_counts), and the constant lam*n.
+    (levels[counts] of penalty_terms), and the constant lam*n.
     """
-    lam, diag = penalty_diagonal(bilp, lam)
+    lam, diag, counts, levels = penalty_terms(bilp, lam)
     offdiag = {}
-    for i, j, k in upper_couplings(coupling_counts(bilp)):
-        offdiag.update(zip(zip([i] * len(j), j.tolist()), ((2.0 * lam) * k).tolist()))
+    for i, j, k in upper_couplings(counts):
+        offdiag.update(zip(zip([i] * len(j), j.tolist()), levels[k].tolist()))
     return QuboInstance(m=len(diag), diag=diag, offdiag=offdiag, c=lam * bilp.n, lam=lam)
 
 
@@ -229,15 +222,15 @@ def qubo_energy(qubo: QuboInstance, x) -> float:
     return energy
 
 
-def matrix_energy(diag, couple: np.ndarray, x) -> float:
-    """qubo_energy of the QUBO with this diagonal and coupling_matrix ``couple``,
-    bit for bit, without its offdiag dict.
+def matrix_energy(diag, counts: np.ndarray, levels: np.ndarray, x) -> float:
+    """qubo_energy of the QUBO with this diagonal and couplings levels[counts] (see
+    penalty_terms), bit for bit, without its offdiag dict.
 
     The selected diagonal entries are summed as qubo_energy sums them; the
     nonzero couplings among the set bits are then added one at a time in
     row-major upper-triangle order, which is the order build_qubo inserts
     them in (np.cumsum adds sequentially).  Rows are read about ENERGY_BLOCK
-    entries at a time, so the temporaries stay small next to ``couple``.
+    entries at a time, so the temporaries stay small next to ``counts``.
     An all-zero x gives the int 0.
     """
     bits = _as_bits(x, len(diag))
@@ -245,10 +238,10 @@ def matrix_energy(diag, couple: np.ndarray, x) -> float:
     on = np.flatnonzero(bits)
     step = max(1, ENERGY_BLOCK // (len(on) or 1))
     for first in range(0, len(on), step):
-        rows = couple[np.ix_(on[first : first + step], on)]
+        rows = counts[np.ix_(on[first : first + step], on)]
         # Row r is set bit first + r: keep its couplings to later set bits only.
-        rows[np.arange(first, first + len(rows))[:, None] >= np.arange(len(on))] = 0.0
-        pairs = rows[rows != 0.0]
+        rows[np.arange(first, first + len(rows))[:, None] >= np.arange(len(on))] = 0
+        pairs = levels[rows[rows != 0]]
         if len(pairs):
             energy = np.cumsum(np.concatenate(([energy], pairs)))[-1].item()
     return energy

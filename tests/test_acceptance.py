@@ -60,7 +60,7 @@ def test_criterion_1_oracle_equivalence():
                 values = {
                     "enum": solve_enum(game).best_value,
                     "dp": solve_dp(game).best_value,
-                    "brute": solve_qubo_exhaustive(bilp, qubo).best_value,
+                    "brute": solve_qubo_exhaustive(bilp, qubo.lam).best_value,
                 }
                 lo, hi = min(values.values()), max(values.values())
                 if not math.isclose(lo, hi, rel_tol=1e-9, abs_tol=1e-9):
@@ -135,7 +135,7 @@ def test_criterion_5_complexity_crossovers():
 def _qaoa_instance_matches_dp(kind: str, n: int, p_max: int) -> bool:
     game = generate_game(n, DistributionSpec(kind=kind), 0)
     bilp, qubo, ising = _chain(game)
-    target = solve_qubo_exhaustive(bilp, qubo).metadata["best_energy"]
+    target = solve_qubo_exhaustive(bilp, qubo.lam).metadata["best_energy"]
     results, _ = scan_layers(ising, p_max=p_max, seed=0, shots=1024, target_energy=target)
     winner = min(
         results, key=lambda r: (r.metadata["best_sampled_qubo_energy"], r.best_params.p)
@@ -213,7 +213,7 @@ def test_criterion_7_sa_medium_scale():
 def test_criterion_8_qaoa_determinism():
     game = generate_game(2, DistributionSpec(kind=DISTRIBUTION_KINDS[0]), 0)
     bilp, qubo, ising = _chain(game)
-    target = solve_qubo_exhaustive(bilp, qubo).metadata["best_energy"]
+    target = solve_qubo_exhaustive(bilp, qubo.lam).metadata["best_energy"]
     runs = []
     for _ in range(2):
         results, chosen = scan_layers(

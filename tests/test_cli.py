@@ -8,8 +8,12 @@ determinism of repeated runs, and the exit-code contract (2 config/parse,
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,9 @@ from csgp.errors import ParseError, ResourceLimitError
 from csgp.game import DISTRIBUTION_KINDS, CoalitionGame, DistributionSpec, generate_game, load_game
 from csgp.solvers import solve_dp
 from csgp.transform import build_bilp, build_qubo, qubo_to_ising
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -296,10 +303,10 @@ def test_qubo_method_guards_fire_before_the_coupling_build(
 ):
     # n = 16 gives 65,535 variables, whose O(m^2) couplings alone exhaust
     # memory; n = 5 gives 31, above the brute-force and simulator limits.
-    # sa builds only the coupling matrix, the others build_qubo.
+    # sa and qubo-brute build only the coupling counts, qaoa build_qubo.
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("csgp.solvers.build_qubo", _refuse("build_qubo"))
-    monkeypatch.setattr("csgp.solvers.coupling_matrix", _refuse("coupling_matrix"))
+    monkeypatch.setattr("csgp.transform.coupling_counts", _refuse("coupling_counts"))
     code, out, err = run_cli(
         capsys, "solve", "--agents", agents, "--dist", "normal", "--method", method
     )
@@ -325,7 +332,7 @@ def test_export_guard_fires_before_the_coupling_build(tmp_path, capsys, monkeypa
     # writers' m x m count matrix is the O(m^2) allocation the guard protects.
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("csgp.transform.build_qubo", _refuse("build_qubo"))
-    monkeypatch.setattr("csgp.cli.coupling_counts", _refuse("coupling_counts"))
+    monkeypatch.setattr("csgp.transform.coupling_counts", _refuse("coupling_counts"))
     code, out, err = run_cli(
         capsys, "export", "--agents", "16", "--dist", "normal", "--format", "qubo-text"
     )
@@ -372,7 +379,7 @@ def test_exclusions_are_checked_before_the_size_guard(tmp_path, capsys, monkeypa
 def test_penalty_that_is_not_finite_exit_code(tmp_path, capsys, monkeypatch, method, lam):
     # Refused before any coupling build: sa's own, or the brute-force reference's.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr("csgp.solvers.coupling_matrix", _refuse("coupling_matrix"))
+    monkeypatch.setattr("csgp.transform.coupling_counts", _refuse("coupling_counts"))
     code, out, err = run_cli(
         capsys, "solve", "--agents", "2", "--dist", "abu", "--method", method, "--lambda", lam
     )
@@ -412,7 +419,7 @@ def test_game_whose_default_penalty_overflows_exit_code(tmp_path, capsys, monkey
     [["--sweeps", "100000000", "--restarts", "1"], ["--restarts", "200000", "--sweeps", "3000"]],
 )
 def test_sa_sweep_budget_exit_code(capsys, monkeypatch, schedule):
-    monkeypatch.setattr("csgp.solvers.coupling_matrix", _refuse("coupling_matrix"))
+    monkeypatch.setattr("csgp.transform.coupling_counts", _refuse("coupling_counts"))
     code, out, err = run_cli(
         capsys, "solve", "--agents", "2", "--dist", "abu", "--method", "sa", *schedule
     )
@@ -902,3 +909,18 @@ def test_bench_rejects_unknown_dist(tmp_path, capsys):
     )
     assert code == 2
     assert stderr_error(err)["kind"] == "ConfigError"
+
+
+def test_a_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path):
+    # As `csgp solve ... | head -1`.  The report, with a 20,000-entry trace, is
+    # about 0.5 MB: far more than a pipe buffers, so the writer meets the closed pipe.
+    argv = ["solve", "--agents", "4", "--dist", "abu", "--method", "sa", "--sweeps", "20000", "--restarts", "1"]
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "csgp", *argv], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
+            stdout=subprocess.PIPE, stderr=err,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+    assert (tmp_path / "stderr").read_bytes() == b""

@@ -41,8 +41,8 @@ from csgp.transform import (
     IsingInstance,
     build_bilp,
     build_qubo,
-    coupling_matrix,
     decode_solution,
+    penalty_terms,
     quadratic_table,
     qubo_energy,
     qubo_to_ising,
@@ -337,7 +337,8 @@ def test_energy_table_matches_the_spin_matrix(m):
 def test_ising_table_is_the_qubo_table_at_the_complemented_index(n):
     # Qubit bit b carries x = 1 - b, so basis state k reads out the complement of k.
     bilp, qubo, ising = _chain_for(n)
-    binary = quadratic_table(qubo.diag, coupling_matrix(bilp, qubo.lam))
+    _, diag, counts, levels = penalty_terms(bilp, qubo.lam)
+    binary = quadratic_table(diag, levels.take(counts))
     spin = energy_table(ising)
     complement = np.arange(1 << qubo.m) ^ ((1 << qubo.m) - 1)
     assert np.allclose(spin + ising.offset, binary[complement], rtol=0, atol=1e-12 * np.abs(binary).max())
@@ -652,7 +653,7 @@ def test_optimize_rejects_bad_layer_count(g2):
 
 def test_layer_scan_finds_optimum_at_depth_one(g2):
     bilp, qubo, ising = _g2_chain(g2)
-    reference = solve_qubo_exhaustive(bilp, qubo=qubo)
+    reference = solve_qubo_exhaustive(bilp, qubo.lam)
     target = reference.metadata["best_energy"]
     assert target == pytest.approx(-24.0, abs=1e-12)
     results, chosen = scan_layers(ising, p_max=5, seed=0, target_energy=target)
@@ -687,7 +688,7 @@ def test_layer_scan_validates_depth(g2):
 
 def test_scan_solution_matches_partition_solver(g2):
     bilp, qubo, ising = _g2_chain(g2)
-    reference = solve_qubo_exhaustive(bilp, qubo=qubo)
+    reference = solve_qubo_exhaustive(bilp, qubo.lam)
     results, chosen = scan_layers(
         ising, p_max=5, seed=0, target_energy=reference.metadata["best_energy"]
     )

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -129,7 +130,7 @@ def test_tie_break_is_lexicographic_on_blocks():
         assert solve_enum(game).best_cs.blocks == expected
         assert solve_dp(game).best_cs.blocks == expected
         bilp = build_bilp(game)
-        assert solve_qubo_exhaustive(bilp, build_qubo(bilp)).best_cs.blocks == expected
+        assert solve_qubo_exhaustive(bilp).best_cs.blocks == expected
 
 
 def test_zero_game_ties_resolve_identically():
@@ -325,7 +326,7 @@ def test_enum_equals_dp_at_the_enum_guard(kind):
 
 def test_brute_g2(g2):
     bilp = build_bilp(g2)
-    report = solve_qubo_exhaustive(bilp, build_qubo(bilp, lam=10.0))
+    report = solve_qubo_exhaustive(bilp, lam=10.0)
     assert report.best_cs.blocks == (3,)
     assert report.best_value == 4.0
     assert report.metadata["best_x"] == "001"
@@ -337,7 +338,7 @@ def test_brute_guard():
     game = generate_game(5, DistributionSpec(kind="abu"), seed=0)  # m = 31
     bilp = build_bilp(game)
     with pytest.raises(ResourceLimitError):
-        solve_qubo_exhaustive(bilp, build_qubo(bilp))
+        solve_qubo_exhaustive(bilp)
 
 
 def _chunked_exhaustive(bilp, qubo):
@@ -408,7 +409,7 @@ def test_exhaustive_equals_the_chunked_scan(case):
         bilp = build_bilp(game)
         for lam in (None, 0.5, 20.0):
             qubo = build_qubo(bilp, lam)
-            got = solve_qubo_exhaustive(bilp, qubo).to_json(include_timing=False)
+            got = solve_qubo_exhaustive(bilp, lam).to_json(include_timing=False)
             want = _chunked_exhaustive(bilp, qubo).to_json(include_timing=False)
             if (case, n, lam) not in EXHAUSTIVE_ROUNDING_TIES:
                 assert json.dumps(got) == json.dumps(want), (n, lam)
@@ -430,7 +431,7 @@ def test_exhaustive_equals_the_chunked_scan(case):
 def test_brute_equals_dp(kind, seed):
     game = generate_game(3, DistributionSpec(kind=kind), seed=seed)
     bilp = build_bilp(game)
-    brute = solve_qubo_exhaustive(bilp, build_qubo(bilp))
+    brute = solve_qubo_exhaustive(bilp)
     dp = solve_dp(game)
     assert math.isclose(brute.best_value, dp.best_value, rel_tol=1e-9)
     assert brute.best_cs.blocks == dp.best_cs.blocks
@@ -438,7 +439,7 @@ def test_brute_equals_dp(kind, seed):
 
 def test_report_value_consistent_with_cs(g2):
     bilp = build_bilp(g2)
-    for report in (solve_enum(g2), solve_dp(g2), solve_qubo_exhaustive(bilp, build_qubo(bilp))):
+    for report in (solve_enum(g2), solve_dp(g2), solve_qubo_exhaustive(bilp)):
         assert report.best_value == cs_value(g2, report.best_cs)
 
 
@@ -509,9 +510,23 @@ def test_sa_guard(monkeypatch):
     # One variable over SA_MAX_VARIABLES; the O(m^2) couplings must never be built.
     m = SA_MAX_VARIABLES + 1
     big = BilpInstance(n=16, columns=tuple(range(1, m + 1)), values=(0.0,) * m)
-    monkeypatch.setattr("csgp.solvers.coupling_matrix", _refuse("coupling_matrix"))
+    monkeypatch.setattr("csgp.transform.coupling_counts", _refuse("coupling_counts"))
     with pytest.raises(ResourceLimitError, match="annealing is limited"):
         solve_qubo_sa(big, AnnealSchedule(sweeps=1, temp_hi=1.0, temp_lo=1.0, restarts=1))
+
+
+def test_sa_holds_the_uint8_counts_and_no_float_square():
+    # m = 1,023: a float64 m x m coupling array is 8 MiB, the uint8 counts 1 MiB.
+    bilp = build_bilp(generate_game(10, DistributionSpec(kind="normal"), seed=0))
+    m2 = bilp.num_variables**2
+    schedule = AnnealSchedule(sweeps=1, temp_hi=1.0, temp_lo=1.0, restarts=1)
+    tracemalloc.start()
+    try:
+        solve_qubo_sa(bilp, schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * m2 + 2**20, peak
 
 
 @pytest.fixture(scope="module")
@@ -677,15 +692,15 @@ def test_sa_and_brute_force_never_call_qubo_energy(monkeypatch):
     want_brute = json.dumps(solve(small, "qubo-brute").to_json(include_timing=False))
     monkeypatch.setattr("csgp.solvers.qubo_energy", _refuse("qubo_energy"))
     monkeypatch.setattr("csgp.transform.qubo_energy", _refuse("qubo_energy"))
-    assert json.dumps(solve(small, "qubo-brute").to_json(include_timing=False)) == want_brute
-    # sa builds no QUBO dict at all.
+    # Neither builds a QUBO dict at all.
     monkeypatch.setattr("csgp.solvers.build_qubo", _refuse("build_qubo"))
+    assert json.dumps(solve(small, "qubo-brute").to_json(include_timing=False)) == want_brute
     assert json.dumps(solve(game, "sa", seed=1).to_json(include_timing=False)) == want_sa
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0, 1e308])
 def test_sa_checks_the_penalty_before_the_coupling_build(monkeypatch, lam):
-    monkeypatch.setattr("csgp.solvers.coupling_matrix", _refuse("coupling_matrix"))
+    monkeypatch.setattr("csgp.transform.coupling_counts", _refuse("coupling_counts"))
     game = generate_game(3, DistributionSpec(kind="abu"), 0)
     with pytest.raises(ConfigError, match="penalty weight"):
         solve(game, "sa", lam=lam)
@@ -778,8 +793,24 @@ def test_solve_checks_shots_before_the_chain(g2, monkeypatch):
             solve(g2, "qaoa", shots=shots)
 
 
+@pytest.mark.parametrize(
+    "method, options, message",
+    [
+        ("sa", {"exclude": "12"}, "collection of coalition indices"),
+        ("qubo-brute", {"exclude": b"12"}, "collection of coalition indices"),
+        ("qaoa", {"p": 1, "shots": 2.5}, "shots must be an integer"),
+        ("qaoa", {"p": 1, "shots": "1024"}, "shots must be an integer"),
+    ],
+)
+def test_solve_refuses_a_string_exclude_and_non_integer_shots(g2, monkeypatch, method, options, message):
+    # "12" would exclude coalitions 1 and 2, and 2.5 shots would report 2.5 with 2 draws.
+    monkeypatch.setattr("csgp.solvers.build_bilp", _refuse("build_bilp"))
+    with pytest.raises(ConfigError, match=message):
+        solve(g2, method, **options)
+
+
 def test_solve_checks_sa_overrides_before_the_coupling_build(monkeypatch):
-    monkeypatch.setattr("csgp.solvers.coupling_matrix", _refuse("coupling_matrix"))
+    monkeypatch.setattr("csgp.transform.coupling_counts", _refuse("coupling_counts"))
     game = generate_game(4, DistributionSpec(kind="normal"), 0)
     bad = {
         "sweeps must be >= 1": {"sweeps": 0},

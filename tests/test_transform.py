@@ -16,7 +16,6 @@ from csgp import (
     build_bilp,
     build_qubo,
     coupling_counts,
-    coupling_matrix,
     cs_value,
     decode_solution,
     default_penalty,
@@ -28,7 +27,7 @@ from csgp import (
 )
 from csgp.game import DISTRIBUTION_KINDS
 from csgp import transform
-from csgp.transform import agent_counts, matrix_energy, penalty_diagonal, quadratic_table
+from csgp.transform import agent_counts, matrix_energy, penalty_diagonal, penalty_terms, quadratic_table
 from csgp.solvers import partitions
 
 
@@ -114,7 +113,7 @@ def test_default_penalty(g2):
 def _pair_loop_offdiag(bilp, lam):
     """build_qubo's couplings as one Python iteration per pair, in row-major order.
 
-    build_qubo reads them off coupling_matrix; its dict must equal this
+    build_qubo reads them off penalty_terms; its dict must equal this
     loop's in keys, insertion order and the bits of every value.
     """
     offdiag = {}
@@ -159,16 +158,17 @@ def test_couplings_equal_the_pair_loop(case):
 
 def test_coupling_matrix_is_symmetric_with_zero_diagonal():
     bilp = build_bilp(generate_game(5, DistributionSpec(kind="mu"), seed=3), {6, 17})
-    couple = coupling_matrix(bilp, 1.5)
-    assert couple.shape == (29, 29)
-    assert (couple == couple.T).all()
-    assert not couple.diagonal().any()
-    assert couple[0, 2] == 3.0 and couple[0, 1] == 0.0  # {1} & {1,2} share one agent
+    lam, _, counts, levels = penalty_terms(bilp, 1.5)
+    assert lam == 1.5 and levels.tolist() == [0.0, 3.0, 6.0, 9.0, 12.0, 15.0]
+    assert counts.dtype == np.uint8 and counts.shape == (29, 29)
+    assert (counts == counts.T).all()
+    assert not counts.diagonal().any()
+    assert counts[0, 2] == 1 and counts[0, 1] == 0  # {1} & {1,2} share one agent
 
 
 def _one_expression_couplings(bilp, lam):
-    """coupling_matrix as the single numpy expression it once was, with its int64
-    m x m temporary."""
+    """The m x m float couplings as one numpy expression, with its int64 m x m
+    temporary."""
     cols = np.array(bilp.columns, dtype=np.int64)
     couple = (2.0 * lam) * np.bitwise_count(cols[:, None] & cols)
     np.fill_diagonal(couple, 0.0)
@@ -185,7 +185,9 @@ def test_coupling_matrix_equals_the_one_expression(n):
         assert counts.dtype == np.uint8 and counts.shape == (bilp.num_variables,) * 2
         for lam in (default_penalty(bilp), 0.5, 1e300):
             want = _one_expression_couplings(bilp, lam)
-            assert coupling_matrix(bilp, lam).tobytes() == want.tobytes()
+            _, _, terms_counts, levels = penalty_terms(bilp, lam)
+            assert terms_counts.tobytes() == counts.tobytes()
+            assert levels.take(counts).tobytes() == want.tobytes()  # qubo-brute's couplings
             assert ((2.0 * lam) * counts).tobytes() == want.tobytes()
 
 
@@ -195,7 +197,6 @@ def test_coupling_counts_do_not_depend_on_the_block_size(monkeypatch, block):
     want = _one_expression_couplings(bilp, 0.5)
     monkeypatch.setattr("csgp.transform.ENERGY_BLOCK", block)
     assert (1.0 * coupling_counts(bilp)).tobytes() == want.tobytes()
-    assert coupling_matrix(bilp, 0.5).tobytes() == want.tobytes()
 
 
 def test_coupling_builds_hold_no_int64_square():
@@ -208,12 +209,12 @@ def test_coupling_builds_hold_no_int64_square():
         coupling_counts(bilp)
         counts_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        coupling_matrix(bilp, 1.0)
-        matrix_peak = tracemalloc.get_traced_memory()[1]
+        penalty_terms(bilp, 1.0)
+        terms_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert counts_peak < 2 * m2, counts_peak
-    assert matrix_peak < 8 * m2 + 2**20, matrix_peak  # the float result, and no count matrix beside it
+    assert terms_peak < 2 * m2, terms_peak
 
 
 def _assignments(m):
@@ -252,7 +253,8 @@ def test_quadratic_table_equals_qubo_energy(kind):
     for n in (2, 3):
         bilp = build_bilp(generate_game(n, DistributionSpec(kind=kind), seed=1))
         qubo = build_qubo(bilp)
-        couple = coupling_matrix(bilp, qubo.lam)
+        _, _, counts, levels = penalty_terms(bilp, qubo.lam)
+        couple = levels.take(counts)
         table = quadratic_table(qubo.diag, couple)
         # Only the upper triangle is read.
         assert table.tobytes() == quadratic_table(qubo.diag, np.triu(couple)).tobytes()
@@ -276,11 +278,12 @@ def _check_matrix_energy(kind, agents):
             xs = ["0" * m, "1" * m, singletons] + ["".join(map(str, rng.integers(0, 2, m))) for _ in range(2)]
             for lam in (None, 0.5, 30.0):
                 qubo = build_qubo(bilp, lam)
-                couple = coupling_matrix(bilp, qubo.lam)
+                _, _, counts, levels = penalty_terms(bilp, qubo.lam)
                 for x in xs:
-                    want, got = qubo_energy(qubo, x), matrix_energy(qubo.diag, couple, x)
+                    want, got = qubo_energy(qubo, x), matrix_energy(qubo.diag, counts, levels, x)
                     assert type(got) is type(want) and repr(got) == repr(want), (n, lam, x)
-                    assert repr(matrix_energy(qubo.diag, couple, [int(b) for b in x])) == repr(want)
+                    bits = [int(b) for b in x]
+                    assert repr(matrix_energy(qubo.diag, counts, levels, bits)) == repr(want)
 
 
 @pytest.mark.parametrize("kind", DISTRIBUTION_KINDS)
@@ -454,6 +457,6 @@ def test_argmin_invariant_under_larger_penalty(factor):
         game = generate_game(n, DistributionSpec(kind=kind), seed=7)
         bilp = build_bilp(game)
         lam = default_penalty(bilp) * factor
-        report = solve_qubo_exhaustive(bilp, build_qubo(bilp, lam))
-        baseline = solve_qubo_exhaustive(bilp, build_qubo(bilp))
+        report = solve_qubo_exhaustive(bilp, lam)
+        baseline = solve_qubo_exhaustive(bilp)
         assert report.best_cs.blocks == baseline.best_cs.blocks
