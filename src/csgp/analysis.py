@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .qaoa import gate_count
 
 S_MODES = ("min", "max", "actual")
@@ -28,8 +28,7 @@ def sparsity_bounds(n: int) -> tuple[int, int, int]:
     For n = 2, s_actual = 2 falls below s_min = 3; both are reported
     as defined, without reconciliation.
     """
-    if n < 2:
-        raise ConfigError(f"sparsity bounds need n >= 2, got {n}")
+    check_int(n, "sparsity bounds n", 2)
     m = (1 << n) - 1
     s_min = m
     s_max = (1 << (n - 1)) * ((1 << n) - 3) + 1
@@ -67,10 +66,7 @@ def complexity_table(n_range, p_list, s_mode: str = "min") -> list[ComplexityRow
         if not N_RANGE_LO <= n <= N_RANGE_HI:
             raise ConfigError(f"agent counts must lie in [{N_RANGE_LO}, {N_RANGE_HI}], got {n}")
         ns.append(n)
-    ps = [int(p) for p in p_list]
-    for p in ps:
-        if p < 1:
-            raise ConfigError(f"layer counts must be >= 1, got {p}")
+    ps = [check_int(p, "layer counts", 1) for p in p_list]
     rows = []
     for n in ns:
         s_min, s_max, s_actual = sparsity_bounds(n)

@@ -25,16 +25,14 @@ from .errors import (
     InvalidStructureError,
     ParseError,
     ResourceLimitError,
+    check_int,
 )
 from .game import (
     DISTRIBUTION_KINDS, GENERATE_MAX_AGENTS, DistributionSpec, generate_game, load_game, save_game
 )
-from . import qaoa
-from .solvers import (
-    AGENT_LIMITS, METHODS, SA_MAX_VARIABLES, VARIABLE_LIMITS, checked_bilp, solve, solve_dp
-)
+from .solvers import METHODS, SA_MAX_VARIABLES, check_request, check_size, solve, solve_dp
 from .transform import (
-    BilpInstance, QuboInstance, check_penalty, ising_fields, penalty_diagonal, penalty_terms,
+    BilpInstance, QuboInstance, build_bilp, ising_fields, penalty_diagonal, penalty_terms,
     upper_couplings,
 )
 
@@ -290,7 +288,7 @@ def _cmd_solve(args) -> int:
 def _cmd_export(args) -> int:
     game = _load_or_generate(args)
     # The largest QUBO read_qubo_text accepts, checked before the coupling build.
-    bilp = checked_bilp(game, _parse_exclude(args.exclude), limit=SA_MAX_VARIABLES, what="export")
+    bilp = build_bilp(game, check_size(game.n, _parse_exclude(args.exclude), SA_MAX_VARIABLES, "export"))
     lam, _ = penalty_diagonal(bilp, args.lam)  # a bad penalty is refused before the file opens
     if args.game is not None:
         base = Path(args.game).stem
@@ -321,9 +319,6 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_bench(args) -> int:
     methods = [part.strip() for part in args.methods.split(",") if part.strip()]
-    for method in methods:
-        if method not in METHODS:
-            raise ConfigError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
     dists = _parse_dists(args.dists)
     for dist in dists:
         if dist not in DISTRIBUTION_KINDS:
@@ -331,31 +326,17 @@ def _cmd_bench(args) -> int:
                 f"unknown distribution {dist!r}; expected one of {', '.join(DISTRIBUTION_KINDS)}"
             )
     counts = _parse_agent_spec(args.agents)
-    if counts[0] < 1:
-        raise ConfigError(f"agent counts must be >= 1, got {counts[0]}")
+    check_int(counts[0], "agent counts", 1)
     if counts[-1] > GENERATE_MAX_AGENTS:
         raise ResourceLimitError(
             f"bench generates games of at most {GENERATE_MAX_AGENTS} agents, got {counts[-1]}"
         )
-    if args.seeds < 1:
-        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
-    n_max = counts[-1]  # at most GENERATE_MAX_AGENTS from here on
-    for method in methods:
-        if method in AGENT_LIMITS and n_max > AGENT_LIMITS[method]:
-            raise ResourceLimitError(
-                f"{method} is limited to {AGENT_LIMITS[method]} agents, got {n_max}"
-            )
-        if method in VARIABLE_LIMITS and (1 << n_max) - 1 > VARIABLE_LIMITS[method]:
-            raise ResourceLimitError(
-                f"{method} is limited to {VARIABLE_LIMITS[method]} QUBO variables,"
-                f" got {(1 << n_max) - 1} at n = {n_max}"
-            )
-    if "qaoa" in methods:
-        qaoa.check_shots(args.shots)
-        if args.p_max is not None:
-            qaoa.check_depth(args.p_max, "p_max")
-    if args.lam is not None and any(method in VARIABLE_LIMITS for method in methods):
-        check_penalty(args.lam)
+    check_int(args.seeds, "--seeds", 1)
+    for method in methods:  # every cell's refusals, at the largest n, before any cell
+        check_request(
+            method, counts[-1], lam=args.lam, exclude=(), seed=0, p=None, p_max=args.p_max,
+            shots=args.shots,
+        )
 
     out_dir = Path(args.out or "bench_out")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -5,6 +5,8 @@ subclasses) and InvalidStructureError exit 2, ResourceLimitError exits 3,
 InfeasibleError exits 4.
 """
 
+import numbers
+
 
 class CsgError(Exception):
     """Base class for all errors raised by csgp."""
@@ -32,3 +34,20 @@ class ResourceLimitError(CsgError):
 
 class InfeasibleError(CsgError):
     """No feasible coalition structure remains after exclusions."""
+
+
+def check_int(value, name: str, low: int) -> int:
+    """``value`` as an int: a bool, a value that is not an integer (a float, say)
+    and one below ``low`` are ConfigErrors."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
+def check_real(value, name: str) -> float:
+    """``value`` as a float: a bool and a value that is not a real number are ConfigErrors."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidStructureError, ParseError, ResourceLimitError, SchemaError
+from .errors import ConfigError, InvalidStructureError, ParseError, ResourceLimitError, SchemaError, check_int
 
 # Hard ceiling for sampling: 2^20 - 1 coalition values is the largest table
 # any bundled solver can consume (the subset DP stops at 20 agents too).
@@ -287,15 +287,13 @@ def generate_game(n: int, spec: DistributionSpec, seed: int) -> CoalitionGame:
     are taken in a few array calls (WRC alone makes two per coalition), but
     in the same order as one coalition at a time, so the values are too.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError(f"agent count must be an integer >= 1, got {n!r}")
+    n = check_int(n, "agent count", 1)
     if n > GENERATE_MAX_AGENTS:
         raise ResourceLimitError(
             f"game generation is limited to {GENERATE_MAX_AGENTS} agents"
             f" ({n_coalitions(GENERATE_MAX_AGENTS)} coalition values), got {n}"
         )
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     sizes = np.bitwise_count(np.arange(1, n_coalitions(n) + 1, dtype=np.int32)).astype(np.float64)
     values = _SAMPLERS[spec.kind](rng, n, sizes, _DEFAULT_PARAMS[spec.kind])

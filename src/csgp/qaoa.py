@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ResourceLimitError
+from .errors import ConfigError, ResourceLimitError, check_int
 from .transform import IsingInstance, quadratic_table
 
 SIMULATOR_MAX_QUBITS = 20
@@ -54,8 +54,7 @@ class QaoaParams:
     gammas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ConfigError(f"layer count must be >= 1, got {self.p}")
+        check_int(self.p, "layer count", 1)
         if len(self.betas) != self.p or len(self.gammas) != self.p:
             raise ConfigError(
                 f"angle vectors must have length p={self.p},"
@@ -91,10 +90,9 @@ def _check_qubits(m: int) -> None:
 
 
 def check_depth(p: int, name: str = "layer count") -> None:
-    """Refuse a depth below 1 (ConfigError) or above OPTIMIZER_MAX_LAYERS (ResourceLimitError)."""
-    if p < 1:
-        raise ConfigError(f"{name} must be >= 1, got {p}")
-    if p > OPTIMIZER_MAX_LAYERS:
+    """Refuse a depth that check_int(p, name, 1) refuses (ConfigError) or one above
+    OPTIMIZER_MAX_LAYERS (ResourceLimitError)."""
+    if check_int(p, name, 1) > OPTIMIZER_MAX_LAYERS:
         raise ResourceLimitError(
             f"QAOA is limited to {OPTIMIZER_MAX_LAYERS} layers, got {name} {p}"
         )
@@ -102,11 +100,7 @@ def check_depth(p: int, name: str = "layer count") -> None:
 
 def check_shots(shots: int) -> None:
     """Refuse a shot count that is not an integer in 1..MAX_SHOTS (ConfigError)."""
-    if not isinstance(shots, (int, np.integer)):
-        raise ConfigError(f"shots must be an integer, got {shots!r}")
-    if shots < 1:
-        raise ConfigError(f"shots must be >= 1, got {shots}")
-    if shots > MAX_SHOTS:
+    if check_int(shots, "shots", 1) > MAX_SHOTS:
         raise ConfigError(f"shots must be <= {MAX_SHOTS}, numpy's multinomial range, got {shots}")
 
 
@@ -243,10 +237,8 @@ class OptimizerConfig:
     maxiter: int = 500
 
     def __post_init__(self) -> None:
-        if self.starts < 1:
-            raise ConfigError(f"starts must be >= 1, got {self.starts}")
-        if self.maxiter < 1:
-            raise ConfigError(f"maxiter must be >= 1, got {self.maxiter}")
+        check_int(self.starts, "starts", 1)
+        check_int(self.maxiter, "maxiter", 1)
 
 
 @dataclass(frozen=True)
@@ -473,8 +465,7 @@ def optimize_layer(
     """optimize at depth p under a seed derived from (seed, p), and whether the
     sample reached ``target_energy`` (QUBO units; None never matches)."""
     check_depth(p)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_int(seed, "seed", 0)
     seed_p = int(np.random.SeedSequence([seed, p]).generate_state(1)[0])
     result = optimize(ising, p, seed=seed_p, shots=shots)
     matched = target_energy is not None and math.isclose(
@@ -515,10 +506,7 @@ def gate_count(n: int, p: int, s: int) -> int:
     One H per qubit, p RX per qubit, p RZ per qubit for the fields, and
     per interaction per layer a CNOT/RZ/CNOT triple.
     """
-    if n < 1:
-        raise ConfigError(f"agent count must be >= 1, got {n}")
-    if p < 1:
-        raise ConfigError(f"layer count must be >= 1, got {p}")
-    if s < 0:
-        raise ConfigError(f"interaction count must be >= 0, got {s}")
+    check_int(n, "agent count", 1)
+    check_int(p, "layer count", 1)
+    check_int(s, "interaction count", 0)
     return ((1 << n) - 1) * (2 * p + 1) + 3 * p * s

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import qaoa
-from .errors import ConfigError, ResourceLimitError
+from .errors import ConfigError, ResourceLimitError, check_int, check_real
 from .game import CoalitionGame, CoalitionStructure, n_coalitions
 from .transform import (
     BilpInstance,
@@ -28,6 +28,7 @@ from .transform import (
     build_bilp,
     build_qubo,
     check_exclusions,
+    check_penalty,
     decode_solution,
     matrix_energy,
     penalty_terms,
@@ -413,23 +414,22 @@ class AnnealSchedule:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sweeps < 1:
-            raise ConfigError(f"sweeps must be >= 1, got {self.sweeps}")
-        if self.restarts < 1:
-            raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
+        check_int(self.sweeps, "sweeps", 1)
+        check_int(self.restarts, "restarts", 1)
         if self.sweeps * self.restarts > SA_MAX_SWEEPS:
             raise ResourceLimitError(
                 f"annealing is limited to {SA_MAX_SWEEPS} sweeps over all restarts,"
                 f" got {self.sweeps} sweeps x {self.restarts} restarts"
             )
+        check_real(self.temp_lo, "temp_lo")
+        check_real(self.temp_hi, "temp_hi")
         if not (0.0 < self.temp_lo <= self.temp_hi):
             raise ConfigError(
                 f"need 0 < temp_lo <= temp_hi, got temp_lo={self.temp_lo}, temp_hi={self.temp_hi}"
             )
         if self.temp_hi == math.inf:
             raise ConfigError("temp_hi must be finite, got inf")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_int(self.seed, "seed", 0)
 
     def temperature(self, sweep: int) -> float:
         if self.sweeps == 1:
@@ -582,16 +582,15 @@ def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | Non
     )
 
 
-def checked_bilp(game: CoalitionGame, exclude=frozenset(), *, limit: int, what: str):
-    """The BILP without the ``exclude`` coalitions.  check_exclusions runs first;
-    then a program of more than ``limit`` variables, 2^n - 1 - |exclude|, is
-    refused as ``what`` before it is built, and so before a caller's O(m^2)
-    coupling build."""
-    exclude = check_exclusions(game.n, exclude)
-    m = n_coalitions(game.n) - len(exclude)
+def check_size(n: int, exclude, limit: int, what: str) -> frozenset[int]:
+    """check_exclusions(n, exclude); then a program of more than ``limit`` variables,
+    2^n - 1 - |exclude|, is refused as ``what``, before its BILP is built and so
+    before a caller's O(m^2) coupling build."""
+    exclude = check_exclusions(n, exclude)
+    m = n_coalitions(n) - len(exclude)
     if m > limit:
         raise ResourceLimitError(f"{what} is limited to {limit} QUBO variables, got {m}")
-    return build_bilp(game, exclude)
+    return exclude
 
 
 def solve_qaoa(
@@ -649,29 +648,20 @@ def solve_qaoa(
     return replace(report, qaoa_results=tuple(results))
 
 
-def solve(
-    game: CoalitionGame, method: str, *, lam=None, exclude=frozenset(), seed=0, sweeps=None,
-    restarts=None, temp_hi=None, temp_lo=None, p=None, p_max=None, shots=1024,
-) -> SolveReport:
-    """Solve a game with one of METHODS; the options are the `csgp solve` flags.
-
-    A negative seed and, for qaoa, a depth or shot count that
-    qaoa.check_depth or check_shots refuses are refused before any work.
-    enum and dp take no exclusions.  The QUBO methods run checked_bilp with
-    the method's VARIABLE_LIMITS entry.  sa then anneals default_schedule(
-    bilp, seed) with each given sweeps/restarts/temp_hi/temp_lo replacing its
-    field, refused before the coupling build if invalid or over SA_MAX_SWEEPS,
-    and neither it nor qubo-brute builds the QUBO dict.  qaoa runs build_qubo,
-    then solve_qaoa at depth p, or else up to p_max (default 12).
-    """
+def check_request(method: str, n: int, *, lam, exclude, seed, p, p_max, shots) -> frozenset[int]:
+    """Every refusal solve(game, method, ...) makes for an n-agent game before it
+    builds anything, in solve's order, and the checked exclusions: enum and dp take
+    none and n up to AGENT_LIMITS; the QUBO methods run check_size and, for a given
+    lam, check_penalty.  csgp bench runs it per method at its largest n."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    if method in ("enum", "dp"):
+    check_int(seed, "seed", 0)
+    if method in AGENT_LIMITS:
         if exclude:
             raise ConfigError("--exclude applies only to QUBO-based methods (qubo-brute, sa, qaoa)")
-        return solve_enum(game) if method == "enum" else solve_dp(game)
+        if n > AGENT_LIMITS[method]:
+            raise ResourceLimitError(f"{method} is limited to {AGENT_LIMITS[method]} agents, got {n}")
+        return frozenset()
     if method == "qaoa":
         if p is not None and p_max is not None:
             raise ConfigError("give either --p or --p-max, not both")
@@ -680,7 +670,31 @@ def solve(
         if p_max is not None:
             qaoa.check_depth(p_max, "p_max")
         qaoa.check_shots(shots)
-    bilp = checked_bilp(game, exclude, limit=VARIABLE_LIMITS[method], what=method)
+    exclude = check_size(n, exclude, VARIABLE_LIMITS[method], method)
+    if lam is not None:
+        check_penalty(lam)
+    return exclude
+
+
+def solve(
+    game: CoalitionGame, method: str, *, lam=None, exclude=frozenset(), seed=0, sweeps=None,
+    restarts=None, temp_hi=None, temp_lo=None, p=None, p_max=None, shots=1024,
+) -> SolveReport:
+    """Solve a game with one of METHODS; the options are the `csgp solve` flags.
+
+    check_request refuses what it can before any work.  The QUBO methods
+    then build the BILP.  sa anneals default_schedule(bilp, seed) with each
+    given sweeps/restarts/temp_hi/temp_lo replacing its field, refused before
+    the coupling build if invalid or over SA_MAX_SWEEPS, and neither it nor
+    qubo-brute builds the QUBO dict.  qaoa runs build_qubo, then solve_qaoa at
+    depth p, or else up to p_max (default 12).
+    """
+    exclude = check_request(
+        method, game.n, lam=lam, exclude=exclude, seed=seed, p=p, p_max=p_max, shots=shots
+    )
+    if method in AGENT_LIMITS:
+        return solve_enum(game) if method == "enum" else solve_dp(game)
+    bilp = build_bilp(game, exclude)
     if method == "sa":
         given = {"sweeps": sweeps, "restarts": restarts, "temp_hi": temp_hi, "temp_lo": temp_lo}
         schedule = replace(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleError
+from .errors import ConfigError, InfeasibleError, check_int, check_real
 from .game import CoalitionGame, CoalitionStructure, n_coalitions
 
 ENERGY_BLOCK = 1 << 16  # coupling entries one numpy pass reads or builds
@@ -35,7 +35,6 @@ class BilpInstance:
     n: int
     columns: np.ndarray
     values: np.ndarray
-    excluded: frozenset[int] = frozenset()
 
     @property
     def num_variables(self) -> int:
@@ -49,14 +48,15 @@ def agent_counts(columns: np.ndarray, n: int) -> list[int]:
 
 def check_exclusions(n: int, exclude) -> frozenset[int]:
     """``exclude`` as a frozenset of coalition indices for n agents, checked in
-    O(n * |exclude|): a str, bytes or index out of range is a ConfigError, and excluding
-    all 2^(n-1) coalitions of some agent (so no partition exists) an InfeasibleError."""
-    if isinstance(exclude, (str, bytes)):
+    O(n * |exclude|): a str, bytes or other non-collection, an index that is not an integer
+    (check_int) or outside 1..2^n - 1 is a ConfigError, and excluding all 2^(n-1) coalitions
+    of some agent (so no partition exists) an InfeasibleError."""
+    if isinstance(exclude, (str, bytes)) or not hasattr(exclude, "__iter__"):
         raise ConfigError(f"exclude must be a collection of coalition indices, got {exclude!r}")
     full = n_coalitions(n)
-    exclude = frozenset(int(c) for c in exclude)
+    exclude = frozenset(check_int(c, "excluded coalition", 1) for c in exclude)
     for c in exclude:
-        if not 1 <= c <= full:
+        if c > full:
             raise ConfigError(f"excluded coalition {c} out of range 1..{full}")
     counts = agent_counts(np.fromiter(exclude, np.int64, len(exclude)), n)
     uncovered = [a + 1 for a, count in enumerate(counts) if count == 1 << (n - 1)]
@@ -73,7 +73,7 @@ def build_bilp(game: CoalitionGame, exclude: set[int] | frozenset[int] = frozens
     columns = np.flatnonzero(keep)
     values = game.values[columns]
     columns.flags.writeable = values.flags.writeable = False
-    return BilpInstance(n=game.n, columns=columns, values=values, excluded=exclude)
+    return BilpInstance(n=game.n, columns=columns, values=values)
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def upper_couplings(counts: np.ndarray):
 
 def check_penalty(lam: float) -> float:
     """lam as a float; one that is not a positive finite number is a ConfigError."""
-    lam = float(lam)
+    lam = check_real(lam, "penalty weight")
     if not 0 < lam < math.inf:
         raise ConfigError(f"penalty weight must be positive and finite, got {lam}")
     return lam

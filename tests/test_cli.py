@@ -885,6 +885,31 @@ def test_bench_checks_every_method_before_any_work(tmp_path, capsys, monkeypatch
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "agents, method, options",
+    [
+        ("13", "enum", []),
+        ("16", "sa", []),
+        ("6", "qaoa", ["--shots", "0"]),
+        ("3", "sa", ["--lambda", "nan"]),
+        ("3", "qaoa", ["--p-max", "0"]),
+    ],
+    ids=["enum-agents", "sa-variables", "qaoa-shots", "sa-lambda", "qaoa-p-max"],
+)
+def test_solve_and_bench_refuse_alike(tmp_path, capsys, agents, method, options):
+    # bench refuses through solve's own check_request, so the two commands agree.
+    solved = run_cli(capsys, "solve", "--agents", agents, "--dist", "abu", "--method", method, *options)
+    benched = run_cli(
+        capsys, "bench", "--methods", method, "--agents", agents, "--dists", "abu", *options,
+        "--out", str(tmp_path / "grid"),
+    )
+    assert solved == benched
+    code, out, err = solved
+    assert code in (2, 3) and out == "" and err.count("\n") == 1
+    assert stderr_error(err)["exit"] == code
+    assert not (tmp_path / "grid").exists()
+
+
 def test_bench_checks_the_penalty_only_for_qubo_methods(tmp_path, capsys):
     # enum and dp never build a QUBO, so a penalty they would ignore is not refused.
     code, _, _ = run_cli(

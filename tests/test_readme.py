@@ -1,7 +1,10 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its commands parse."""
 
 import re
+import shlex
 from pathlib import Path
+
+from csgp.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +15,14 @@ def test_readme_python_blocks_run(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_csgp_commands_parse():
+    # Parsed, not run: a renamed or dropped flag fails here.
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("csgp ")]
+    assert len(commands) >= 9
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

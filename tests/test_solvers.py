@@ -809,6 +809,30 @@ def test_solve_refuses_a_string_exclude_and_non_integer_shots(g2, monkeypatch, m
         solve(g2, method, **options)
 
 
+@pytest.mark.parametrize(
+    "method, options, message",
+    [
+        ("sa", {"exclude": [1.5]}, "excluded coalition must be an integer, got 1.5"),
+        ("sa", {"exclude": 3}, "collection of coalition indices"),
+        ("sa", {"lam": "x"}, "penalty weight must be a number"),
+        ("sa", {"temp_hi": "x"}, "temp_hi must be a number"),
+        ("qaoa", {"p": 1.5}, "layer count must be an integer"),
+        ("qaoa", {"p_max": 1.5}, "p_max must be an integer"),
+        ("qaoa", {"p": 1, "shots": True}, "shots must be an integer"),
+        ("sa", {"seed": 1.5}, "seed must be an integer"),
+        ("qubo-brute", {"seed": True}, "seed must be an integer"),
+        ("sa", {"sweeps": 2.5}, "sweeps must be an integer"),
+        ("sa", {"restarts": 1.5}, "restarts must be an integer"),
+    ],
+)
+def test_solve_refuses_options_of_the_wrong_type(g2, monkeypatch, method, options, message):
+    # Each was misread (exclude [1.5] as coalition 1, True as 1) or ended in a
+    # TypeError or ValueError traceback.
+    monkeypatch.setattr("csgp.transform.coupling_counts", _refuse("coupling_counts"))
+    with pytest.raises(ConfigError, match=message):
+        solve(g2, method, **options)
+
+
 def test_solve_checks_sa_overrides_before_the_coupling_build(monkeypatch):
     monkeypatch.setattr("csgp.transform.coupling_counts", _refuse("coupling_counts"))
     game = generate_game(4, DistributionSpec(kind="normal"), 0)
