@@ -106,7 +106,7 @@ class CoalitionGame:
 
     def __post_init__(self) -> None:
         n, given = self.n, self.values
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise SchemaError(f"agent count must be an integer >= 1, got {n!r}")
         is_map = isinstance(given, Mapping)
         full = len(given) - (not is_map)  # the nonempty coalitions given
@@ -335,7 +335,7 @@ def load_game(path) -> CoalitionGame:
     for key in ("n", "values"):
         if key not in doc:
             raise SchemaError(f"{path}: missing required key {key!r}")
-    if not isinstance(doc["n"], int):
+    if isinstance(doc["n"], bool) or not isinstance(doc["n"], int):
         raise SchemaError(f"{path}: 'n' must be an integer")
     if not isinstance(doc["values"], dict):
         raise SchemaError(f"{path}: 'values' must be an object")
@@ -353,6 +353,6 @@ def load_game(path) -> CoalitionGame:
         keys[index] = key
         values[index] = float(val)
     seed = doc.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise SchemaError(f"{path}: 'seed' must be an integer or null")
     return CoalitionGame(n=doc["n"], values=values, dist_label=doc.get("dist"), seed=seed)

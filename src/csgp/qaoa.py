@@ -5,11 +5,15 @@ The optimizer evaluates angles with a diagonal-phase kernel: each cost layer
 is one elementwise multiply by exp(-i*gamma*E) over the energy table (built
 once per optimize call, in O(2^m), by transform.quadratic_table), each mixer
 layer applies RX(2*beta) to every qubit q as cos(beta)*psi - i*sin(beta)*X_q psi,
-with X_q psi a flipped view of the state, not a copy.  L-BFGS-B gets the
+with X_q a flipped view of a buffer, not a copy.  L-BFGS-B gets the
 expectation and all 2p derivatives from one adjoint sweep through the same
-kernel, forwards and then backwards (_value_and_grad).  The gate list from
-build_circuit, replayed by simulate, is the gate-exact reference the kernel is
-tested against and the source of gate counts; the optimizer never builds it.
+kernel, forwards and then backwards (_Workspace.value_and_grad).  Each
+optimize call allocates one _Workspace: its psi, lam and scratch buffers and
+every qubit's views are built once and serve the start screening (many
+states per pass at small m), every value+gradient call and the sampled
+state.  The gate list from build_circuit, replayed by simulate, is the
+gate-exact reference the kernel is tested against and the source of gate
+counts; the optimizer never builds it.
 
 Conventions, fixed once here and relied on by the tests:
 
@@ -40,6 +44,8 @@ OPTIMIZER_MAX_LAYERS = 64  # each value+gradient call costs O(p * m * 2^m)
 LBFGS_FTOL = 1e-12  # L-BFGS-B stops when a step lowers the scaled expectation by less
 LBFGS_GTOL = 1e-6  # or when no gradient entry exceeds this
 START_DRAWS = 16  # each L-BFGS-B start is the lowest-expectation one of this many draws
+FLIP_RUN = 1 << 13  # inner loop of the q = 0 and 1 flips: shorter runs hit numpy's buffering, longer leave cache
+SCREEN_AMPLITUDES = 1 << 12  # the draws are screened max(1, this >> m) states at a time
 MAX_SHOTS = np.iinfo(np.int64).max  # the most draws numpy's multinomial takes
 
 _H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
@@ -221,9 +227,13 @@ def assignment_index(x: str) -> int:
 def sample(state: np.ndarray, shots: int, seed: int) -> dict[str, int]:
     """Multinomial measurement; keys are assignment strings, values shot counts."""
     check_shots(shots)
-    m = int(round(math.log2(state.shape[0])))
-    probs = np.abs(state) ** 2
-    probs = probs / probs.sum()
+    return _draw(np.square(np.abs(state)), shots, seed)
+
+
+def _draw(probs: np.ndarray, shots: int, seed: int) -> dict[str, int]:
+    """sample's counts from the squared amplitudes, normalized in place."""
+    m = int(round(math.log2(probs.shape[0])))
+    probs /= probs.sum()
     draws = np.random.default_rng(seed).multinomial(shots, probs)
     return {assignment_string(b, m): int(draws[b]) for b in np.flatnonzero(draws).tolist()}
 
@@ -272,79 +282,160 @@ class QaoaResult:
         return doc
 
 
-def _flipped(state: np.ndarray, m: int, q: int) -> np.ndarray:
-    """X_q state as a view, not a copy: the (2^(m-q-1), 2, 2^q) reshape of
-    state with its middle axis reversed."""
-    return state.reshape(1 << (m - q - 1), 2, 1 << q)[:, ::-1, :]
+def _flip_pairs(buf: np.ndarray, scratch: np.ndarray, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each qubit q, the views (X_q scratch, buf) over rows of 2^m amplitudes:
+    the (-1, 2, 2^q) reshape of each, scratch's with its middle axis reversed.
 
-
-def _mix(state: np.ndarray, scratch: np.ndarray, m: int, beta: float) -> None:
-    """Apply RX(2*beta) to every qubit of state, in place.
-
-    Qubit q gets cos(beta)*psi - i*sin(beta)*X_q psi: three ufunc calls per
-    qubit into the scratch buffer.  RX(-2*beta) undoes it.
+    Flipping bit q never crosses a row, so the rows and the 2^(m-q-1) blocks
+    share one long axis.  For q = 0 and 1 that axis is cut into runs of at
+    most FLIP_RUN and moved last, which with order="C" makes it numpy's inner
+    loop instead of the axis of length 2^q.
     """
-    diag, off = math.cos(beta), -1j * math.sin(beta)  # RX(2*beta)'s entries
+    pairs = []
     for q in range(m):
-        flipped = _flipped(state, m, q)
-        np.multiply(flipped, off, out=scratch.reshape(flipped.shape))
-        state *= diag
-        state += scratch
+        if q < 2:
+            shape = (-1, min(buf.size >> (q + 1), FLIP_RUN), 2, 1 << q)
+            flipped = scratch.reshape(shape)[:, :, ::-1, :].transpose(0, 2, 3, 1)
+            view = buf.reshape(shape).transpose(0, 2, 3, 1)
+        else:
+            flipped = scratch.reshape(-1, 2, 1 << q)[:, ::-1, :]
+            view = buf.reshape(-1, 2, 1 << q)
+        pairs.append((flipped, view))
+    return pairs
 
 
-def _phase(out: np.ndarray, table: np.ndarray, gamma: float) -> np.ndarray:
-    """The cost layer's diagonal exp(-i*gamma*table), written into out."""
-    return np.exp(np.multiply(-1j * gamma, table, out=out), out=out)
+def _rx(beta: float) -> tuple[complex, complex]:
+    """RX(2*beta)'s diagonal and off-diagonal entries (complex, as numpy would cast them)."""
+    return complex(math.cos(beta)), -1j * math.sin(beta)
+
+
+def _mix(buf: np.ndarray, scratch: np.ndarray, pairs, diag, off) -> None:
+    """Apply RX(2*beta) to every qubit of buf, in place, given _rx(beta) as
+    scalars or as one (rows, 1) column per entry.
+
+    Qubit q gets cos(beta)*psi - i*sin(beta)*X_q psi: scratch = off*psi,
+    psi *= diag, then psi += X_q scratch through the pair's views, three
+    ufunc calls per qubit.  RX(-2*beta) undoes it.
+    """
+    for flipped, view in pairs:
+        np.multiply(buf, off, out=scratch)
+        np.multiply(buf, diag, out=buf)
+        np.add(view, flipped, out=view, order="C")
+
+
+def _phase(out: np.ndarray, table: np.ndarray, coef) -> np.ndarray:
+    """The cost layer's diagonal exp(coef*table), coef = -i*gamma, written into out."""
+    return np.exp(np.multiply(coef, table, out=out), out=out)
+
+
+class _Workspace:
+    """The buffers of the ansatz kernel for one table, allocated once.
+
+    psi and scratch hold `rows` states of 2^m amplitudes and lam one; the
+    X_q view pairs are built for all rows of psi (the screening) and for the
+    first row of psi and lam (the value+gradient calls and the final state).
+    """
+
+    def __init__(self, m: int, table: np.ndarray, rows: int = 1) -> None:
+        self.m, self.table, self.rows = m, table, rows
+        self.psi, self.scratch = (np.empty((rows, 1 << m), dtype=np.complex128) for _ in range(2))
+        self.lam = np.empty((1, 1 << m), dtype=np.complex128)
+        self.batch_pairs = _flip_pairs(self.psi, self.scratch, m)
+        self.psi_pairs = _flip_pairs(self.psi[:1], self.scratch[:1], m)
+        self.lam_pairs = _flip_pairs(self.lam[:1], self.scratch[:1], m)
+
+    def _forward(self, rows: int, pairs, layers) -> np.ndarray:
+        """psi[:rows] from the uniform superposition: per layer (diag, off, coef),
+        one multiply by _phase, then _mix, both through the scratch rows.  The
+        first layer writes amp * phase, the product the uniform state gives."""
+        psi, scratch = self.psi[:rows], self.scratch[:rows]
+        for layer, (diag, off, coef) in enumerate(layers):
+            _phase(scratch, self.table, coef)
+            if layer:
+                psi *= scratch
+            else:
+                np.multiply(1.0 / math.sqrt(1 << self.m), scratch, out=psi)
+            _mix(psi, scratch, pairs, diag, off)
+        return psi
+
+    def probabilities(self, psi: np.ndarray) -> np.ndarray:
+        """|psi|^2 of psi's rows, written into the scratch rows' memory."""
+        probs = self.scratch.view(np.float64)[: len(psi), : psi.shape[1]]
+        return np.square(np.abs(psi, out=probs), out=probs)
+
+    def state(self, betas, gammas) -> np.ndarray:
+        """The ansatz state at one angle schedule, as psi's first row."""
+        layers = [(*_rx(b), -1j * g) for b, g in zip(betas, gammas)]
+        return self._forward(1, self.psi_pairs, layers)[0]
+
+    def screen(self, betas: np.ndarray, gammas: np.ndarray) -> list[float]:
+        """Expectation of each row's (betas, gammas), `rows` states per pass.
+
+        Each row's layers get the scalars state() would use, as (rows, 1)
+        columns; the rows of the last pass that no draw fills get zeros and
+        are dropped.  Each value is its row's 1-D dot with the table, as
+        value_and_grad computes it.
+        """
+        count, p = betas.shape
+        terms = np.zeros((-(-count // self.rows) * self.rows, p, 3), dtype=np.complex128)
+        terms[:count] = [
+            [(*_rx(b), -1j * g) for b, g in zip(*row)] for row in zip(betas.tolist(), gammas.tolist())
+        ]
+        values = []
+        for first in range(0, len(terms), self.rows):
+            block = terms[first : first + self.rows, :, :, None]
+            layers = [(block[:, k, 0], block[:, k, 1], block[:, k, 2]) for k in range(p)]
+            probs = self.probabilities(self._forward(self.rows, self.batch_pairs, layers))
+            values += [float(row @ self.table) for row in probs]
+        return values[:count]
+
+    def value_and_grad(self, betas, gammas) -> tuple[float, np.ndarray]:
+        """Expectation <psi|E|psi> of the ansatz state and its gradient over
+        (betas, gammas), by one adjoint sweep (Jones & Gacon, arXiv:2009.02823).
+
+        After the forward pass, lam = E psi; the sweep walks the layers
+        backwards, un-applying each mixer and cost phase to both psi and lam.
+        With B = sum_q X_q, d/dbeta_l = 2 Im<lam|B|psi> is read at the end of
+        layer l (B commutes with its mixer), with B psi summed from the
+        flipped views into the scratch row, and d/dgamma_l = 2 Im<lam|E|psi>
+        once that mixer is undone.  The value is computed as optimize reports
+        it, from the same forward state, so the two agree bitwise.
+        """
+        p = len(betas)
+        table = self.table
+        psi = self.state(betas, gammas)
+        value = float(self.probabilities(psi[None])[0] @ table)
+        lam, scratch = self.lam[0], self.scratch[0]
+        np.multiply(table, psi, out=lam)
+        grad = np.empty(2 * p)
+        for layer in reversed(range(p)):
+            scratch.fill(0.0)
+            for flipped, view in self.psi_pairs:
+                np.add(flipped, view, out=flipped, order="C")
+            grad[layer] = 2.0 * np.vdot(lam, scratch).imag  # scratch holds B psi
+            diag, off = _rx(-betas[layer])
+            _mix(psi, scratch, self.psi_pairs, diag, off)
+            _mix(lam, scratch, self.lam_pairs, diag, off)
+            grad[p + layer] = 2.0 * np.vdot(lam, np.multiply(table, psi, out=scratch)).imag
+            if layer:
+                _phase(scratch, table, -1j * -gammas[layer])
+                psi *= scratch
+                lam *= scratch
+        return value, grad
 
 
 def _qaoa_state(m: int, table: np.ndarray, betas, gammas) -> np.ndarray:
-    """Ansatz state from the uniform superposition: per layer, one multiply by
-    _phase, then _mix, both through one scratch buffer.
+    """Ansatz state from the uniform superposition, through a one-row _Workspace.
 
     Equals simulate(build_circuit(...)) amplitude by amplitude, not just up
     to a global phase: the table excludes the Ising offset, as the gates do.
     """
-    state = np.full(1 << m, 1.0 / math.sqrt(1 << m), dtype=np.complex128)
-    scratch = np.empty_like(state)
-    for beta, gamma in zip(betas, gammas):
-        state *= _phase(scratch, table, gamma)
-        _mix(state, scratch, m, beta)
-    return state
+    return _Workspace(m, table).state(betas, gammas)
 
 
 def _value_and_grad(m: int, table: np.ndarray, betas, gammas) -> tuple[float, np.ndarray]:
-    """Expectation <psi|E|psi> of the _qaoa_state and its gradient over
-    (betas, gammas), by one adjoint sweep (Jones & Gacon, arXiv:2009.02823).
-
-    After the forward pass, lam = E psi; the sweep walks the layers backwards,
-    un-applying each mixer and cost phase to both psi and lam.  With
-    B = sum_q X_q, d/dbeta_l = 2 Im<lam|B|psi> is read at the end of layer l
-    (B commutes with its mixer), with B psi summed from the flipped views
-    into the scratch buffer, and d/dgamma_l = 2 Im<lam|E|psi> once that
-    mixer is undone.  The value is computed as optimize reports it, from the
-    same forward state, so the two agree bitwise.
-    """
-    p = len(betas)
-    psi = _qaoa_state(m, table, betas, gammas)
-    value = float((np.abs(psi) ** 2) @ table)
-    lam = table * psi
-    scratch = np.empty_like(psi)
-    grad = np.empty(2 * p)
-    for layer in reversed(range(p)):
-        scratch.fill(0.0)
-        for q in range(m):
-            flipped = _flipped(psi, m, q)
-            view = scratch.reshape(flipped.shape)
-            view += flipped
-        grad[layer] = 2.0 * np.vdot(lam, scratch).imag  # scratch holds B psi
-        _mix(psi, scratch, m, -betas[layer])
-        _mix(lam, scratch, m, -betas[layer])
-        grad[p + layer] = 2.0 * np.vdot(lam, np.multiply(table, psi, out=scratch)).imag
-        if layer:
-            _phase(scratch, table, -gammas[layer])
-            psi *= scratch
-            lam *= scratch
-    return value, grad
+    """_Workspace.value_and_grad through a one-row workspace."""
+    return _Workspace(m, table).value_and_grad(betas, gammas)
 
 
 def optimize(
@@ -357,18 +448,21 @@ def optimize(
     """Multi-start L-BFGS-B search over the 2p angles.
 
     The objective is the analytic expectation (no shot noise) of the
-    _qaoa_state kernel, with its gradient from _value_and_grad.  The search
+    ansatz state, with its gradient from _Workspace.value_and_grad.  The search
     runs on the energy table divided by scale = max|E| (1 when the table is
     all zero): its variables are beta and scale * gamma, its objective the
     expectation divided by scale.  Angles are drawn uniformly from beta in
     [0, pi) and gamma in [0, 2*pi), so scale * gamma spans [0, 2*pi*scale):
     the deep minima of penalty-dominated tables lie there, among many shallow
     ones, not in the table's first period.  Each start is the draw with the
-    lowest expectation out of START_DRAWS (one forward pass each) and runs
-    L-BFGS-B for at most config.maxiter iterations.  The best angles any
-    evaluation saw win; the reported expectation is theirs on the unscaled
-    table, and the sample of `shots` draws is taken once, from the same kernel
-    at those angles.
+    lowest expectation out of START_DRAWS and runs L-BFGS-B for at most
+    config.maxiter iterations.  All starts * START_DRAWS draws are taken up
+    front, in the order per-draw calls would take them, and screened
+    max(1, SCREEN_AMPLITUDES >> m) states per forward pass; a start takes the
+    first of its lowest values.  The best angles any evaluation saw win; the
+    reported expectation is theirs on the unscaled table, and the sample of
+    `shots` draws is taken once, from the same kernel at those angles.  One
+    _Workspace serves the screening, every evaluation and that last state.
     metadata["evals"] counts value+gradient calls over all starts,
     metadata["converged"] says whether the winning start's L-BFGS-B run
     reported success and metadata["converged_starts"] how many starts did.
@@ -382,28 +476,30 @@ def optimize(
     scale = float(np.max(np.abs(table))) or 1.0
 
     start_seq, sample_seq = np.random.SeedSequence(seed).spawn(2)
-    start_rng = np.random.default_rng(start_seq)
+    draws = config.starts * START_DRAWS
+    work = _Workspace(ising.m, table, rows=min(max(1, SCREEN_AMPLITUDES >> ising.m), draws))
+    # Draw by draw, p betas in [0, pi) then p gammas in [0, 2*pi), as two
+    # uniform calls per draw would take them.
+    angles = np.random.default_rng(start_seq).uniform(
+        0.0, [[math.pi], [2.0 * math.pi]], size=(draws, 2, p)
+    )
+    screened = work.screen(angles[:, 0], angles[:, 1])
     best = None
     evals_total = 0
     converged_starts = 0
     for s in range(config.starts):
-        draws = [
-            (start_rng.uniform(0.0, math.pi, size=p), start_rng.uniform(0.0, 2.0 * math.pi, size=p))
-            for _ in range(START_DRAWS)
-        ]
-        betas0, gammas0 = min(
-            draws, key=lambda d: float(np.abs(_qaoa_state(ising.m, table, *d)) ** 2 @ table)
-        )
-        theta0 = np.concatenate([betas0, scale * gammas0])
-        trace: list[tuple[QaoaParams, float]] = []
+        first = s * START_DRAWS
+        pick = first + min(range(START_DRAWS), key=lambda k: screened[first + k])
+        theta0 = np.concatenate([angles[pick, 0], scale * angles[pick, 1]])
+        steps: list[tuple[tuple, tuple, float]] = []  # (betas, gammas, value) at each new low
 
         def fun(theta: np.ndarray) -> tuple[float, np.ndarray]:
             nonlocal evals_total
             evals_total += 1
             gammas = theta[p:] / scale
-            val, grad = _value_and_grad(ising.m, table, theta[:p], gammas)
-            if not trace or val < trace[-1][1]:
-                trace.append((QaoaParams(p=p, betas=tuple(theta[:p]), gammas=tuple(gammas)), val))
+            val, grad = work.value_and_grad(theta[:p], gammas)
+            if not steps or val < steps[-1][2]:
+                steps.append((tuple(theta[:p]), tuple(gammas), val))
             # d/dbeta and d/d(scale * gamma) of val / scale
             grad[:p] /= scale
             grad[p:] /= scale * scale
@@ -417,13 +513,15 @@ def optimize(
             options={"maxiter": config.maxiter, "ftol": LBFGS_FTOL, "gtol": LBFGS_GTOL},
         )
         converged_starts += bool(res.success)
-        if best is None or trace[-1][1] < best[0]:
-            best = (trace[-1][1], trace[-1][0], bool(res.success), tuple(trace), s)
+        if best is None or steps[-1][2] < best[0]:
+            best = (steps[-1][2], bool(res.success), steps, s)
 
-    fbest, params, converged, trace, start_index = best
-    state = _qaoa_state(ising.m, table, params.betas, params.gammas)
-    sample_seed = int(sample_seq.generate_state(1)[0])
-    counts = sample(state, shots, sample_seed)
+    fbest, converged, steps, start_index = best
+    trace = tuple((QaoaParams(p=p, betas=b, gammas=g), val) for b, g, val in steps)
+    params = trace[-1][0]
+    # The sample's |amplitude|^2 reuses the scratch row, so it needs no buffer of its own.
+    probs = work.probabilities(work.state(params.betas, params.gammas)[None])[0]
+    counts = _draw(probs, shots, int(sample_seq.generate_state(1)[0]))
 
     best_bitstring = None
     best_energy = math.inf

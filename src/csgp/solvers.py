@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sized
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -657,7 +658,8 @@ def check_request(method: str, n: int, *, lam, exclude, seed, p, p_max, shots) -
         raise ConfigError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
     check_int(seed, "seed", 0)
     if method in AGENT_LIMITS:
-        if exclude:
+        # By length: a numpy array has no truth value.
+        if exclude is not None and (not isinstance(exclude, Sized) or len(exclude)):
             raise ConfigError("--exclude applies only to QUBO-based methods (qubo-brute, sa, qaoa)")
         if n > AGENT_LIMITS[method]:
             raise ResourceLimitError(f"{method} is limited to {AGENT_LIMITS[method]} agents, got {n}")

@@ -225,6 +225,15 @@ def test_solve_qaoa_bad_depth_is_refused_before_the_chain(capsys, monkeypatch, d
     assert stderr_error(err)["kind"] == "ConfigError"
 
 
+def test_solve_refuses_a_game_file_with_a_bool_agent_count(tmp_path, capsys):
+    # {"n": true} was read as one agent: dp reported best_value 1.5, "n": true and exit 0.
+    path = tmp_path / "bool_n.json"
+    path.write_text('{"n": true, "values": {"1": 1.5}}')
+    code, out, err = run_cli(capsys, "solve", str(path), "--method", "dp")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert stderr_error(err)["kind"] == "SchemaError"
+
+
 # ----------------------------------------------------------------- exit codes
 
 

@@ -375,3 +375,25 @@ def test_load_rejects_a_key_written_twice(tmp_path, text, key):
     with pytest.raises(SchemaError, match=f"key {key} appears twice") as exc:
         load_game(path)
     assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"n": True, "values": {"1": 1.5}}, "'n' must be an integer"),
+        ({"n": 1, "values": {"1": 1.5}, "seed": True}, "'seed' must be an integer or null"),
+        ({"n": 1, "values": {"1": 1.5}, "seed": False}, "'seed' must be an integer or null"),
+    ],
+)
+def test_load_refuses_a_bool_agent_count_or_seed(tmp_path, doc, message):
+    # json reads true as a bool, which passes isinstance(_, int): n and seed were read as 1.
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=message):
+        load_game(path)
+
+
+@pytest.mark.parametrize("n", [True, False])
+def test_game_refuses_a_bool_agent_count(n):
+    with pytest.raises(SchemaError, match="agent count must be an integer"):
+        CoalitionGame(n=n, values={1: 1.5})

@@ -261,6 +261,80 @@ def test_flipped_view_mixer_is_bitwise_the_matrix_mixer_on_game_chains(n):
         _assert_mixers_agree_bitwise(ising.m, energy_table(ising), p, rng, draws=3)
 
 
+def test_flipped_view_mixer_is_bitwise_the_matrix_mixer_at_twelve_qubits():
+    rng = np.random.default_rng(12)
+    _assert_mixers_agree_bitwise(12, energy_table(_random_ising(12, 2)), 2, rng, draws=2)
+
+
+def _flipped(state, m, q):
+    return state.reshape(1 << (m - q - 1), 2, 1 << q)[:, ::-1, :]
+
+
+def _per_call_mix(state, scratch, m, beta):
+    diag, off = math.cos(beta), -1j * math.sin(beta)
+    for q in range(m):
+        flipped = _flipped(state, m, q)
+        np.multiply(flipped, off, out=scratch.reshape(flipped.shape))
+        state *= diag
+        state += scratch
+
+
+def _per_call_phase(out, table, gamma):
+    return np.exp(np.multiply(-1j * gamma, table, out=out), out=out)
+
+
+def _per_call_state(m, table, betas, gammas):
+    state = np.full(1 << m, 1.0 / math.sqrt(1 << m), dtype=np.complex128)
+    scratch = np.empty_like(state)
+    for beta, gamma in zip(betas, gammas):
+        state *= _per_call_phase(scratch, table, gamma)
+        _per_call_mix(state, scratch, m, beta)
+    return state
+
+
+def _per_call_value_and_grad(m, table, betas, gammas):
+    """The adjoint sweep as first written: fresh buffers and a flipped view of
+    the state per qubit on every call, each X_q psi multiplied into scratch."""
+    p = len(betas)
+    psi = _per_call_state(m, table, betas, gammas)
+    value = float((np.abs(psi) ** 2) @ table)
+    lam = table * psi
+    scratch = np.empty_like(psi)
+    grad = np.empty(2 * p)
+    for layer in reversed(range(p)):
+        scratch.fill(0.0)
+        for q in range(m):
+            flipped = _flipped(psi, m, q)
+            view = scratch.reshape(flipped.shape)
+            view += flipped
+        grad[layer] = 2.0 * np.vdot(lam, scratch).imag
+        _per_call_mix(psi, scratch, m, -betas[layer])
+        _per_call_mix(lam, scratch, m, -betas[layer])
+        grad[p + layer] = 2.0 * np.vdot(lam, np.multiply(table, psi, out=scratch)).imag
+        if layer:
+            _per_call_phase(scratch, table, -gammas[layer])
+            psi *= scratch
+            lam *= scratch
+    return value, grad
+
+
+@pytest.mark.parametrize("m", [*range(1, 9), 15])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_workspace_value_and_gradient_are_bitwise_the_per_call_sweep(m, p):
+    # One workspace serves every call, as in optimize; its bytes are the old kernel's.
+    rng = np.random.default_rng(10 * m + p)
+    table = energy_table(_random_ising(m, 100 + m))
+    work = qaoa_module._Workspace(m, table)
+    for _ in range(3 if m < 15 else 1):
+        betas = rng.uniform(-math.pi, math.pi, p)
+        gammas = rng.uniform(-2 * math.pi, 2 * math.pi, p)
+        want_value, want_grad = _per_call_value_and_grad(m, table, betas, gammas)
+        for value, grad in (work.value_and_grad(betas, gammas), _value_and_grad(m, table, betas, gammas)):
+            assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
+        assert work.state(betas, gammas).tobytes() == _per_call_state(m, table, betas, gammas).tobytes()
+
+
 def test_optimize_never_dispatches_single_qubit_gates(monkeypatch):
     def refuse(*args):
         raise AssertionError("the kernel must apply the mixer without _apply_one_qubit")
@@ -573,6 +647,60 @@ def test_each_start_is_the_lowest_of_its_draws(g2, monkeypatch):
         betas, gammas = draws[int(np.argmin(values))]
         assert x0.tolist() == [betas[0], np.max(np.abs(table)) * gammas[0]]
     assert len(starts) == 3
+
+
+@pytest.mark.parametrize(
+    "m, p, passes",
+    [(3, 2, 1), (9, 2, 20), (15, 1, 160)],  # 2^12 >> m states per pass: 160 (all), 8, 1
+)
+def test_batched_screening_is_bitwise_one_state_per_draw(monkeypatch, m, p, passes):
+    ising = _random_ising(9, 0) if m == 9 else _chain_for((m + 1).bit_length() - 1)[2]
+    assert ising.m == m
+    screens, starts = [], []
+    real_screen = qaoa_module._Workspace.screen
+    real_minimize = scipy.optimize.minimize
+
+    def screen(work, betas, gammas):
+        values = real_screen(work, betas, gammas)
+        screens.append((work.rows, betas.copy(), gammas.copy(), values))
+        return values
+
+    def minimize(fun, x0, **kwargs):
+        starts.append(x0.copy())
+        return real_minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(qaoa_module._Workspace, "screen", screen)
+    monkeypatch.setattr(scipy.optimize, "minimize", minimize)
+    optimize(ising, p, config=OptimizerConfig(starts=10, maxiter=1), seed=m)
+
+    (rows, betas, gammas, values), = screens
+    assert -(-160 // rows) == passes
+    # The per-draw uniform calls and one _qaoa_state per draw, as each start drew them.
+    table = energy_table(ising)
+    rng = np.random.default_rng(np.random.SeedSequence(m).spawn(2)[0])
+    draws = [(rng.uniform(0.0, math.pi, p), rng.uniform(0.0, 2.0 * math.pi, p)) for _ in range(160)]
+    assert betas.tobytes() == np.array([b for b, _ in draws]).tobytes()
+    assert gammas.tobytes() == np.array([g for _, g in draws]).tobytes()
+    want = [float(np.abs(_qaoa_state(m, table, b, g)) ** 2 @ table) for b, g in draws]
+    assert np.array(values).tobytes() == np.array(want).tobytes()
+    assert len(starts) == 10
+    for s, x0 in enumerate(starts):
+        block = range(16 * s, 16 * s + 16)
+        b, g = draws[min(block, key=want.__getitem__)]
+        assert x0.tobytes() == np.concatenate([b, np.max(np.abs(table)) * g]).tobytes()
+
+
+def test_optimize_at_fifteen_qubits_allocates_one_workspace():
+    # psi, lam and scratch (3 x 2^15 x 16 B), one screened state at a time,
+    # and the sample's temporaries; the energy table itself is 2^15 x 8 B.
+    ising = _chain_for(4)[2]
+    tracemalloc.start()
+    try:
+        optimize(ising, 1, OptimizerConfig(starts=1, maxiter=8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - (8 << 15) < 6 * (16 << 15)
 
 
 def test_optimize_counts_the_starts_that_converged(g2):

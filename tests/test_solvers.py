@@ -773,6 +773,18 @@ def test_solve_rejects_unknown_method_and_partition_exclusions(g2):
         solve(g2, "dp", exclude={1})
 
 
+@pytest.mark.parametrize("method", ["enum", "dp"])
+def test_partition_solvers_test_an_array_exclude_by_its_length(method):
+    # `if exclude:` ended in numpy's "truth value of an array is ambiguous" ValueError.
+    game = generate_game(3, DistributionSpec(kind="abu"), 0)
+    for exclude in (np.array([1, 2]), np.array([3]), [1, 2], 3):
+        with pytest.raises(ConfigError, match="--exclude applies only to QUBO-based methods"):
+            solve(game, method, exclude=exclude)
+    best = solve(game, method).best_value
+    for exclude in (np.array([], dtype=np.int64), [], (), frozenset(), None):
+        assert solve(game, method, exclude=exclude).best_value == best
+
+
 def test_solve_checks_qaoa_depths_before_the_chain(g2, monkeypatch):
     def refuse(*args):
         raise AssertionError("build_bilp ran before the depth check")
