@@ -24,6 +24,7 @@ from . import qaoa
 from .errors import ConfigError, ResourceLimitError, check_int, check_real
 from .game import CoalitionGame, CoalitionStructure, n_coalitions
 from .transform import (
+    ENERGY_BLOCK,
     BilpInstance,
     QuboInstance,
     build_bilp,
@@ -46,6 +47,7 @@ BRUTE_MAX_VARIABLES = 24
 SA_MAX_VARIABLES = 1 << 15
 # sweeps * restarts: every sweep keeps a temperature, and a trace entry per restart.
 SA_MAX_SWEEPS = 1 << 23
+SA_PROBE = 4  # attempts after an exact test that SA screens one at a time
 
 METHODS = ("enum", "dp", "qubo-brute", "sa", "qaoa")
 # Largest game each exact method accepts, in agents.
@@ -463,23 +465,27 @@ def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | Non
     incrementally.  Sweep t visits variables 0..m-1 in order and flips
     variable k when delta <= 0 or u[t, k] < exp(-delta / T_t).
 
-    A rejected attempt changes nothing, so the sweep is screened in
-    numpy.  The draws of a block of sweeps (about 2048 attempts) are
-    turned into upper bounds, loose by 1e-9, on the deltas the test can
-    accept, and one vectorised pass over the rest of the block finds the
-    next attempt within its bound.  The exact scalar test above decides
-    that attempt, so every draw, flip and running sum, and hence the
-    report, is the one a per-attempt loop gives.  The cost is one pass
-    of at most about 2048 entries per block plus one per accepted flip,
-    instead of one Python iteration per attempt; a schedule so hot that
-    almost every attempt flips is slower than a per-attempt loop.
+    A rejected attempt changes nothing, so attempts are screened.  The
+    draws of a block of sweeps (about 2048 attempts) become upper bounds,
+    loose by 1e-9, on the deltas the test can accept.  The SA_PROBE
+    attempts after each exact test are screened one at a time, then one
+    numpy pass over the rest of the block finds the next attempt within
+    its bound.  A block whose smallest delta exceeds every bound is
+    skipped, and a restart whose smallest delta exceeds 751 times every
+    later temperature stops: exp(-751) underflows to 0, so it can never
+    flip again.  The exact scalar test above decides every other attempt,
+    so every flip and running sum, and hence the report, is the one a
+    per-attempt loop gives; even a schedule so hot that every attempt
+    flips costs about one Python iteration per attempt.
     Restarts are merged under the module tie-breaking rule and the
     winner's energy is recomputed from scratch before reporting.
 
     The QUBO is never built: penalty_terms checks lam and gives the uint8
     counts.  A flip of k adds sign * (2*lam) * counts[k] to the local field,
-    bitwise sign * levels[counts[k]].  The counts give the coupling count s,
-    and matrix_energy scores each initial state and the winner as qubo_energy.
+    bitwise sign * levels[counts[k]].  The initial field adds levels[counts[i]]
+    for the set bits i in order with np.cumsum, a few rows at a time.  The
+    counts give the coupling count s, and matrix_energy scores each initial
+    state and the winner as qubo_energy.
     """
     m = bilp.num_variables
     if m > SA_MAX_VARIABLES:
@@ -490,6 +496,7 @@ def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | Non
     lam, diag, counts, levels = penalty_terms(bilp, lam)
     couple = np.empty(m)  # one row of couplings, sign * (2*lam) * counts[k]
     temps = np.fromiter(map(schedule.temperature, range(schedule.sweeps)), float, schedule.sweeps)
+    later = np.maximum.accumulate(temps[::-1])[::-1]  # the hottest temperature from each sweep on
     # Sweeps are drawn and screened in blocks of about 2048 attempts.
     rows = max(1, min(schedule.sweeps, 2048 // m))
     us_block = np.empty((rows, m))
@@ -497,13 +504,18 @@ def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | Non
     skip_block = np.empty((rows, m), dtype=bool)
     delta = np.empty(m)
     best_s = np.empty(m)
+    field_rows = max(1, (ENERGY_BLOCK >> 3) // m)
     restart_best: list[tuple[float, str, list[float]]] = []
     for r in range(schedule.restarts):
         rng = np.random.default_rng(schedule.seed + r)
         x = rng.integers(0, 2, size=m)
         g = np.array(diag)
-        for i in np.flatnonzero(x).tolist():
-            g += np.multiply(counts[i], 2.0 * lam, out=couple)
+        on = np.flatnonzero(x)
+        for lo in range(0, len(on), field_rows):
+            # Row 0 carries g, and cumsum adds the rows down each column in order.
+            rows_on = levels.take(counts[on[lo : lo + field_rows]])
+            rows_on[0] += g
+            g = np.cumsum(rows_on, axis=0)[-1]
         energy = float(matrix_energy(diag, counts, levels, x))
         # From here on the state is s = 1 - 2x: flipping k changes the
         # energy by delta_k = s_k * g_k.
@@ -512,6 +524,10 @@ def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | Non
         best_s[:] = s
         trace: list[float] = []
         for first in range(0, schedule.sweeps, rows):
+            hottest = later.item(first)
+            low = np.multiply(s, g, out=delta).min().item()
+            if low > 751.0 * hottest:
+                break  # frozen: no later attempt can flip
             count = min(rows, schedule.sweeps - first)
             us = us_block[:count]
             reach = reach_block[:count]
@@ -521,35 +537,50 @@ def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | Non
             # widened by a relative and an absolute 1e-9 so that rounding
             # never screens out an accepted flip.  At huge temperatures it
             # overflows to +inf, which lets the attempt through to the exact
-            # test.
+            # test.  No attempt of a block passes when its smallest delta
+            # exceeds the bound of its smallest draw, widened by another 1e-9
+            # for the gap between math.log and np.log.
+            least = us.min().item()
+            if low > 0.0 and least > 0.0 and low > hottest * (
+                -math.log(least) * (1.0 + 1e-9) + 1e-9
+            ) * (1.0 + 1e-9):
+                continue
             with np.errstate(divide="ignore", over="ignore"):
                 np.log(us, out=reach)
                 np.multiply(reach, -(1.0 + 1e-9), out=reach)
                 np.add(reach, 1e-9, out=reach)
                 np.multiply(reach, temps[first : first + count, None], out=reach)
-            # Attempt pos of the block is variable pos % m in sweep pos // m.
-            # A rejected attempt changes nothing, so one pass over the rest
-            # of the block finds the next attempt that can be accepted.  The
-            # pass skips delta > bound, which is false for a NaN bound (a zero
-            # draw at a temperature that underflowed to 0), so such attempts
-            # reach the exact test.
-            pos, end = 0, count * m
+            # Attempt pos of the block is variable pos % m in sweep pos // m,
+            # and it is screened out when delta > reach, which is false for a
+            # NaN bound (a zero draw at a temperature that underflowed to 0),
+            # so such attempts reach the exact test.  Attempts before probe
+            # are screened one at a time; then one pass over the rest of the
+            # block finds the next attempt that can be accepted.
+            pos, end, probe = 0, count * m, SA_PROBE
             while pos < end:
-                row, i = divmod(pos, m)
-                np.multiply(s, g, out=delta)
-                skip = skip_block[: count - row]
-                np.greater(delta, reach[row:], out=skip)
-                rest = skip.reshape(-1)[i:]
-                j = int(rest.argmin())
-                if rest[j]:
-                    break
-                pos += j
-                row, k = divmod(pos, m)
-                d = float(delta[k])
-                if d <= 0.0 or us[row, k] < math.exp(-d / temps.item(first + row)):
+                k = pos % m
+                if pos < probe:
+                    d = s.item(k) * g.item(k)
+                    if d > reach.item(pos):
+                        pos += 1
+                        continue
+                else:
+                    np.multiply(s, g, out=delta)
+                    row, i = divmod(pos, m)
+                    skip = skip_block[: count - row]
+                    np.greater(delta, reach[row:], out=skip)
+                    rest = skip.reshape(-1)[i:]
+                    j = int(rest.argmin())
+                    if rest[j]:
+                        break
+                    pos += j
+                    k = pos % m
+                    d = delta.item(k)
+                row = first + pos // m
+                if d <= 0.0 or us.item(pos) < math.exp(-d / temps.item(row)):
                     # Close the trace of the sweeps that ended before this one.
-                    trace.extend([best_energy] * (first + row - len(trace)))
-                    sign = float(s[k])
+                    trace.extend([best_energy] * (row - len(trace)))
+                    sign = s.item(k)
                     s[k] = -sign
                     g += np.multiply(counts[k], sign * (2.0 * lam), out=couple)
                     energy += d
@@ -557,7 +588,8 @@ def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | Non
                         best_energy = energy
                         best_s[:] = s
                 pos += 1
-            trace.extend([best_energy] * (first + count - len(trace)))
+                probe = pos + SA_PROBE
+        trace.extend([best_energy] * (schedule.sweeps - len(trace)))
         best_x = "".join("1" if v < 0 else "0" for v in best_s.tolist())
         restart_best.append((best_energy, best_x, trace))
 
@@ -658,8 +690,10 @@ def check_request(method: str, n: int, *, lam, exclude, seed, p, p_max, shots) -
         raise ConfigError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
     check_int(seed, "seed", 0)
     if method in AGENT_LIMITS:
-        # By length: a numpy array has no truth value.
-        if exclude is not None and (not isinstance(exclude, Sized) or len(exclude)):
+        # By length: a numpy array has no truth value, and a 0-d one no length.
+        if exclude is not None and (
+            not isinstance(exclude, Sized) or getattr(exclude, "ndim", 1) == 0 or len(exclude)
+        ):
             raise ConfigError("--exclude applies only to QUBO-based methods (qubo-brute, sa, qaoa)")
         if n > AGENT_LIMITS[method]:
             raise ResourceLimitError(f"{method} is limited to {AGENT_LIMITS[method]} agents, got {n}")

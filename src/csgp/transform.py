@@ -48,10 +48,14 @@ def agent_counts(columns: np.ndarray, n: int) -> list[int]:
 
 def check_exclusions(n: int, exclude) -> frozenset[int]:
     """``exclude`` as a frozenset of coalition indices for n agents, checked in
-    O(n * |exclude|): a str, bytes or other non-collection, an index that is not an integer
-    (check_int) or outside 1..2^n - 1 is a ConfigError, and excluding all 2^(n-1) coalitions
-    of some agent (so no partition exists) an InfeasibleError."""
-    if isinstance(exclude, (str, bytes)) or not hasattr(exclude, "__iter__"):
+    O(n * |exclude|): a str, bytes, 0-d array or other non-collection, an index that is not
+    an integer (check_int) or outside 1..2^n - 1 is a ConfigError, and excluding all 2^(n-1)
+    coalitions of some agent (so no partition exists) an InfeasibleError."""
+    if (
+        isinstance(exclude, (str, bytes))
+        or not hasattr(exclude, "__iter__")
+        or getattr(exclude, "ndim", 1) == 0
+    ):
         raise ConfigError(f"exclude must be a collection of coalition indices, got {exclude!r}")
     full = n_coalitions(n)
     exclude = frozenset(check_int(c, "excluded coalition", 1) for c in exclude)

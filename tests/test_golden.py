@@ -71,6 +71,11 @@ SOLVE_GOLDEN = {
         "--agents 3 --dist abu --seed 0 --method sa --lambda 30 --exclude 3",
         "d957ed21b1c1fd8ee5b288f0fc830816ab76628bcee119b16aa386cf25ca611e",
     ),
+    # m = 127 over 80 blocks of 16 sweeps; every restart freezes mid-run.
+    "sa-default-n7": (
+        "--agents 7 --dist normal --seed 2 --method sa",
+        "af98666276a5be7cf45e8b98dfeeb854016ea261944f85f83e6563662ac458c6",
+    ),
     "qaoa-p-max": (
         "--agents 2 --dist sva_beta --seed 1 --method qaoa --p-max 3",
         "7cc3ec37a7a43689f0204056fb925db2beccbeac2c02c7e214644ef6579d2c9d",

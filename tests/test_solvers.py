@@ -651,6 +651,20 @@ SA_ORACLE_PANEL = {
     "lambda-10": dict(n=5, kind="normal", seed=3, lam=10.0),
     "zero-game": dict(n=4, kind="zero"),
     "tiny-temp-lo": dict(n=4, kind="sva_beta", seed=1, sweeps=60, temp_lo=1e-300),
+    # Default temperatures over 2,550 sweeps (319 blocks of 8): both restarts freeze
+    # at block 126, and many blocks before that are skipped as cold.
+    "default-temps-normal-n8": dict(n=8, kind="normal", sweeps=2550),
+    # Blocks of 66 and 34 sweeps at a constant temperature near lam / 2: flips, some
+    # found by the one-at-a-time probe, fall in the last attempts of the short block.
+    "short-last-block": dict(n=5, kind="wrc", seed=3, sweeps=100, temp_hi=500.0, temp_lo=500.0),
+    # temp_hi == temp_lo, warm enough that the walk keeps moving.
+    "flat-temp": dict(n=4, kind="abu", seed=1, sweeps=150, temp_hi=200.0, temp_lo=200.0),
+    # From just above lam / 751 down to 1.5, where the two restarts' smallest deltas freeze them at
+    # blocks 2 and 4 of 10.
+    "freeze-apart": dict(n=5, kind="mu", seed=2, sweeps=600, temp_hi=1.65, temp_lo=1.5),
+    # Local minima whose smallest delta is about 8 T: the walk leaves them only on
+    # rare draws, which a restart stopped at 7.51 T instead of 751 T would miss.
+    "rare-escape": dict(n=3, kind="abu", seed=0, sweeps=2000, temp_hi=26.0, temp_lo=26.0),
 }
 
 
@@ -660,6 +674,35 @@ def test_sa_sweep_equals_scalar_loop(case):
     bilp, qubo, sched = _sa_case(**SA_ORACLE_PANEL[case])
     fast = solve_qubo_sa(bilp, sched, qubo.lam).to_json(include_timing=False)
     slow = _scalar_sa(bilp, qubo, sched).to_json(include_timing=False)
+    assert json.dumps(fast) == json.dumps(slow)
+
+
+class _CountingRng:
+    """A Generator that counts its random() calls."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+        calls.append(0)
+
+    def random(self, *args, **kwargs):
+        self._calls[-1] += 1
+        return self._rng.random(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_sa_frozen_restart_draws_no_more_blocks(monkeypatch):
+    # 1,000 sweeps at T = 1e-6 are 16 blocks of 66.  Each restart reaches a local
+    # minimum within its first block, whose smallest delta is far above 751 * T, so
+    # it stops after one draw; the report is still the per-attempt loop's.
+    bilp, qubo, sched = _sa_case(n=5, kind="mu", seed=2, sweeps=1000, temp_hi=1e-6, temp_lo=1e-6)
+    slow = _scalar_sa(bilp, qubo, sched).to_json(include_timing=False)
+    calls = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _CountingRng(default_rng(seed), calls))
+    fast = solve_qubo_sa(bilp, sched, qubo.lam).to_json(include_timing=False)
+    assert calls == [1, 1]
     assert json.dumps(fast) == json.dumps(slow)
 
 
@@ -783,6 +826,17 @@ def test_partition_solvers_test_an_array_exclude_by_its_length(method):
     best = solve(game, method).best_value
     for exclude in (np.array([], dtype=np.int64), [], (), frozenset(), None):
         assert solve(game, method, exclude=exclude).best_value == best
+
+
+@pytest.mark.parametrize("method", ["enum", "dp", "sa", "qaoa"])
+def test_solve_refuses_a_0d_array_exclude(monkeypatch, method):
+    # A 0-d array has __iter__ and passes the Sized test, but iterating it or taking
+    # its len() raised a TypeError.
+    game = generate_game(3, DistributionSpec(kind="abu"), 0)
+    monkeypatch.setattr("csgp.solvers.build_bilp", _refuse("build_bilp"))
+    message = "applies only to QUBO-based" if method in ("enum", "dp") else "collection of coalition"
+    with pytest.raises(ConfigError, match=message):
+        solve(game, method, exclude=np.array(5))
 
 
 def test_solve_checks_qaoa_depths_before_the_chain(g2, monkeypatch):
