@@ -4,7 +4,8 @@ Every run is reproducible: identical flags and seed give byte-identical
 JSON and CSV outputs, except wall-clock measurements, which are
 quarantined under a "timing" key.  Module errors exit with a one-line
 JSON object on stderr and a stable exit code: 2 for configuration and
-input problems, 3 for resource-limit guards, 4 for infeasible instances.
+input problems (a path that cannot be read or written too), 3 for
+resource-limit guards, 4 for infeasible instances.
 """
 
 from __future__ import annotations
@@ -56,12 +57,6 @@ def _single_agent_count(text: str) -> int:
     if counts[0] != counts[-1]:
         raise ConfigError(f"this command takes a single agent count, got range {text!r}")
     return counts[0]
-
-
-def _parse_dists(text: str) -> list[str]:
-    if text == "all":
-        return list(DISTRIBUTION_KINDS)
-    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -169,14 +164,14 @@ def write_qubo_text(bilp: BilpInstance, lam: float | None, fh) -> None:
 def read_qubo_text(path) -> QuboInstance:
     """Inverse of write_qubo_text; tolerates reordered lines and extra comments.
 
-    A non-finite value, c and lambda included, is a ParseError naming the
-    path and line."""
+    A non-finite value, c and lambda included, and a byte that is not UTF-8
+    outside a comment are ParseErrors naming the path and line."""
     m = None
     diag: list[float] = []
     offdiag: dict[tuple[int, int], float] = {}
     c = 0.0
     lam = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -319,7 +314,10 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_bench(args) -> int:
     methods = [part.strip() for part in args.methods.split(",") if part.strip()]
-    dists = _parse_dists(args.dists)
+    dists = [part.strip() for part in args.dists.split(",") if part.strip()]
+    dists = list(DISTRIBUTION_KINDS) if args.dists == "all" else dists
+    if not methods or not dists:
+        raise ConfigError(f"bench needs a method and a distribution, got {args.methods!r} and {args.dists!r}")
     for dist in dists:
         if dist not in DISTRIBUTION_KINDS:
             raise ConfigError(
@@ -453,7 +451,7 @@ def main(argv=None) -> int:
         # The reader left (`| head`): as Python's signal docs advise, silence the exit flush.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ConfigError, InvalidStructureError) as exc:
+    except (ConfigError, InvalidStructureError, OSError) as exc:
         return _fail(exc, 2)
     except ResourceLimitError as exc:
         return _fail(exc, 3)

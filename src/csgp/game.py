@@ -330,6 +330,8 @@ def load_game(path) -> CoalitionGame:
             doc = json.load(fh, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:  # not UTF-8, an int over 4300 digits, deep nesting
+            raise ParseError(f"{path}: unreadable JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top-level value must be an object")
     for key in ("n", "values"):

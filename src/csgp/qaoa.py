@@ -95,13 +95,14 @@ def _check_qubits(m: int) -> None:
         )
 
 
-def check_depth(p: int, name: str = "layer count") -> None:
-    """Refuse a depth that check_int(p, name, 1) refuses (ConfigError) or one above
-    OPTIMIZER_MAX_LAYERS (ResourceLimitError)."""
+def check_depth(p: int, name: str = "layer count") -> int:
+    """check_int(p, name, 1), which refuses with a ConfigError; a depth above
+    OPTIMIZER_MAX_LAYERS is a ResourceLimitError."""
     if check_int(p, name, 1) > OPTIMIZER_MAX_LAYERS:
         raise ResourceLimitError(
             f"QAOA is limited to {OPTIMIZER_MAX_LAYERS} layers, got {name} {p}"
         )
+    return int(p)
 
 
 def check_shots(shots: int) -> None:
@@ -364,7 +365,11 @@ class _Workspace:
         return np.square(np.abs(psi, out=probs), out=probs)
 
     def state(self, betas, gammas) -> np.ndarray:
-        """The ansatz state at one angle schedule, as psi's first row."""
+        """The ansatz state at one angle schedule, as psi's first row.
+
+        Equals simulate(build_circuit(...)) amplitude by amplitude, not just up
+        to a global phase: the table excludes the Ising offset, as the gates do.
+        """
         layers = [(*_rx(b), -1j * g) for b, g in zip(betas, gammas)]
         return self._forward(1, self.psi_pairs, layers)[0]
 
@@ -422,20 +427,6 @@ class _Workspace:
                 psi *= scratch
                 lam *= scratch
         return value, grad
-
-
-def _qaoa_state(m: int, table: np.ndarray, betas, gammas) -> np.ndarray:
-    """Ansatz state from the uniform superposition, through a one-row _Workspace.
-
-    Equals simulate(build_circuit(...)) amplitude by amplitude, not just up
-    to a global phase: the table excludes the Ising offset, as the gates do.
-    """
-    return _Workspace(m, table).state(betas, gammas)
-
-
-def _value_and_grad(m: int, table: np.ndarray, betas, gammas) -> tuple[float, np.ndarray]:
-    """_Workspace.value_and_grad through a one-row workspace."""
-    return _Workspace(m, table).value_and_grad(betas, gammas)
 
 
 def optimize(
@@ -557,45 +548,34 @@ def optimize(
     )
 
 
-def optimize_layer(
-    ising: IsingInstance, p: int, shots: int, seed: int, target_energy=None
-) -> tuple[QaoaResult, bool]:
-    """optimize at depth p under a seed derived from (seed, p), and whether the
-    sample reached ``target_energy`` (QUBO units; None never matches)."""
-    check_depth(p)
-    check_int(seed, "seed", 0)
-    seed_p = int(np.random.SeedSequence([seed, p]).generate_state(1)[0])
-    result = optimize(ising, p, seed=seed_p, shots=shots)
-    matched = target_energy is not None and math.isclose(
-        result.metadata["best_sampled_qubo_energy"], target_energy, rel_tol=1e-9, abs_tol=1e-9
-    )
-    return result, matched
-
-
 def scan_layers(
     ising: IsingInstance,
-    p_max: int = 12,
+    depths: range,
     shots: int = 1024,
     seed: int = 0,
     target_energy: float | None = None,
 ) -> tuple[list[QaoaResult], int | None]:
-    """Optimize at p = 1..p_max, stopping early once the target is sampled.
+    """Optimize at each p of ``depths``, range(p, p + 1) or range(1, p_max + 1), under
+    the seed SeedSequence([seed, p]), so a scan prefix is a standalone shorter scan.
 
-    ``target_energy`` is in QUBO units (offset folded in, constant c
-    excluded).  Each p runs optimize_layer with its own derived seed, so
-    a scan prefix is identical to a standalone shorter scan.  Returns all
-    results plus the first matching p, or None when no p matched.
+    The first and last (as p_max) depths and the seed are checked first.  Returns
+    all results and the first p whose sample reached ``target_energy`` (QUBO units,
+    offset folded in, constant c excluded), or None if none did or it is None.
     """
-    check_depth(p_max, "p_max")
+    if not depths:
+        raise ConfigError(f"the depth range is empty: {depths!r}")
+    check_depth(depths[0])
+    check_depth(depths[-1], "p_max")
+    check_int(seed, "seed", 0)
     results: list[QaoaResult] = []
-    chosen: int | None = None
-    for p in range(1, p_max + 1):
-        result, matched = optimize_layer(ising, p, shots, seed, target_energy)
-        results.append(result)
-        if matched:
-            chosen = p
-            break
-    return results, chosen
+    for p in depths:
+        seed_p = int(np.random.SeedSequence([seed, p]).generate_state(1)[0])
+        results.append(optimize(ising, p, seed=seed_p, shots=shots))
+        if target_energy is not None and math.isclose(
+            results[-1].metadata["best_sampled_qubo_energy"], target_energy, rel_tol=1e-9, abs_tol=1e-9
+        ):
+            return results, p
+    return results, None
 
 
 def gate_count(n: int, p: int, s: int) -> int:

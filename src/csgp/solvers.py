@@ -26,7 +26,6 @@ from .game import CoalitionGame, CoalitionStructure, n_coalitions
 from .transform import (
     ENERGY_BLOCK,
     BilpInstance,
-    QuboInstance,
     build_bilp,
     build_qubo,
     check_exclusions,
@@ -627,31 +626,29 @@ def check_size(n: int, exclude, limit: int, what: str) -> frozenset[int]:
 
 
 def solve_qaoa(
-    bilp: BilpInstance, qubo: QuboInstance, *, p=None, p_max=12, shots=1024, seed=0
+    bilp: BilpInstance, lam: float | None = None, *, p=None, p_max=None, shots=1024, seed=0
 ) -> SolveReport:
-    """QAOA on the QUBO's Ising form, at depth p or scanning p = 1..p_max.
+    """QAOA on the Ising form of build_qubo(bilp, lam), at depth p or else at p = 1..p_max.
 
-    The exhaustive QUBO optimum is the target: a scan stops at the first
-    depth whose sample reaches it, and metadata["chosen_p"] names the depth
-    that did (None if none did).  The report decodes the lowest sampled
-    QUBO energy over every depth run, the smaller p on ties, and recomputes
-    its energy with qubo_energy, which qubo-brute's and sa's matrix_energy
-    equals bit for bit.
+    The exhaustive QUBO optimum, which checks lam, is the target: a scan stops
+    at the first depth whose sample reaches it, and metadata["chosen_p"] names
+    the depth that did (None if none did).  The report decodes the lowest sampled
+    QUBO energy over every depth run, the smaller p on ties, and recomputes its
+    energy with qubo_energy, which qubo-brute's and sa's matrix_energy equals bit
+    for bit.
     """
+    m = bilp.num_variables
     limit = VARIABLE_LIMITS["qaoa"]  # checked before the reference scan
-    if qubo.m > limit:
-        raise ResourceLimitError(f"qaoa is limited to {limit} QUBO variables, got {qubo.m}")
+    if m > limit:
+        raise ResourceLimitError(f"qaoa is limited to {limit} QUBO variables, got {m}")
+    first, last = (1, 12 if p_max is None else p_max) if p is None else (p, p)
+    depths = range(qaoa.check_depth(first), qaoa.check_depth(last, "p_max") + 1)
     start = time.perf_counter()
-    ising = qubo_to_ising(qubo)
-    reference = solve_qubo_exhaustive(bilp, qubo.lam)
-    target = reference.metadata["best_energy"]
-    if p is not None:
-        result, matched = qaoa.optimize_layer(ising, p, shots=shots, seed=seed, target_energy=target)
-        results, chosen = [result], (p if matched else None)
-    else:
-        results, chosen = qaoa.scan_layers(
-            ising, p_max=p_max, shots=shots, seed=seed, target_energy=target
-        )
+    reference = solve_qubo_exhaustive(bilp, lam)
+    qubo = build_qubo(bilp, reference.metadata["lambda"])
+    results, chosen = qaoa.scan_layers(
+        qubo_to_ising(qubo), depths, shots, seed, reference.metadata["best_energy"]
+    )
     winner = min(
         results, key=lambda r: (r.metadata["best_sampled_qubo_energy"], r.best_params.p)
     )
@@ -722,8 +719,7 @@ def solve(
     then build the BILP.  sa anneals default_schedule(bilp, seed) with each
     given sweeps/restarts/temp_hi/temp_lo replacing its field, refused before
     the coupling build if invalid or over SA_MAX_SWEEPS, and neither it nor
-    qubo-brute builds the QUBO dict.  qaoa runs build_qubo, then solve_qaoa at
-    depth p, or else up to p_max (default 12).
+    qubo-brute builds the QUBO dict; qaoa runs solve_qaoa.
     """
     exclude = check_request(
         method, game.n, lam=lam, exclude=exclude, seed=seed, p=p, p_max=p_max, shots=shots
@@ -739,5 +735,4 @@ def solve(
         return solve_qubo_sa(bilp, schedule, lam)
     if method == "qubo-brute":
         return solve_qubo_exhaustive(bilp, lam)
-    qubo = build_qubo(bilp, lam)
-    return solve_qaoa(bilp, qubo, p=p, p_max=12 if p_max is None else p_max, shots=shots, seed=seed)
+    return solve_qaoa(bilp, lam, p=p, p_max=p_max, shots=shots, seed=seed)

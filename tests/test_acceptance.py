@@ -136,7 +136,7 @@ def _qaoa_instance_matches_dp(kind: str, n: int, p_max: int) -> bool:
     game = generate_game(n, DistributionSpec(kind=kind), 0)
     bilp, qubo, ising = _chain(game)
     target = solve_qubo_exhaustive(bilp, qubo.lam).metadata["best_energy"]
-    results, _ = scan_layers(ising, p_max=p_max, seed=0, shots=1024, target_energy=target)
+    results, _ = scan_layers(ising, range(1, p_max + 1), seed=0, shots=1024, target_energy=target)
     winner = min(
         results, key=lambda r: (r.metadata["best_sampled_qubo_energy"], r.best_params.p)
     )
@@ -217,7 +217,7 @@ def test_criterion_8_qaoa_determinism():
     runs = []
     for _ in range(2):
         results, chosen = scan_layers(
-            ising, p_max=5, seed=0, shots=1024, target_energy=target
+            ising, range(1, 6), seed=0, shots=1024, target_energy=target
         )
         runs.append(
             (chosen, [json.dumps(r.to_json(include_timing=False)) for r in results])

@@ -1,12 +1,16 @@
-"""The benchmark's traced functions must exist in csgp.
+"""The benchmark's traced functions must exist in csgp, and its cells must run.
 
 perfbench/layers.py names the csgp functions a traced run wraps; a src
 change that deletes or renames one would break `perfbench/run.py --trace 1`,
-so it fails here first.
+so it fails here first.  Likewise a src change that breaks a workload cell
+or its check fails here, not only in a benchmark run.
 """
 
 import importlib
+import json
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -18,3 +22,20 @@ def test_every_traced_function_resolves(monkeypatch):
     assert list(found) == list(layers.TRACED)
     for name, (fn, _) in found.items():
         assert callable(fn) and fn.__name__ == name.split(".")[1], name
+
+
+WORKLOADS = [w["name"] for w in json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_every_workload_cell_runs_and_passes_its_check(monkeypatch, tmp_path, workload):
+    # One untimed pass at workload seed 0, as perfbench/worker.py runs it.  The
+    # digest is not pinned: the m = 15 optimize cell's bits depend on the BLAS
+    # thread count.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    outcome = workloads.Outcome()
+    cells = workloads.BUILDERS[workload](0, tmp_path)
+    assert cells
+    for cell in cells:
+        cell.check(cell.run(), outcome)

@@ -494,6 +494,59 @@ def test_malformed_game_file_exit_code(tmp_path, capsys):
     assert stderr_error(err)["kind"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        (b'{"n": 2, "values": {"1": 1.0, "\xff": 2.0}}', "codec can't decode"),
+        (b"[" * 100_000, "recursion"),
+        (b'{"n": ' + b"1" * 5000 + b', "values": {}}', "4300 digits"),
+    ],
+    ids=["not-utf8", "deep", "long-int"],
+)
+def test_unreadable_game_file_exit_code(tmp_path, capsys, data, reason):
+    # Bytes that are not UTF-8, nesting past the recursion limit and an integer
+    # too long to convert each ended in a traceback.
+    path = tmp_path / "hostile.json"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=f"^{path}: unreadable JSON: .*{reason}"):
+        load_game(path)
+    code, out, err = run_cli(capsys, "solve", str(path), "--method", "dp")
+    assert code == 2 and out == ""
+    assert stderr_error(err)["kind"] == "ParseError"
+
+
+@pytest.mark.parametrize("name, kind", [("missing.json", "FileNotFoundError"), ("", "IsADirectoryError")])
+def test_game_file_that_cannot_be_opened_exit_code(tmp_path, capsys, name, kind):
+    code, out, err = run_cli(capsys, "solve", str(tmp_path / name), "--method", "dp")
+    assert code == 2 and out == ""
+    doc = stderr_error(err)
+    assert (doc["kind"], doc["exit"]) == (kind, 2)
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["gen", "--agents", "2", "--dist", "normal", "--out", "{missing}/game.json"], "FileNotFoundError"),
+        (["solve", "--agents", "2", "--dist", "normal", "--method", "dp", "--out", "{missing}/r.json"],
+         "FileNotFoundError"),
+        (["solve", "--agents", "2", "--dist", "normal", "--method", "qaoa", "--p", "1", "--shots", "8",
+          "--qaoa-out", "{missing}/scan.json"], "FileNotFoundError"),
+        (["export", "--agents", "2", "--dist", "normal", "--format", "qubo-text", "--out", "{missing}/q.txt"],
+         "FileNotFoundError"),
+        (["analyze", "--agents", "2..3", "--out", "{missing}/c.csv"], "FileNotFoundError"),
+        (["bench", "--methods", "dp", "--agents", "2", "--dists", "abu", "--out", "{file}/grid"],
+         "NotADirectoryError"),
+    ],
+)
+def test_an_output_path_that_cannot_be_written_exit_code(tmp_path, capsys, argv, kind):
+    # An --out into a missing directory, or under a file, ended in a traceback.
+    (tmp_path / "file").write_text("")
+    paths = {"missing": tmp_path / "missing", "file": tmp_path / "file"}
+    code, _, err = run_cli(capsys, *[arg.format(**paths) for arg in argv])
+    doc = stderr_error(err)
+    assert (code, doc["kind"], doc["exit"]) == (2, kind, 2)
+
+
 def test_argparse_rejects_unknown_method(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--method", "bogus"])
@@ -738,6 +791,15 @@ def test_read_qubo_text_rejects_duplicates_and_garbage(tmp_path):
         read_qubo_text(bad)
 
 
+@pytest.mark.parametrize("text, line", [(b"\xff\n", 1), (b"n 2\n0 0 1.0\xff\n", 2), (b"# c \xff\nn 1\n", 1)])
+def test_read_qubo_text_refuses_bytes_that_are_not_utf8(tmp_path, text, line):
+    # They ended in a UnicodeDecodeError that named neither the file nor the line.
+    path = tmp_path / "bytes.qubo.txt"
+    path.write_bytes(text)
+    with pytest.raises(ParseError, match=f"^{path}:{line}: "):
+        read_qubo_text(path)
+
+
 def test_read_qubo_text_rejects_second_size_line(tmp_path):
     path = tmp_path / "twice.qubo.txt"
     path.write_text("n 2\n0 0 -3.0\nn 2\n1 1 -4.0\n")
@@ -943,6 +1005,20 @@ def test_bench_rejects_unknown_dist(tmp_path, capsys):
     )
     assert code == 2
     assert stderr_error(err)["kind"] == "ConfigError"
+
+
+@pytest.mark.parametrize("flag", ["--methods", "--dists"])
+@pytest.mark.parametrize("value", [",", "", " , "])
+def test_bench_refuses_an_empty_list(tmp_path, capsys, flag, value):
+    # It ran no cell, wrote a summary of only its header and exited 0.
+    out_dir = tmp_path / "grid"
+    argv = {"--methods": "dp", "--dists": "abu", flag: value}
+    code, out, err = run_cli(
+        capsys, "bench", "--agents", "2", *[x for kv in argv.items() for x in kv], "--out", str(out_dir)
+    )
+    assert (code, out) == (2, "")
+    assert stderr_error(err)["kind"] == "ConfigError"
+    assert not out_dir.exists()
 
 
 def test_a_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path):

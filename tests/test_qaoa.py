@@ -23,8 +23,7 @@ from csgp.qaoa import (
     CircuitDescription,
     OptimizerConfig,
     QaoaParams,
-    _qaoa_state,
-    _value_and_grad,
+    _Workspace,
     assignment_index,
     assignment_string,
     build_circuit,
@@ -213,14 +212,14 @@ def test_phase_kernel_matches_gate_simulator(n, p):
     rng = np.random.default_rng(100 * n + p)
     betas = rng.uniform(0, math.pi, p)
     gammas = rng.uniform(0, 2 * math.pi, p)
-    got = _qaoa_state(ising.m, energy_table(ising), betas, gammas)
+    got = _Workspace(ising.m, energy_table(ising)).state(betas, gammas)
     want = simulate(build_circuit(ising, QaoaParams(p=p, betas=betas, gammas=gammas)))
     assert np.max(np.abs(got - want)) < 1e-10
     assert abs(np.linalg.norm(got) - 1.0) < 1e-10
 
 
 def _matrix_mixer_state(m, table, betas, gammas):
-    """_qaoa_state as first written: each mixer layer builds the 2x2 RX(2*beta)
+    """_Workspace.state as first written: each mixer layer builds the 2x2 RX(2*beta)
     matrix and applies it qubit by qubit through simulate's _apply_one_qubit."""
     state = np.full(1 << m, 1.0 / math.sqrt(1 << m), dtype=np.complex128)
     for beta, gamma in zip(betas, gammas):
@@ -237,7 +236,7 @@ def _assert_mixers_agree_bitwise(m, table, p, rng, draws):
         betas = rng.uniform(-math.pi, math.pi, p)
         gammas = rng.uniform(-2 * math.pi, 2 * math.pi, p)
         want = _matrix_mixer_state(m, table, betas, gammas)
-        assert _qaoa_state(m, table, betas, gammas).tobytes() == want.tobytes()
+        assert _Workspace(m, table).state(betas, gammas).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -324,12 +323,13 @@ def test_workspace_value_and_gradient_are_bitwise_the_per_call_sweep(m, p):
     # One workspace serves every call, as in optimize; its bytes are the old kernel's.
     rng = np.random.default_rng(10 * m + p)
     table = energy_table(_random_ising(m, 100 + m))
-    work = qaoa_module._Workspace(m, table)
+    work = _Workspace(m, table)
     for _ in range(3 if m < 15 else 1):
         betas = rng.uniform(-math.pi, math.pi, p)
         gammas = rng.uniform(-2 * math.pi, 2 * math.pi, p)
         want_value, want_grad = _per_call_value_and_grad(m, table, betas, gammas)
-        for value, grad in (work.value_and_grad(betas, gammas), _value_and_grad(m, table, betas, gammas)):
+        fresh = _Workspace(m, table).value_and_grad(betas, gammas)
+        for value, grad in (work.value_and_grad(betas, gammas), fresh):
             assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
             assert grad.tobytes() == want_grad.tobytes()
         assert work.state(betas, gammas).tobytes() == _per_call_state(m, table, betas, gammas).tobytes()
@@ -359,7 +359,7 @@ def test_simulate_still_dispatches_single_qubit_gates(monkeypatch):
     monkeypatch.setattr(qaoa_module, "_apply_one_qubit", counted)
     got = simulate(build_circuit(ising, params))
     assert calls == [0, 1, 2] * 3
-    want = _qaoa_state(ising.m, energy_table(ising), params.betas, params.gammas)
+    want = _Workspace(ising.m, energy_table(ising)).state(params.betas, params.gammas)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -570,10 +570,10 @@ def _abn_chain():
 def _assert_gradient_matches_central_differences(m, table, p, rng):
     betas = rng.uniform(0, math.pi, p)
     gammas = rng.uniform(0, 2 * math.pi, p)
-    value, grad = _value_and_grad(m, table, betas, gammas)
+    value, grad = _Workspace(m, table).value_and_grad(betas, gammas)
 
     def f(theta):
-        return float(np.abs(_qaoa_state(m, table, theta[:p], theta[p:])) ** 2 @ table)
+        return float(np.abs(_Workspace(m, table).state(theta[:p], theta[p:])) ** 2 @ table)
 
     theta = np.concatenate([betas, gammas])
     assert value == f(theta)
@@ -643,7 +643,7 @@ def test_each_start_is_the_lowest_of_its_draws(g2, monkeypatch):
             (rng.uniform(0.0, math.pi, 1), rng.uniform(0.0, 2.0 * math.pi, 1))
             for _ in range(qaoa_module.START_DRAWS)
         ]
-        values = [float(np.abs(_qaoa_state(3, table, b, g)) ** 2 @ table) for b, g in draws]
+        values = [float(np.abs(_Workspace(3, table).state(b, g)) ** 2 @ table) for b, g in draws]
         betas, gammas = draws[int(np.argmin(values))]
         assert x0.tolist() == [betas[0], np.max(np.abs(table)) * gammas[0]]
     assert len(starts) == 3
@@ -675,13 +675,13 @@ def test_batched_screening_is_bitwise_one_state_per_draw(monkeypatch, m, p, pass
 
     (rows, betas, gammas, values), = screens
     assert -(-160 // rows) == passes
-    # The per-draw uniform calls and one _qaoa_state per draw, as each start drew them.
+    # The per-draw uniform calls and one _Workspace.state per draw, as each start drew them.
     table = energy_table(ising)
     rng = np.random.default_rng(np.random.SeedSequence(m).spawn(2)[0])
     draws = [(rng.uniform(0.0, math.pi, p), rng.uniform(0.0, 2.0 * math.pi, p)) for _ in range(160)]
     assert betas.tobytes() == np.array([b for b, _ in draws]).tobytes()
     assert gammas.tobytes() == np.array([g for _, g in draws]).tobytes()
-    want = [float(np.abs(_qaoa_state(m, table, b, g)) ** 2 @ table) for b, g in draws]
+    want = [float(np.abs(_Workspace(m, table).state(b, g)) ** 2 @ table) for b, g in draws]
     assert np.array(values).tobytes() == np.array(want).tobytes()
     assert len(starts) == 10
     for s, x0 in enumerate(starts):
@@ -757,7 +757,7 @@ def test_depth_and_shot_limits_are_checked_before_any_work(g2, monkeypatch):
     with pytest.raises(ResourceLimitError, match="layers"):
         optimize(ising, too_deep)
     with pytest.raises(ResourceLimitError, match="layers"):
-        scan_layers(ising, p_max=too_deep)
+        scan_layers(ising, range(1, too_deep + 1))
     with pytest.raises(ConfigError, match="multinomial"):
         optimize(ising, 1, shots=qaoa_module.MAX_SHOTS + 1)
     state = np.full(2, math.sqrt(0.5), dtype=np.complex128)
@@ -784,7 +784,7 @@ def test_layer_scan_finds_optimum_at_depth_one(g2):
     reference = solve_qubo_exhaustive(bilp, qubo.lam)
     target = reference.metadata["best_energy"]
     assert target == pytest.approx(-24.0, abs=1e-12)
-    results, chosen = scan_layers(ising, p_max=5, seed=0, target_energy=target)
+    results, chosen = scan_layers(ising, range(1, 6), seed=0, target_energy=target)
     assert chosen == 1
     assert len(results) == 1
     best = results[0].best_bitstring
@@ -795,30 +795,50 @@ def test_layer_scan_finds_optimum_at_depth_one(g2):
 
 def test_layer_scan_prefix_matches_shorter_scan(g2):
     _, _, ising = _g2_chain(g2)
-    long, _ = scan_layers(ising, p_max=2, seed=9)
-    short, _ = scan_layers(ising, p_max=1, seed=9)
+    long, _ = scan_layers(ising, range(1, 3), seed=9)
+    short, _ = scan_layers(ising, range(1, 2), seed=9)
     assert len(long) == 2 and len(short) == 1
     assert json.dumps(long[0].to_json(include_timing=False)) == json.dumps(
         short[0].to_json(include_timing=False)
     )
 
 
-def test_layer_scan_validates_depth(g2):
+def test_layer_scan_validates_depth(g2, monkeypatch):
+    # The range's first depth as a layer count, its last as p_max, and the
+    # seed, all before any optimize call and SeedSequence([seed, p]), which
+    # rejects negatives.
+    def refuse(*args, **kwargs):
+        raise AssertionError("optimize ran before the range and seed checks")
+
     _, _, ising = _g2_chain(g2)
-    with pytest.raises(ConfigError):
-        scan_layers(ising, p_max=0)
-    # Both are checked before SeedSequence([seed, p]), which rejects negatives.
-    with pytest.raises(ConfigError, match="layer count"):
-        qaoa_module.optimize_layer(ising, -1, shots=16, seed=0)
-    with pytest.raises(ConfigError, match="seed"):
-        qaoa_module.optimize_layer(ising, 1, shots=16, seed=-1)
+    monkeypatch.setattr(qaoa_module, "optimize", refuse)
+    too_deep = qaoa_module.OPTIMIZER_MAX_LAYERS + 1
+    for depths, seed, error, match in [
+        (range(1, 1), 0, ConfigError, "empty"),
+        (range(-1, 0), 0, ConfigError, "layer count must be >= 1"),
+        (range(too_deep, too_deep + 1), 0, ResourceLimitError, f"layer count {too_deep}"),
+        (range(2, too_deep + 1), 0, ResourceLimitError, f"p_max {too_deep}"),
+        (range(1, 2), -1, ConfigError, "seed must be >= 0"),
+        (range(1, 3), 1.5, ConfigError, "seed must be an integer"),
+    ]:
+        with pytest.raises(error, match=match):
+            scan_layers(ising, depths, shots=16, seed=seed)
+
+
+def test_fixed_depth_is_a_one_depth_range(g2):
+    # range(p, p + 1) runs optimize under the seed the scan gives depth p.
+    _, _, ising = _g2_chain(g2)
+    (fixed,), chosen = scan_layers(ising, range(2, 3), shots=64, seed=5)
+    scan, _ = scan_layers(ising, range(1, 3), shots=64, seed=5)
+    assert chosen is None and fixed.best_params.p == 2
+    assert fixed.to_json(include_timing=False) == scan[1].to_json(include_timing=False)
 
 
 def test_scan_solution_matches_partition_solver(g2):
     bilp, qubo, ising = _g2_chain(g2)
     reference = solve_qubo_exhaustive(bilp, qubo.lam)
     results, chosen = scan_layers(
-        ising, p_max=5, seed=0, target_energy=reference.metadata["best_energy"]
+        ising, range(1, 6), seed=0, target_energy=reference.metadata["best_energy"]
     )
     assert chosen is not None
     decoded = decode_solution(bilp, results[chosen - 1].best_bitstring)

@@ -799,14 +799,49 @@ def test_solve_qaoa_guard_fires_before_the_reference_scan(monkeypatch):
     # m = 21: one qubit over the simulator's limit, within the brute-force one.
     game = generate_game(5, DistributionSpec(kind="normal"), 0)
     bilp = build_bilp(game, {3, 5, 6, 7, 9, 10, 11, 12, 13, 14})
-    qubo = build_qubo(bilp)
 
     def refuse(*args):
         raise AssertionError("the reference scan ran before the simulator guard")
 
     monkeypatch.setattr("csgp.solvers.solve_qubo_exhaustive", refuse)
     with pytest.raises(ResourceLimitError):
-        solve_qaoa(bilp, qubo)
+        solve_qaoa(bilp)
+
+
+def test_solve_qaoa_takes_the_bilp_and_penalty_as_solve_does():
+    # As solve_qubo_exhaustive(bilp, lam) and solve_qubo_sa(bilp, schedule, lam) do.
+    game = generate_game(2, DistributionSpec(kind="normal"), 0)
+    bilp = build_bilp(game)
+    for lam, depth in ((None, {"p_max": 2}), (25.0, {"p": 2})):
+        want = solve(game, "qaoa", lam=lam, shots=256, seed=3, **depth)
+        got = solve_qaoa(bilp, lam, shots=256, seed=3, **depth)
+        assert got.to_json(include_timing=False) == want.to_json(include_timing=False)
+        assert [r.to_json(include_timing=False) for r in got.qaoa_results] == [
+            r.to_json(include_timing=False) for r in want.qaoa_results
+        ]
+    with pytest.raises(ConfigError, match="penalty"):
+        solve_qaoa(bilp, -1.0, p=1)
+
+
+@pytest.mark.parametrize(
+    "depth, error, match",
+    [
+        ({"p": 1.5}, ConfigError, "layer count must be an integer"),
+        ({"p": 0}, ConfigError, "layer count must be >= 1"),
+        ({"p": 65}, ResourceLimitError, "layer count 65"),
+        ({"p_max": True}, ConfigError, "p_max must be an integer"),
+        ({"p_max": 0}, ConfigError, "p_max must be >= 1"),
+        ({"p_max": 65}, ResourceLimitError, "p_max 65"),
+    ],
+)
+def test_solve_qaoa_refuses_a_bad_depth_before_the_reference_scan(monkeypatch, depth, error, match):
+    def refuse(*args):
+        raise AssertionError("the reference scan ran before the depth check")
+
+    bilp = build_bilp(generate_game(2, DistributionSpec(kind="normal"), 0))
+    monkeypatch.setattr("csgp.solvers.solve_qubo_exhaustive", refuse)
+    with pytest.raises(error, match=match):
+        solve_qaoa(bilp, **depth)
 
 
 def test_solve_rejects_unknown_method_and_partition_exclusions(g2):
