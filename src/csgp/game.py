@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -157,10 +159,17 @@ class CoalitionStructure:
             )
 
 
+def left_sum(values, start=0):
+    """start + values[0] + values[1] + ..., added left to right as Python 3.11's
+    sum() adds.  From Python 3.12 on sum() compensates float rounding, which
+    would make reports differ between Python versions."""
+    return reduce(operator.add, values, start)
+
+
 def cs_value(game: CoalitionGame, cs: CoalitionStructure) -> float:
-    """Total value of a coalition structure: the sum of its blocks' values."""
+    """Total value of a coalition structure: its blocks' values added left to right."""
     cs.validate(game.n)
-    return sum(game.values[list(cs.blocks)].tolist())
+    return left_sum(game.values[list(cs.blocks)].tolist())
 
 
 def _sum_additive(base, bonus, sizes):

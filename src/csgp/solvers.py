@@ -22,7 +22,7 @@ import numpy as np
 
 from . import qaoa
 from .errors import ConfigError, ResourceLimitError, check_int, check_real
-from .game import CoalitionGame, CoalitionStructure, n_coalitions
+from .game import CoalitionGame, CoalitionStructure, left_sum, n_coalitions
 from .transform import (
     ENERGY_BLOCK,
     BilpInstance,
@@ -140,7 +140,7 @@ def solve_enum(game: CoalitionGame) -> SolveReport:
     way while scoring, ENUM_CHUNK prefix partitions per pass.
 
     A partition's value is 0.0 plus v(block) for each block in slot order,
-    left to right, as ``sum(values[b] for b in blocks)`` adds on Python 3.11.
+    left to right, as ``left_sum(values[b] for b in blocks)`` adds.
     The running sum over slots 0..k-1 is shared by the placements in slots
     k, k+1, ..., so best_value is bitwise that loop's.  The partitions tied at a
     pass's maximum are narrowed to their smallest ascending block tuple in
@@ -357,7 +357,7 @@ def _report_from_assignment(method, bilp, decoded, energy, metadata, elapsed, *,
     penalty lam and constant c.  The QUBO fields below follow ``metadata`` in the
     JSON, except those it already holds a key for, which keep its place."""
     if decoded.feasible:
-        best_value = sum(bilp.values[np.searchsorted(bilp.columns, decoded.cs.blocks)].tolist())
+        best_value = left_sum(bilp.values[np.searchsorted(bilp.columns, decoded.cs.blocks)].tolist())
     else:
         best_value = None
     metadata = dict(metadata)
@@ -447,13 +447,22 @@ def default_schedule(bilp: BilpInstance, seed: int = 0) -> AnnealSchedule:
     1.0 so all-zero games still anneal); sweeps grow linearly with the
     variable count.
     """
-    span = 2.0 * sum(np.abs(bilp.values).tolist())
+    span = 2.0 * left_sum(np.abs(bilp.values).tolist())
     return AnnealSchedule(
         sweeps=10 * bilp.num_variables,
         temp_hi=max(1.0, span),
         temp_lo=1e-3,
         seed=seed,
     )
+
+
+def _column_sums(rows: np.ndarray) -> np.ndarray:
+    """Each column of a C-contiguous stack of rows summed from the top row down,
+    bitwise np.cumsum(rows, axis=0)[-1].  np.add.reduce down axis 0 adds row by
+    row when there are two or more columns, but sums a single column pairwise."""
+    if rows.shape[1] == 1:
+        return np.cumsum(rows, axis=0)[-1]
+    return np.add.reduce(rows, axis=0)
 
 
 def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | None = None) -> SolveReport:
@@ -481,10 +490,14 @@ def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | Non
 
     The QUBO is never built: penalty_terms checks lam and gives the uint8
     counts.  A flip of k adds sign * (2*lam) * counts[k] to the local field,
-    bitwise sign * levels[counts[k]].  The initial field adds levels[counts[i]]
-    for the set bits i in order with np.cumsum, a few rows at a time.  The
-    counts give the coupling count s, and matrix_energy scores each initial
-    state and the winner as qubo_energy.
+    bitwise sign * levels[counts[k]].  Up to m = 256 (m * m <= ENERGY_BLOCK,
+    at most 512 KiB) the rows levels[counts] are held as floats, and a flip
+    adds row k when it sets bit k and subtracts it when it clears it; above
+    that, the uint8 row is multiplied per flip, so no float m x m array is
+    held.  The initial field adds the rows of the set bits i in order, down
+    each column (_column_sums), a few rows at a time.  The counts give the
+    coupling count s, and matrix_energy scores each initial state and the
+    winner as qubo_energy.
     """
     m = bilp.num_variables
     if m > SA_MAX_VARIABLES:
@@ -493,7 +506,9 @@ def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | Non
         )
     start = time.perf_counter()
     lam, diag, counts, levels = penalty_terms(bilp, lam)
-    couple = np.empty(m)  # one row of couplings, sign * (2*lam) * counts[k]
+    # The coupling rows as floats, levels[counts], when they fit in ENERGY_BLOCK entries.
+    rows_f = list(levels.take(counts)) if m * m <= ENERGY_BLOCK else None
+    couple = np.empty(m)  # above that, one row of couplings, sign * (2*lam) * counts[k]
     temps = np.fromiter(map(schedule.temperature, range(schedule.sweeps)), float, schedule.sweeps)
     later = np.maximum.accumulate(temps[::-1])[::-1]  # the hottest temperature from each sweep on
     # Sweeps are drawn and screened in blocks of about 2048 attempts.
@@ -504,17 +519,17 @@ def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | Non
     delta = np.empty(m)
     best_s = np.empty(m)
     field_rows = max(1, (ENERGY_BLOCK >> 3) // m)
+    diag_f = np.array(diag)
     restart_best: list[tuple[float, str, list[float]]] = []
     for r in range(schedule.restarts):
         rng = np.random.default_rng(schedule.seed + r)
         x = rng.integers(0, 2, size=m)
-        g = np.array(diag)
+        g = diag_f.copy()
         on = np.flatnonzero(x)
         for lo in range(0, len(on), field_rows):
-            # Row 0 carries g, and cumsum adds the rows down each column in order.
             rows_on = levels.take(counts[on[lo : lo + field_rows]])
-            rows_on[0] += g
-            g = np.cumsum(rows_on, axis=0)[-1]
+            rows_on[0] += g  # row 0 carries g
+            g = _column_sums(rows_on)
         energy = float(matrix_energy(diag, counts, levels, x))
         # From here on the state is s = 1 - 2x: flipping k changes the
         # energy by delta_k = s_k * g_k.
@@ -581,7 +596,12 @@ def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | Non
                     trace.extend([best_energy] * (row - len(trace)))
                     sign = s.item(k)
                     s[k] = -sign
-                    g += np.multiply(counts[k], sign * (2.0 * lam), out=couple)
+                    if rows_f is None:
+                        g += np.multiply(counts[k], sign * (2.0 * lam), out=couple)
+                    elif sign > 0.0:
+                        g += rows_f[k]
+                    else:
+                        g -= rows_f[k]
                     energy += d
                     if energy < best_energy:
                         best_energy = energy
@@ -625,10 +645,22 @@ def check_size(n: int, exclude, limit: int, what: str) -> frozenset[int]:
     return exclude
 
 
+def qaoa_depths(p, p_max) -> range:
+    """The depths solve_qaoa runs: p alone, or else 1..p_max (12 when None).  Both
+    given is a ConfigError, and qaoa.check_depth refuses a bad p or p_max."""
+    if p is not None and p_max is not None:
+        raise ConfigError("give either --p or --p-max, not both")
+    if p is not None:
+        p = qaoa.check_depth(p)
+        return range(p, p + 1)
+    return range(1, qaoa.check_depth(12 if p_max is None else p_max, "p_max") + 1)
+
+
 def solve_qaoa(
     bilp: BilpInstance, lam: float | None = None, *, p=None, p_max=None, shots=1024, seed=0
 ) -> SolveReport:
-    """QAOA on the Ising form of build_qubo(bilp, lam), at depth p or else at p = 1..p_max.
+    """QAOA on the Ising form of build_qubo(bilp, lam), at depth p or else at p = 1..p_max;
+    qaoa_depths refuses both, or a bad depth, before the reference scan.
 
     The exhaustive QUBO optimum, which checks lam, is the target: a scan stops
     at the first depth whose sample reaches it, and metadata["chosen_p"] names
@@ -641,8 +673,7 @@ def solve_qaoa(
     limit = VARIABLE_LIMITS["qaoa"]  # checked before the reference scan
     if m > limit:
         raise ResourceLimitError(f"qaoa is limited to {limit} QUBO variables, got {m}")
-    first, last = (1, 12 if p_max is None else p_max) if p is None else (p, p)
-    depths = range(qaoa.check_depth(first), qaoa.check_depth(last, "p_max") + 1)
+    depths = qaoa_depths(p, p_max)
     start = time.perf_counter()
     reference = solve_qubo_exhaustive(bilp, lam)
     qubo = build_qubo(bilp, reference.metadata["lambda"])
@@ -696,12 +727,7 @@ def check_request(method: str, n: int, *, lam, exclude, seed, p, p_max, shots) -
             raise ResourceLimitError(f"{method} is limited to {AGENT_LIMITS[method]} agents, got {n}")
         return frozenset()
     if method == "qaoa":
-        if p is not None and p_max is not None:
-            raise ConfigError("give either --p or --p-max, not both")
-        if p is not None:
-            qaoa.check_depth(p)
-        if p_max is not None:
-            qaoa.check_depth(p_max, "p_max")
+        qaoa_depths(p, p_max)
         qaoa.check_shots(shots)
     exclude = check_size(n, exclude, VARIABLE_LIMITS[method], method)
     if lam is not None:

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError, check_int, check_real
-from .game import CoalitionGame, CoalitionStructure, n_coalitions
+from .game import CoalitionGame, CoalitionStructure, left_sum, n_coalitions
 
 ENERGY_BLOCK = 1 << 16  # coupling entries one numpy pass reads or builds
 
@@ -110,7 +111,7 @@ class QuboInstance:
 
 def default_penalty(bilp: BilpInstance) -> float:
     """Penalty weight large enough that every infeasible x costs more than any feasible one."""
-    return 1.0 + 2.0 * sum(np.abs(bilp.values).tolist())
+    return 1.0 + 2.0 * left_sum(np.abs(bilp.values).tolist())
 
 
 def coupling_counts(bilp: BilpInstance) -> np.ndarray:
@@ -158,7 +159,7 @@ def penalty_diagonal(bilp: BilpInstance, lam: float | None = None) -> tuple[floa
         diag = tuple((-bilp.values - lam * np.bitwise_count(bilp.columns)).tolist())
     # The couplings sum to lam times the ordered pairs of columns that share an agent.
     shared = sum(k * (k - 1) for k in agent_counts(bilp.columns, bilp.n))
-    if not math.isfinite(sum(map(abs, diag)) + lam * shared + 2.0 * lam * bilp.n):
+    if not math.isfinite(left_sum(map(abs, diag)) + lam * shared + 2.0 * lam * bilp.n):
         raise ConfigError(f"penalty weight {lam} makes the QUBO's coefficients overflow a float")
     return lam, diag
 
@@ -204,11 +205,13 @@ def quadratic_table(linear, quadratic, start: float = 0.0) -> np.ndarray:
 def _as_bits(x, m: int) -> list[int]:
     if isinstance(x, str):
         bits = [int(ch) for ch in x]
+    elif isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype.kind in "iu":
+        bits = x.tolist()  # Python ints, as int(b) would give
     else:
         bits = [int(b) for b in x]
     if len(bits) != m:
         raise ConfigError(f"assignment has {len(bits)} bits, expected {m}")
-    if any(b not in (0, 1) for b in bits):
+    if not {0, 1}.issuperset(bits):
         raise ConfigError("assignment bits must be 0 or 1")
     return bits
 
@@ -219,7 +222,7 @@ def qubo_energy(qubo: QuboInstance, x) -> float:
     ``x`` may be a bitstring or a 0/1 sequence; position k is variable k.
     """
     bits = _as_bits(x, qubo.m)
-    energy = sum(d for d, b in zip(qubo.diag, bits) if b)
+    energy = left_sum(compress(qubo.diag, bits))
     for (i, j), val in qubo.offdiag.items():
         if bits[i] and bits[j]:
             energy += val
@@ -230,22 +233,23 @@ def matrix_energy(diag, counts: np.ndarray, levels: np.ndarray, x) -> float:
     """qubo_energy of the QUBO with this diagonal and couplings levels[counts] (see
     penalty_terms), bit for bit, without its offdiag dict.
 
-    The selected diagonal entries are summed as qubo_energy sums them; the
-    nonzero couplings among the set bits are then added one at a time in
-    row-major upper-triangle order, which is the order build_qubo inserts
+    The selected diagonal entries are added left to right, as qubo_energy adds
+    them; the nonzero couplings among the set bits are then added one at a time
+    in row-major upper-triangle order, which is the order build_qubo inserts
     them in (np.cumsum adds sequentially).  Rows are read about ENERGY_BLOCK
     entries at a time, so the temporaries stay small next to ``counts``.
     An all-zero x gives the int 0.
     """
     bits = _as_bits(x, len(diag))
-    energy = sum(d for d, b in zip(diag, bits) if b)
+    energy = left_sum(compress(diag, bits))
     on = np.flatnonzero(bits)
-    step = max(1, ENERGY_BLOCK // (len(on) or 1))
+    step = max(1, ENERGY_BLOCK // (len(diag) or 1))
     for first in range(0, len(on), step):
-        rows = counts[np.ix_(on[first : first + step], on)]
+        rows = counts.take(on[first : first + step], 0).take(on, 1)
         # Row r is set bit first + r: keep its couplings to later set bits only.
-        rows[np.arange(first, first + len(rows))[:, None] >= np.arange(len(on))] = 0
-        pairs = levels[rows[rows != 0]]
+        keep = rows != 0
+        keep &= np.arange(first, first + len(rows))[:, None] < np.arange(len(on))
+        pairs = levels.take(rows[keep])
         if len(pairs):
             energy = np.cumsum(np.concatenate(([energy], pairs)))[-1].item()
     return energy
@@ -276,7 +280,7 @@ def qubo_to_ising(qubo: QuboInstance) -> IsingInstance:
     """Substitute x_i = (1 + z_i) / 2 and collect terms by spin degree."""
     h = [d / 2.0 for d in qubo.diag]
     J = {}
-    offset = sum(qubo.diag) / 2.0
+    offset = left_sum(qubo.diag) / 2.0
     for (i, j), val in qubo.offdiag.items():
         J[(i, j)] = val / 4.0
         h[i] += val / 4.0
@@ -299,7 +303,7 @@ def ising_fields(diag, counts: np.ndarray, quarters) -> tuple[list[float], float
     quarters = np.asarray(quarters, dtype=float)
     halves = np.asarray(diag, dtype=float) / 2.0
     h = []
-    offset = sum(diag) / 2.0
+    offset = left_sum(diag) / 2.0
     step = max(1, ENERGY_BLOCK // len(counts))
     for first in range(0, len(counts), step):
         block = counts[first : first + step]
@@ -319,7 +323,7 @@ def ising_energy(ising: IsingInstance, z) -> float:
         raise ConfigError(f"assignment has {len(spins)} spins, expected {ising.m}")
     if any(s not in (-1, 1) for s in spins):
         raise ConfigError("spins must be +1 or -1")
-    energy = sum(hi * s for hi, s in zip(ising.h, spins))
+    energy = left_sum(hi * s for hi, s in zip(ising.h, spins))
     for (i, j), val in ising.J.items():
         energy += val * spins[i] * spins[j]
     return energy

@@ -31,6 +31,7 @@ from csgp import (
 from csgp.solvers import (
     SA_MAX_SWEEPS,
     SA_MAX_VARIABLES,
+    _column_sums,
     _pick_qubo_winner,
     _report_from_assignment,
     partitions,
@@ -625,9 +626,9 @@ def _scalar_sa(bilp, qubo, schedule):
     return _report_from_assignment("sa", bilp, decoded, energy, meta, 0.0, **_qubo_fields(qubo))
 
 
-def _sa_case(n, kind, seed=0, lam=None, **schedule):
+def _sa_case(n, kind, seed=0, lam=None, exclude=frozenset(), **schedule):
     game = _zero_game(n) if kind == "zero" else generate_game(n, DistributionSpec(kind=kind), seed)
-    bilp = build_bilp(game)
+    bilp = build_bilp(game, exclude)
     sched = default_schedule(bilp, seed=seed)
     if schedule:
         fields = {"sweeps": sched.sweeps, "temp_hi": sched.temp_hi, "temp_lo": sched.temp_lo}
@@ -665,6 +666,15 @@ SA_ORACLE_PANEL = {
     # Local minima whose smallest delta is about 8 T: the walk leaves them only on
     # rare draws, which a restart stopped at 7.51 T instead of 751 T would miss.
     "rare-escape": dict(n=3, kind="abu", seed=0, sweeps=2000, temp_hi=26.0, temp_lo=26.0),
+    # m = 256, the largest QUBO whose coupling rows SA holds as floats, and m = 257 just
+    # above it, where a flip multiplies the uint8 counts row: n = 9 without coalitions
+    # 2..256 and 2..255.  Twenty sweeps cool from temp_hi to 1e-3; lam = 30 keeps the
+    # walk finding lower energies through them, so both flip directions reach the report.
+    "float-rows-at-the-cap": dict(n=9, kind="normal", seed=4, lam=30.0, sweeps=20, exclude=range(2, 257)),
+    "uint8-rows-above-the-cap": dict(n=9, kind="normal", seed=4, lam=30.0, sweeps=20, exclude=range(2, 256)),
+    # m = 255: every attempt flips at T = 1e12, so float rows are both added (a bit
+    # set) and subtracted (a bit cleared).
+    "hot-n8": dict(n=8, kind="laplace", seed=1, sweeps=3, temp_hi=1e12, temp_lo=1e12),
 }
 
 
@@ -675,6 +685,18 @@ def test_sa_sweep_equals_scalar_loop(case):
     fast = solve_qubo_sa(bilp, sched, qubo.lam).to_json(include_timing=False)
     slow = _scalar_sa(bilp, qubo, sched).to_json(include_timing=False)
     assert json.dumps(fast) == json.dumps(slow)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    # One row, one column, both, and more rows than SA's field_rows (8192 // m).
+    [(1, 1), (1, 63), (300, 1), (2, 2), (37, 63), (5000, 2), (300, 255), (64, 256)],
+)
+def test_column_sums_are_the_cumsum_bit_for_bit(shape):
+    rng = np.random.default_rng(shape)
+    for _ in range(5):
+        rows = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 17, size=shape)
+        assert _column_sums(rows).tobytes() == np.cumsum(rows, axis=0)[-1].tobytes()
 
 
 class _CountingRng:
@@ -842,6 +864,15 @@ def test_solve_qaoa_refuses_a_bad_depth_before_the_reference_scan(monkeypatch, d
     monkeypatch.setattr("csgp.solvers.solve_qubo_exhaustive", refuse)
     with pytest.raises(error, match=match):
         solve_qaoa(bilp, **depth)
+
+
+def test_solve_qaoa_refuses_p_with_p_max_before_the_reference_scan(monkeypatch):
+    # solve_qaoa ran depth 2 alone and dropped p_max; solve refused the pair.
+    game = generate_game(2, DistributionSpec(kind="normal"), 0)
+    monkeypatch.setattr("csgp.solvers.solve_qubo_exhaustive", _refuse("the reference scan"))
+    for run in (lambda: solve_qaoa(build_bilp(game), p=2, p_max=5), lambda: solve(game, "qaoa", p=2, p_max=5)):
+        with pytest.raises(ConfigError, match="give either --p or --p-max, not both"):
+            run()
 
 
 def test_solve_rejects_unknown_method_and_partition_exclusions(g2):

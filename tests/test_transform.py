@@ -27,7 +27,17 @@ from csgp import (
 )
 from csgp.game import DISTRIBUTION_KINDS
 from csgp import transform
-from csgp.transform import agent_counts, matrix_energy, penalty_diagonal, penalty_terms, quadratic_table
+from csgp.game import left_sum
+from csgp.solvers import default_schedule
+from csgp.transform import (
+    IsingInstance,
+    agent_counts,
+    ising_fields,
+    matrix_energy,
+    penalty_diagonal,
+    penalty_terms,
+    quadratic_table,
+)
 from csgp.solvers import partitions
 
 
@@ -296,6 +306,44 @@ def test_matrix_energy_carries_its_sum_across_row_blocks(kind, monkeypatch):
     # Seven entries per pass: from one row per block to several rows per block.
     monkeypatch.setattr("csgp.transform.ENERGY_BLOCK", 7)
     _check_matrix_energy(kind, range(1, 7))
+
+
+def test_matrix_energy_reads_an_int_array_a_list_and_a_str_alike():
+    bilp = build_bilp(generate_game(5, DistributionSpec(kind="normal"), seed=5))
+    _, diag, counts, levels = penalty_terms(bilp)
+    rng = np.random.default_rng(0)
+    for dtype in (np.int64, np.int8, np.uint8):
+        for _ in range(10):
+            x = rng.integers(0, 2, size=bilp.num_variables).astype(dtype)
+            want = repr(matrix_energy(diag, counts, levels, x))
+            assert repr(matrix_energy(diag, counts, levels, x.tolist())) == want
+            assert repr(matrix_energy(diag, counts, levels, "".join(map(str, x.tolist())))) == want
+            assert decode_solution(bilp, x) == decode_solution(bilp, x.astype(bool))
+    x[3] = 2
+    with pytest.raises(ConfigError, match="bits must be 0 or 1"):
+        matrix_energy(diag, counts, levels, x)
+    with pytest.raises(ConfigError, match="assignment has 30 bits, expected 31"):
+        matrix_energy(diag, counts, levels, x[1:])
+
+
+def test_float_sums_add_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16, so a left fold gives 0.0; Python 3.12's
+    # compensated sum() gives 1.0.
+    values = (1e16, 1.0, -1e16)
+    assert left_sum(values) == 0.0 and left_sum(values, 0.5) == 0.0
+    assert type(left_sum(())) is int
+    qubo = QuboInstance(m=3, diag=values, offdiag={}, c=0.0)
+    assert qubo_energy(qubo, "111") == 0.0
+    assert matrix_energy(values, np.zeros((3, 3), np.uint8), np.zeros(1), "111") == 0.0
+    assert qubo_to_ising(qubo).offset == 0.0
+    assert ising_fields(values, np.zeros((3, 3), np.uint8), [0.0])[1] == 0.0
+    assert ising_energy(IsingInstance(m=3, h=values, J={}, offset=0.0), [1, 1, 1]) == 0.0
+    game = CoalitionGame(n=3, values={c: values[c.bit_length() - 1] if c in (1, 2, 4) else 0.0 for c in range(1, 8)})
+    assert cs_value(game, CoalitionStructure([1, 2, 4])) == 0.0
+    # |v| summed left to right: 1e16 + 1.0 + 1.0 stays 1e16 (a compensated sum gives 1e16 + 2).
+    bilp = build_bilp(CoalitionGame(n=2, values={1: 1e16, 2: 1.0, 3: -1.0}))
+    assert default_penalty(bilp) == 1.0 + 2.0 * 1e16
+    assert default_schedule(bilp).temp_hi == 2.0 * 1e16
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
