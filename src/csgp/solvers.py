@@ -456,15 +456,6 @@ def default_schedule(bilp: BilpInstance, seed: int = 0) -> AnnealSchedule:
     )
 
 
-def _column_sums(rows: np.ndarray) -> np.ndarray:
-    """Each column of a C-contiguous stack of rows summed from the top row down,
-    bitwise np.cumsum(rows, axis=0)[-1].  np.add.reduce down axis 0 adds row by
-    row when there are two or more columns, but sums a single column pairwise."""
-    if rows.shape[1] == 1:
-        return np.cumsum(rows, axis=0)[-1]
-    return np.add.reduce(rows, axis=0)
-
-
 def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | None = None) -> SolveReport:
     """Single-flip Metropolis annealing on the QUBO build_qubo(bilp, lam) would give.
 
@@ -495,7 +486,7 @@ def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | Non
     adds row k when it sets bit k and subtracts it when it clears it; above
     that, the uint8 row is multiplied per flip, so no float m x m array is
     held.  The initial field adds the rows of the set bits i in order, down
-    each column (_column_sums), a few rows at a time.  The counts give the
+    each column (np.add.reduce), a few rows at a time.  The counts give the
     coupling count s, and matrix_energy scores each initial state and the
     winner as qubo_energy.
     """
@@ -529,7 +520,9 @@ def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | Non
         for lo in range(0, len(on), field_rows):
             rows_on = levels.take(counts[on[lo : lo + field_rows]])
             rows_on[0] += g  # row 0 carries g
-            g = _column_sums(rows_on)
+            # A reduce down axis 0 over two or more columns adds row by row;
+            # m == 1 gives at most one row, so no column is summed pairwise.
+            g = np.add.reduce(rows_on, axis=0)
         energy = float(matrix_energy(diag, counts, levels, x))
         # From here on the state is s = 1 - 2x: flipping k changes the
         # energy by delta_k = s_k * g_k.

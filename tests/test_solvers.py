@@ -31,7 +31,6 @@ from csgp import (
 from csgp.solvers import (
     SA_MAX_SWEEPS,
     SA_MAX_VARIABLES,
-    _column_sums,
     _pick_qubo_winner,
     _report_from_assignment,
     partitions,
@@ -689,14 +688,15 @@ def test_sa_sweep_equals_scalar_loop(case):
 
 @pytest.mark.parametrize(
     "shape",
-    # One row, one column, both, and more rows than SA's field_rows (8192 // m).
-    [(1, 1), (1, 63), (300, 1), (2, 2), (37, 63), (5000, 2), (300, 255), (64, 256)],
+    # The stacks SA's initial field reduces: one row (all m = 1 can give),
+    # two or more columns, and more rows than its field_rows (8192 // m).
+    [(1, 1), (1, 63), (2, 2), (37, 63), (5000, 2), (300, 255), (64, 256)],
 )
-def test_column_sums_are_the_cumsum_bit_for_bit(shape):
+def test_field_reduce_is_the_cumsum_bit_for_bit(shape):
     rng = np.random.default_rng(shape)
     for _ in range(5):
         rows = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 17, size=shape)
-        assert _column_sums(rows).tobytes() == np.cumsum(rows, axis=0)[-1].tobytes()
+        assert np.add.reduce(rows, axis=0).tobytes() == np.cumsum(rows, axis=0)[-1].tobytes()
 
 
 class _CountingRng:
