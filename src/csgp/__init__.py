@@ -15,7 +15,6 @@ from .game import (
     CoalitionGame,
     CoalitionStructure,
     DistributionSpec,
-    coalition_members,
     cs_value,
     generate_game,
     load_game,
@@ -32,8 +31,6 @@ from .transform import (
     coupling_counts,
     decode_solution,
     default_penalty,
-    encode_structure,
-    ising_energy,
     qubo_energy,
     qubo_to_ising,
 )
@@ -41,7 +38,6 @@ from .solvers import (
     AnnealSchedule,
     SolveReport,
     default_schedule,
-    partitions,
     solve,
     solve_dp,
     solve_enum,
@@ -54,11 +50,9 @@ from .qaoa import (
     OptimizerConfig,
     QaoaParams,
     QaoaResult,
-    assignment_index,
     assignment_string,
     build_circuit,
     energy_table,
-    expectation,
     gate_count,
     optimize,
     sample,

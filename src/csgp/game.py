@@ -67,16 +67,6 @@ def n_coalitions(n: int) -> int:
     return (1 << n) - 1
 
 
-def coalition_members(index: int, n: int) -> set[int]:
-    """Decode a coalition index into the set of 1-based agent ids.
-
-    Agent ``a_i`` is a member iff bit ``i-1`` of ``index`` is set.
-    """
-    if not 1 <= index <= n_coalitions(n):
-        raise ConfigError(f"coalition index {index} out of range 1..{n_coalitions(n)} for n={n}")
-    return {i + 1 for i in range(n) if index >> i & 1}
-
-
 @dataclass(frozen=True)
 class DistributionSpec:
     """One of the ten value distributions, by normalized name."""
@@ -84,7 +74,7 @@ class DistributionSpec:
     kind: str
 
     def __post_init__(self) -> None:
-        kind = self.kind.lower().replace("-", "_")
+        kind = self.kind.lower().replace("-", "_") if isinstance(self.kind, str) else None
         if kind not in DISTRIBUTION_KINDS:
             raise ConfigError(
                 f"unknown distribution kind {self.kind!r}; expected one of {', '.join(DISTRIBUTION_KINDS)}"
@@ -142,6 +132,10 @@ class CoalitionStructure:
     blocks: tuple[int, ...]
 
     def __init__(self, blocks) -> None:
+        blocks = tuple(blocks)
+        for b in blocks:
+            if isinstance(b, bool) or not isinstance(b, (int, np.integer)):
+                raise InvalidStructureError(f"block {b!r} is not an integer coalition index")
         object.__setattr__(self, "blocks", tuple(sorted(int(b) for b in blocks)))
 
     def validate(self, n: int) -> None:

@@ -81,12 +81,6 @@ class CircuitDescription:
     qubits: int
     gates: tuple[tuple, ...]
 
-    def counts_by_kind(self) -> dict[str, int]:
-        tally: dict[str, int] = {"H": 0, "RX": 0, "RZ": 0, "CNOT": 0}
-        for gate in self.gates:
-            tally[gate[0]] += 1
-        return tally
-
 
 def _check_qubits(m: int) -> None:
     if m > SIMULATOR_MAX_QUBITS:
@@ -199,44 +193,26 @@ def energy_table(ising: IsingInstance) -> np.ndarray:
     return quadratic_table(linear, 4.0 * couple, math.fsum([*ising.h, *ising.J.values()]))
 
 
-def expectation(state: np.ndarray, ising: IsingInstance) -> float:
-    """Analytic mean cost energy of the state, sum_b |amp_b|^2 E(z(b))."""
-    if state.shape != (1 << ising.m,):
-        raise ConfigError(
-            f"state has shape {state.shape}, expected ({1 << ising.m},) for m={ising.m}"
-        )
-    probs = np.abs(state) ** 2
-    return float(probs @ energy_table(ising))
-
-
 def assignment_string(index: int, m: int) -> str:
     """Variable-assignment string for a measured basis state (x = (1+z)/2)."""
     return "".join("0" if index >> k & 1 else "1" for k in range(m))
 
 
-def assignment_index(x: str) -> int:
-    """Basis-state integer whose readout is the assignment string x."""
-    index = 0
-    for k, ch in enumerate(x):
-        if ch == "0":
-            index |= 1 << k
-        elif ch != "1":
-            raise ConfigError(f"assignment strings are binary, got {x!r}")
-    return index
-
-
 def sample(state: np.ndarray, shots: int, seed: int) -> dict[str, int]:
-    """Multinomial measurement; keys are assignment strings, values shot counts."""
+    """Multinomial measurement; keys are assignment strings in ascending
+    basis-index order, values shot counts."""
     check_shots(shots)
-    return _draw(np.square(np.abs(state)), shots, seed)
+    m = int(round(math.log2(state.shape[0])))
+    return {assignment_string(b, m): c for b, c in _draw(np.square(np.abs(state)), shots, seed).items()}
 
 
-def _draw(probs: np.ndarray, shots: int, seed: int) -> dict[str, int]:
-    """sample's counts from the squared amplitudes, normalized in place."""
-    m = int(round(math.log2(probs.shape[0])))
+def _draw(probs: np.ndarray, shots: int, seed: int) -> dict[int, int]:
+    """{basis index: shot count} of the states drawn, in ascending index order,
+    from the squared amplitudes, normalized in place."""
     probs /= probs.sum()
     draws = np.random.default_rng(seed).multinomial(shots, probs)
-    return {assignment_string(b, m): int(draws[b]) for b in np.flatnonzero(draws).tolist()}
+    drawn = np.flatnonzero(draws)
+    return dict(zip(drawn.tolist(), draws[drawn].tolist()))
 
 
 @dataclass(frozen=True)
@@ -512,15 +488,11 @@ def optimize(
     params = trace[-1][0]
     # The sample's |amplitude|^2 reuses the scratch row, so it needs no buffer of its own.
     probs = work.probabilities(work.state(params.betas, params.gammas)[None])[0]
-    counts = _draw(probs, shots, int(sample_seq.generate_state(1)[0]))
-
-    best_bitstring = None
-    best_energy = math.inf
-    for x in counts:
-        e = float(table[assignment_index(x)])
-        if e < best_energy or (e == best_energy and x < best_bitstring):
-            best_energy = e
-            best_bitstring = x
+    drawn = _draw(probs, shots, int(sample_seq.generate_state(1)[0]))
+    keys = [assignment_string(b, ising.m) for b in drawn]
+    counts = dict(zip(keys, drawn.values()))
+    # The lowest table energy drawn; among equal energies, the smallest string.
+    best_energy, best_bitstring = min(zip(table[list(drawn)].tolist(), keys))
     elapsed = (time.perf_counter() - start) * 1e3
     metadata = {
         "m": ising.m,

@@ -91,30 +91,6 @@ class SolveReport:
         return doc
 
 
-def partitions(n: int):
-    """Yield every partition of n agents as a tuple of coalition masks.
-
-    Agents are placed one at a time into an existing block or a fresh
-    one, so blocks appear in order of their lowest member and the whole
-    sequence is deterministic.
-    """
-
-    def place(agent: int, blocks: list[int]):
-        if agent == n:
-            yield tuple(blocks)
-            return
-        bit = 1 << agent
-        for k in range(len(blocks)):
-            blocks[k] |= bit
-            yield from place(agent + 1, blocks)
-            blocks[k] ^= bit
-        blocks.append(bit)
-        yield from place(agent + 1, blocks)
-        blocks.pop()
-
-    yield from place(0, [])
-
-
 def _smallest_blocks(part: np.ndarray) -> tuple[int, ...]:
     """The lexicographically smallest ascending block tuple among the
     partitions in the columns of ``part`` (block masks, 0 for an unused slot)."""
@@ -130,10 +106,11 @@ def _smallest_blocks(part: np.ndarray) -> tuple[int, ...]:
 def solve_enum(game: CoalitionGame) -> SolveReport:
     """Exact solver by full partition enumeration (Bell-number cost).
 
-    Every partition that ``partitions`` yields is built and scored, in numpy.
-    The partitions of agents 0..n-2 are held as columns of uint16 block masks,
-    one slot per block in order of the block's lowest member (the order
-    ``partitions`` gives) and 0 in unused slots: Bell(n - 1) * n * 2 bytes,
+    Every partition of the n agents is built and scored, in numpy.  The
+    partitions of agents 0..n-2 are held as columns of uint16 block masks,
+    one slot per block in order of the block's lowest member (the order that
+    placing agents one at a time, each into an existing block or a fresh
+    one, gives) and 0 in unused slots: Bell(n - 1) * n * 2 bytes,
     16 MB at n = 12.  They are grown one agent at a time: for each slot s,
     every partition with at least s blocks, with the agent added to block s
     (a new block when it has exactly s).  The last agent is placed the same

@@ -203,9 +203,7 @@ def quadratic_table(linear, quadratic, start: float = 0.0) -> np.ndarray:
 
 
 def _as_bits(x, m: int) -> list[int]:
-    if isinstance(x, str):
-        bits = [int(ch) for ch in x]
-    elif isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype.kind in "iu":
+    if isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype.kind in "iu":
         bits = x.tolist()  # Python ints, as int(b) would give
     else:
         bits = [int(b) for b in x]
@@ -316,19 +314,6 @@ def ising_fields(diag, counts: np.ndarray, quarters) -> tuple[list[float], float
     return h, offset
 
 
-def ising_energy(ising: IsingInstance, z) -> float:
-    """Energy of a spin assignment; entries of z must be +1 or -1."""
-    spins = [int(s) for s in z]
-    if len(spins) != ising.m:
-        raise ConfigError(f"assignment has {len(spins)} spins, expected {ising.m}")
-    if any(s not in (-1, 1) for s in spins):
-        raise ConfigError("spins must be +1 or -1")
-    energy = left_sum(hi * s for hi, s in zip(ising.h, spins))
-    for (i, j), val in ising.J.items():
-        energy += val * spins[i] * spins[j]
-    return energy
-
-
 @dataclass(frozen=True)
 class DecodedSolution:
     """A QUBO assignment read back as a candidate coalition structure."""
@@ -351,14 +336,3 @@ def decode_solution(bilp: BilpInstance, x) -> DecodedSolution:
     if all(count == 1 for count in counts):
         return DecodedSolution(x=xs, feasible=True, cs=CoalitionStructure(selected.tolist()), violation=None)
     return DecodedSolution(x=xs, feasible=False, cs=None, violation=tuple(c - 1 for c in counts))
-
-
-def encode_structure(cs: CoalitionStructure, bilp: BilpInstance) -> str:
-    """Bitstring selecting exactly the blocks of cs; inverse of decode_solution."""
-    index = {c: j for j, c in enumerate(bilp.columns.tolist())}
-    bits = ["0"] * bilp.num_variables
-    for block in cs.blocks:
-        if block not in index:
-            raise ConfigError(f"block {block} is not a variable of this program (excluded?)")
-        bits[index[block]] = "1"
-    return "".join(bits)

@@ -12,16 +12,14 @@ import time
 import pytest
 
 from csgp.game import (
-    CoalitionStructure,
     DISTRIBUTION_KINDS,
     DistributionSpec,
     cs_value,
     generate_game,
 )
-from csgp.qaoa import QaoaParams, build_circuit, gate_count, scan_layers
+from csgp.qaoa import QaoaParams, build_circuit, energy_table, gate_count, scan_layers
 from csgp.solvers import (
     default_schedule,
-    partitions,
     solve_dp,
     solve_enum,
     solve_qubo_exhaustive,
@@ -31,8 +29,6 @@ from csgp.transform import (
     build_bilp,
     build_qubo,
     decode_solution,
-    encode_structure,
-    ising_energy,
     qubo_energy,
     qubo_to_ising,
 )
@@ -71,18 +67,26 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_feasible_energy_identity():
+    # Every assignment is decoded; the feasible ones are the partitions, each
+    # exactly once, so there must be Bell(n) of them.
     bad = []
     for kind in ("abu", "normal"):
-        for n in (2, 3):
+        for n, bell in ((2, 2), (3, 5)):
             game = generate_game(n, DistributionSpec(kind=kind), 0)
             bilp, qubo, _ = _chain(game)
-            for blocks in partitions(n):
-                cs = CoalitionStructure(blocks)
-                x = encode_structure(cs, bilp)
+            feasible = 0
+            for index in range(1 << qubo.m):
+                x = [(index >> k) & 1 for k in range(qubo.m)]
+                decoded = decode_solution(bilp, x)
+                if not decoded.feasible:
+                    continue
+                feasible += 1
                 lhs = qubo_energy(qubo, x) + qubo.c
-                rhs = -cs_value(game, cs)
+                rhs = -cs_value(game, decoded.cs)
                 if not math.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-9):
-                    bad.append((kind, n, blocks, lhs, rhs))
+                    bad.append((kind, n, decoded.cs.blocks, lhs, rhs))
+            if feasible != bell:
+                bad.append((kind, n, "feasible assignments", feasible, bell))
     _verdict(2, "feasible-energy-identity", not bad, repr(bad))
 
 
@@ -93,11 +97,12 @@ def test_criterion_3_ising_equivalence():
             game = generate_game(n, DistributionSpec(kind=kind), 0)
             _, qubo, ising = _chain(game)
             m = qubo.m
+            table = energy_table(ising)
             for index in range(1 << m):
-                bits = [(index >> k) & 1 for k in range(m)]
-                spins = [2 * b - 1 for b in bits]
-                lhs = ising_energy(ising, spins) + ising.offset
-                rhs = qubo_energy(qubo, bits)
+                # Basis bit b is the spin z = 1 - 2b, and x = (1 + z) / 2 = 1 - b.
+                x = [1 - ((index >> k) & 1) for k in range(m)]
+                lhs = float(table[index]) + ising.offset
+                rhs = qubo_energy(qubo, x)
                 if not math.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-9):
                     bad.append((kind, n, index, lhs, rhs))
     _verdict(3, "ising-equivalence", not bad, repr(bad))

@@ -253,6 +253,28 @@ def test_negative_seed_exit_code(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--agents", "5..3"], "empty agent range '5..3'"),
+        (["solve", "--agents", "x", "--dist", "abu", "--method", "dp"], "cannot parse agent count 'x'"),
+        (["solve", "--agents", "3", "--dist", "abu", "--method", "sa", "--exclude", "1,a"],
+         "cannot parse exclusion list '1,a'"),
+        (["analyze", "--agents", "3", "--p", "1,a"], "cannot parse layer list '1,a'"),
+        (["solve", "--method", "dp"], "no game file given; need --agents and --dist"),
+        (["solve", "--agents", "3", "--method", "dp"], "generating a game requires --dist"),
+        (["gen", "--dist", "abu"], "gen requires --agents"),
+    ],
+)
+def test_flag_refusals_exit_code(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    doc = stderr_error(err)
+    assert doc["kind"] == "ConfigError" and doc["exit"] == 2 and doc["error"].startswith(message)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_game_file_and_agents_conflict(tmp_path, capsys):
     path = make_game(tmp_path, capsys)
     code, _, err = run_cli(
@@ -798,6 +820,25 @@ def test_read_qubo_text_refuses_bytes_that_are_not_utf8(tmp_path, text, line):
     path.write_bytes(text)
     with pytest.raises(ParseError, match=f"^{path}:{line}: "):
         read_qubo_text(path)
+
+
+@pytest.mark.parametrize(
+    "text, where, reason",
+    [
+        ("n 3 4\n", ":1", "malformed size line 'n 3 4'"),
+        ("# c 1.0\nn x\n", ":2", "bad size 'x'"),
+        ("n 0\n", ":1", "size must be >= 1, got 0"),
+        ("n 2\n0 0 1.0\n0 1\n", ":3", "expected `i j value`, got '0 1'"),
+        ("# c 1.0\n# lambda 2.0\n", "", "missing `n <m>` line"),
+    ],
+)
+def test_read_qubo_text_refuses_malformed_lines(tmp_path, text, where, reason):
+    # A file with no size line has no line to name, so only that refusal names the path alone.
+    path = tmp_path / "bad.qubo.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        read_qubo_text(path)
+    assert str(exc.value) == f"{path}{where}: {reason}"
 
 
 def test_read_qubo_text_rejects_second_size_line(tmp_path):

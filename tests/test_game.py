@@ -15,7 +15,6 @@ from csgp import (
     ParseError,
     ResourceLimitError,
     SchemaError,
-    coalition_members,
     cs_value,
     generate_game,
     load_game,
@@ -23,8 +22,8 @@ from csgp import (
     save_game,
 )
 from csgp import game as game_module
-from csgp.game import _DEFAULT_PARAMS
-from csgp.solvers import partitions
+from csgp.game import _DEFAULT_PARAMS, left_sum
+from oracles import partitions
 
 
 # The samplers as they were when every family drew one coalition at a time:
@@ -130,28 +129,8 @@ def indexed(values):
     return list(enumerate(values.tolist()))[1:]
 
 
-def test_coalition_members_examples():
-    assert coalition_members(1, 3) == {1}
-    assert coalition_members(5, 3) == {1, 3}
-    assert coalition_members(7, 3) == {1, 2, 3}
-
-
-@pytest.mark.parametrize("index", [0, 8, -1])
-def test_coalition_members_range(index):
-    with pytest.raises(ConfigError):
-        coalition_members(index, 3)
-
-
 def test_n_coalitions():
     assert [n_coalitions(n) for n in (1, 2, 3, 4)] == [1, 3, 7, 15]
-
-
-@given(st.integers(min_value=1, max_value=10))
-def test_membership_matches_bits(n):
-    full = n_coalitions(n)
-    for index in (1, full, (full + 1) // 2):
-        members = coalition_members(index, n)
-        assert members == {i + 1 for i in range(n) if index >> i & 1}
 
 
 def test_game_requires_complete_value_map():
@@ -309,6 +288,21 @@ def test_cs_value_rejects_non_partitions(g2):
 def test_structure_blocks_are_canonical():
     assert CoalitionStructure([4, 1, 2]).blocks == (1, 2, 4)
     assert CoalitionStructure((3,)).blocks == (3,)
+    assert CoalitionStructure(np.array([2, 1])).blocks == (1, 2)
+
+
+@pytest.mark.parametrize("block", [1.5, 1.0, True, np.True_, "3", None])
+def test_structure_refuses_a_block_that_is_not_an_integer(block):
+    # 1.5 and True both became block 1.
+    with pytest.raises(InvalidStructureError, match="not an integer coalition index"):
+        CoalitionStructure([block])
+
+
+@pytest.mark.parametrize("kind", [None, 3, b"abu", ["abu"]])
+def test_distribution_spec_refuses_a_kind_that_is_not_a_string(kind):
+    # None and 3 ended in an AttributeError, b"abu" in a TypeError.
+    with pytest.raises(ConfigError, match="unknown distribution kind"):
+        DistributionSpec(kind=kind)
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=999))
@@ -316,8 +310,8 @@ def test_every_partition_validates_and_sums(n, seed):
     game = generate_game(n, DistributionSpec(kind="wrc"), seed=seed)
     for blocks in partitions(n):
         cs = CoalitionStructure(blocks)
-        # Sum in canonical block order so float association matches exactly.
-        assert cs_value(game, cs) == sum(game.values[b] for b in sorted(blocks))
+        # Sum in canonical block order, left to right, so float association matches exactly.
+        assert cs_value(game, cs) == left_sum(game.values[b] for b in sorted(blocks))
 
 
 def test_save_load_round_trip(tmp_path):

@@ -10,6 +10,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 from functools import reduce
 
 import numpy as np
@@ -24,11 +25,9 @@ from csgp.qaoa import (
     OptimizerConfig,
     QaoaParams,
     _Workspace,
-    assignment_index,
     assignment_string,
     build_circuit,
     energy_table,
-    expectation,
     gate_count,
     optimize,
     sample,
@@ -90,7 +89,7 @@ def test_circuit_gate_totals_small(g2):
     circ = build_circuit(ising, QaoaParams(p=1, betas=(0.3,), gammas=(0.7,)))
     assert circ.qubits == 3
     assert len(circ.gates) == 15
-    assert circ.counts_by_kind() == {"H": 3, "RX": 3, "RZ": 5, "CNOT": 4}
+    assert Counter(g[0] for g in circ.gates) == {"H": 3, "RX": 3, "RZ": 5, "CNOT": 4}
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -98,7 +97,7 @@ def test_circuit_tally_scales_with_layers(g2, p):
     _, qubo, ising = _g2_chain(g2)
     s = qubo.interaction_count
     params = QaoaParams(p=p, betas=(0.1,) * p, gammas=(0.2,) * p)
-    tally = build_circuit(ising, params).counts_by_kind()
+    tally = Counter(g[0] for g in build_circuit(ising, params).gates)
     assert tally == {"H": 3, "RX": 3 * p, "RZ": p * (3 + s), "CNOT": 2 * p * s}
 
 
@@ -165,6 +164,23 @@ def test_every_circuit_prefix_preserves_norm(g2):
     for k in range(len(circ.gates) + 1):
         prefix = CircuitDescription(qubits=circ.qubits, gates=circ.gates[:k])
         assert abs(np.linalg.norm(simulate(prefix)) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("control, target", [(1, 0), (2, 0), (2, 1), (0, 1), (0, 2), (1, 2)])
+def test_cnot_is_the_basis_permutation_for_either_qubit_order(control, target):
+    # build_circuit only emits CNOTs whose control is the lower qubit, so the
+    # higher-control branch of the simulator is checked here, on a state whose
+    # eight amplitudes all differ: CNOT maps basis state b to b ^ (bit control of b) << target.
+    prep = tuple(
+        gate
+        for q, (rz, rx) in enumerate([(0.3, 0.7), (1.1, 0.2), (2.3, 1.3)])
+        for gate in (("H", q), ("RZ", q, rz), ("RX", q, rx))
+    )
+    before = simulate(CircuitDescription(qubits=3, gates=prep))
+    assert len(set(before.tolist())) == 8
+    after = simulate(CircuitDescription(qubits=3, gates=prep + (("CNOT", control, target),)))
+    image = [b ^ (b >> control & 1) << target for b in range(8)]
+    assert after[image].tolist() == before.tolist()
 
 
 def _analytic_state(ising, params):
@@ -430,39 +446,10 @@ def test_energy_table_at_twenty_qubits_allocates_only_the_table():
     assert peak < 24 << 20
 
 
-def test_expectation_of_uniform_and_basis_states(g2):
-    _, _, ising = _g2_chain(g2)
-    table = energy_table(ising)
-    uniform = np.full(8, 1 / math.sqrt(8), dtype=np.complex128)
-    assert expectation(uniform, ising) == pytest.approx(float(table.mean()), abs=1e-12)
-    basis = np.zeros(8, dtype=np.complex128)
-    basis[3] = 1.0
-    assert expectation(basis, ising) == pytest.approx(-10.5, abs=1e-12)
-
-
-def test_expectation_of_trivial_hamiltonian():
-    ising = IsingInstance(m=2, h=(0.0, 0.0), J={}, offset=0.0)
-    state = np.full(4, 0.5, dtype=np.complex128)
-    assert expectation(state, ising) == 0.0
-
-
-def test_expectation_rejects_wrong_dimension(g2):
-    _, _, ising = _g2_chain(g2)
-    with pytest.raises(ConfigError):
-        expectation(np.zeros(4, dtype=np.complex128), ising)
-
-
 def test_assignment_string_examples():
     assert assignment_string(3, 3) == "001"
     assert assignment_string(0, 3) == "111"
     assert assignment_string(7, 3) == "000"
-
-
-def test_assignment_round_trip():
-    for b in range(16):
-        assert assignment_index(assignment_string(b, 4)) == b
-    with pytest.raises(ConfigError):
-        assignment_index("021")
 
 
 # ------------------------------------------------------------------ sampling
@@ -513,11 +500,12 @@ def test_shot_estimate_agrees_with_analytic_expectation(g2):
     params = QaoaParams(p=1, betas=(0.3,), gammas=(0.2,))
     state = simulate(build_circuit(ising, params))
     table = energy_table(ising)
-    mean = expectation(state, ising)
     probs = np.abs(state) ** 2
+    mean = float(probs @ table)
     sigma = math.sqrt(float(probs @ (table - mean) ** 2) / 8192)
     counts = sample(state, shots=8192, seed=11)
-    est = sum(c * float(table[assignment_index(x)]) for x, c in counts.items()) / 8192
+    index = {assignment_string(b, 3): b for b in range(8)}
+    est = sum(c * float(table[index[x]]) for x, c in counts.items()) / 8192
     assert abs(est - mean) < 4 * sigma + 1e-12
 
 

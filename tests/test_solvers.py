@@ -33,9 +33,10 @@ from csgp.solvers import (
     SA_MAX_VARIABLES,
     _pick_qubo_winner,
     _report_from_assignment,
-    partitions,
 )
+from csgp.game import left_sum
 from csgp.transform import qubo_energy
+from oracles import partitions
 
 
 def _zero_game(n):
@@ -584,7 +585,7 @@ def _scalar_sa(bilp, qubo, schedule):
         for i in range(m):
             if x[i]:
                 g[nbr_idx[i]] += nbr_val[i]
-        energy = float(sum(d for d, b in zip(qubo.diag, x) if b))
+        energy = float(left_sum(d for d, b in zip(qubo.diag, x) if b))
         for (i, j), val in qubo.offdiag.items():
             if x[i] and x[j]:
                 energy += val

@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 
@@ -19,18 +18,16 @@ from csgp import (
     cs_value,
     decode_solution,
     default_penalty,
-    encode_structure,
     generate_game,
-    ising_energy,
     qubo_energy,
     qubo_to_ising,
 )
 from csgp.game import DISTRIBUTION_KINDS
 from csgp import transform
 from csgp.game import left_sum
+from csgp.qaoa import energy_table
 from csgp.solvers import default_schedule
 from csgp.transform import (
-    IsingInstance,
     agent_counts,
     ising_fields,
     matrix_energy,
@@ -38,7 +35,7 @@ from csgp.transform import (
     penalty_terms,
     quadratic_table,
 )
-from csgp.solvers import partitions
+from oracles import partitions
 
 
 def test_bilp_columns_and_rows(g2):
@@ -49,6 +46,16 @@ def test_bilp_columns_and_rows(g2):
     # row i of S holds the variables whose coalition contains agent a_{i+1}:
     # {1} and {1, 2} for a1, {2} and {1, 2} for a2
     assert agent_counts(bilp.columns, bilp.n) == [2, 2]
+
+
+def _singletons(bilp):
+    """The assignment that selects exactly the one-agent coalitions."""
+    return "".join("1" if c.bit_count() == 1 else "0" for c in bilp.columns.tolist())
+
+
+def _readout(b, m):
+    """The assignment of basis state b: x_k = 1 - (bit k of b), as z_k = 1 - 2 * bit k."""
+    return "".join(str(1 - (b >> k & 1)) for k in range(m))
 
 
 def _row_masks(bilp):
@@ -83,7 +90,7 @@ def test_agent_counts_equal_the_row_mask_loop(n, monkeypatch):
         seen.clear()
         penalty_diagonal(bilp)
         assert seen == [[mask.bit_count() for mask in masks]]  # penalty_diagonal's shared
-        singletons = encode_structure(CoalitionStructure([1 << a for a in range(n)]), bilp)
+        singletons = _singletons(bilp)
         draws = [rng.random(m) < share for share in (0.5, n / m, 1 / m) for _ in range(5)]
         for x in [singletons, "0" * m, *("".join(map(str, d.astype(int).tolist())) for d in draws)]:
             selected = int(x[::-1], 2)
@@ -284,7 +291,7 @@ def _check_matrix_energy(kind, agents):
         for exclude in exclusions:
             bilp = build_bilp(game, exclude)
             m = bilp.num_variables
-            singletons = encode_structure(CoalitionStructure([1 << a for a in range(n)]), bilp)
+            singletons = _singletons(bilp)
             xs = ["0" * m, "1" * m, singletons] + ["".join(map(str, rng.integers(0, 2, m))) for _ in range(2)]
             for lam in (None, 0.5, 30.0):
                 qubo = build_qubo(bilp, lam)
@@ -337,7 +344,6 @@ def test_float_sums_add_left_to_right():
     assert matrix_energy(values, np.zeros((3, 3), np.uint8), np.zeros(1), "111") == 0.0
     assert qubo_to_ising(qubo).offset == 0.0
     assert ising_fields(values, np.zeros((3, 3), np.uint8), [0.0])[1] == 0.0
-    assert ising_energy(IsingInstance(m=3, h=values, J={}, offset=0.0), [1, 1, 1]) == 0.0
     game = CoalitionGame(n=3, values={c: values[c.bit_length() - 1] if c in (1, 2, 4) else 0.0 for c in range(1, 8)})
     assert cs_value(game, CoalitionStructure([1, 2, 4])) == 0.0
     # |v| summed left to right: 1e16 + 1.0 + 1.0 stays 1e16 (a compensated sum gives 1e16 + 2).
@@ -389,12 +395,15 @@ def test_feasible_energy_identity(n, kind, seed):
     game = generate_game(n, DistributionSpec(kind=kind), seed=seed)
     bilp = build_bilp(game)
     qubo = build_qubo(bilp)
-    for blocks in partitions(n):
-        cs = CoalitionStructure(blocks)
-        x = encode_structure(cs, bilp)
-        assert math.isclose(
-            qubo_energy(qubo, x) + qubo.c, -cs_value(game, cs), rel_tol=1e-9, abs_tol=1e-9
-        )
+    feasible = 0
+    for x in _assignments(qubo.m):
+        decoded = decode_solution(bilp, x)
+        if decoded.feasible:
+            feasible += 1
+            assert math.isclose(
+                qubo_energy(qubo, x) + qubo.c, -cs_value(game, decoded.cs), rel_tol=1e-9, abs_tol=1e-9
+            )
+    assert feasible == sum(1 for _ in partitions(n))
 
 
 @pytest.mark.parametrize("n,kind", [(2, "normal"), (3, "wrc"), (4, "laplace")])
@@ -422,21 +431,18 @@ def test_ising_single_variable_identity():
     ising = qubo_to_ising(qubo)
     assert ising.h == (-1.5,)
     assert ising.offset == -1.5
-    assert ising_energy(ising, [1]) + ising.offset == -3.0
-    assert ising_energy(ising, [-1]) + ising.offset == 0.0
+    table = energy_table(ising)
+    assert table[0] + ising.offset == -3.0  # z = +1, x = 1
+    assert table[1] + ising.offset == 0.0  # z = -1, x = 0
 
 
 def test_ising_g2_exhaustive(g2):
     qubo = build_qubo(build_bilp(g2), lam=10.0)
     ising = qubo_to_ising(qubo)
     assert set(ising.J) == set(qubo.offdiag)
-    for spins in itertools.product((-1, 1), repeat=3):
-        x = ["1" if s == 1 else "0" for s in spins]
+    for b, e in enumerate(energy_table(ising).tolist()):
         assert math.isclose(
-            ising_energy(ising, spins) + ising.offset,
-            qubo_energy(qubo, "".join(x)),
-            rel_tol=1e-9,
-            abs_tol=1e-9,
+            e + ising.offset, qubo_energy(qubo, _readout(b, 3)), rel_tol=1e-9, abs_tol=1e-9
         )
 
 
@@ -446,23 +452,11 @@ def test_ising_identity_random_games(n, seed):
     qubo = build_qubo(build_bilp(game))
     ising = qubo_to_ising(qubo)
     m = qubo.m
-    for bits in (0, 1, (1 << m) - 1, seed % (1 << m)):
-        spins = [1 if bits >> k & 1 else -1 for k in range(m)]
-        x = "".join(str(bits >> k & 1) for k in range(m))
+    table = energy_table(ising)
+    for b in (0, 1, (1 << m) - 1, seed % (1 << m)):
         assert math.isclose(
-            ising_energy(ising, spins) + ising.offset,
-            qubo_energy(qubo, x),
-            rel_tol=1e-9,
-            abs_tol=1e-9,
+            table[b] + ising.offset, qubo_energy(qubo, _readout(b, m)), rel_tol=1e-9, abs_tol=1e-9
         )
-
-
-def test_spin_validation(g2):
-    ising = qubo_to_ising(build_qubo(build_bilp(g2)))
-    with pytest.raises(ConfigError):
-        ising_energy(ising, [1, -1])
-    with pytest.raises(ConfigError):
-        ising_energy(ising, [1, 0, -1])
 
 
 def test_decode_examples(g2):
@@ -475,19 +469,11 @@ def test_decode_examples(g2):
     assert not empty.feasible and empty.violation == (-1, -1)
 
 
-def test_encode_decode_inverse():
-    game = generate_game(4, DistributionSpec(kind="f"), seed=3)
-    bilp = build_bilp(game)
-    for blocks in partitions(4):
-        cs = CoalitionStructure(blocks)
-        decoded = decode_solution(bilp, encode_structure(cs, bilp))
-        assert decoded.feasible and decoded.cs.blocks == cs.blocks
-
-
-def test_encode_rejects_excluded_block(g2):
-    bilp = build_bilp(g2, exclude={3})
-    with pytest.raises(ConfigError):
-        encode_structure(CoalitionStructure([3]), bilp)
+def test_decoding_every_assignment_yields_each_partition_once():
+    bilp = build_bilp(generate_game(4, DistributionSpec(kind="f"), seed=3))
+    decoded = [decode_solution(bilp, x) for x in _assignments(bilp.num_variables)]
+    found = sorted(d.cs.blocks for d in decoded if d.feasible)
+    assert found == sorted(tuple(sorted(blocks)) for blocks in partitions(4))
 
 
 @pytest.mark.parametrize("n,expected_s", [(2, 2), (3, 15)])
