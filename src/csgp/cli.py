@@ -21,7 +21,6 @@ from pathlib import Path
 from . import analysis
 from .errors import (
     ConfigError,
-    CsgError,
     InfeasibleError,
     InvalidStructureError,
     ParseError,
@@ -32,10 +31,7 @@ from .game import (
     DISTRIBUTION_KINDS, GENERATE_MAX_AGENTS, DistributionSpec, generate_game, load_game, save_game
 )
 from .solvers import METHODS, SA_MAX_VARIABLES, check_request, check_size, solve, solve_dp
-from .transform import (
-    BilpInstance, QuboInstance, build_bilp, ising_fields, penalty_diagonal, penalty_terms,
-    upper_couplings,
-)
+from .transform import QuboInstance, build_bilp, ising_fields, penalty_terms, upper_couplings
 
 def _parse_agent_spec(text: str) -> range:
     """Parse `N` or `A..B` (inclusive) into a range of agent counts, never a list."""
@@ -128,22 +124,23 @@ def _json_triples(counts, texts):
 _float_text = float.__repr__
 
 
-def write_qubo_json(bilp: BilpInstance, lam: float | None, fh) -> None:
-    """{m, diag, offdiag: [[i, j, value] for i < j], c, lambda} as json.dumps(doc,
-    indent=2) plus a newline would write it, streamed from the coupling counts."""
-    lam, diag, counts, levels = penalty_terms(bilp, lam)
+def write_qubo_json(n: int, terms, fh) -> None:
+    """{m, diag, offdiag: [[i, j, value] for i < j], c, lambda} of the n-agent QUBO with
+    these penalty_terms, as json.dumps(doc, indent=2) plus a newline would write it,
+    streamed from the coupling counts."""
+    lam, diag, counts, levels = terms
     fh.write(f'{{\n  "m": {len(diag)},\n  "diag": ')
     _json_list(fh, [",\n    ".join(map(_float_text, diag))])
     fh.write(',\n  "offdiag": ')
     _json_list(fh, _json_triples(counts, map(_float_text, levels)))
-    fh.write(f',\n  "c": {_float_text(lam * bilp.n)},\n  "lambda": {_float_text(lam)}\n}}\n')
+    fh.write(f',\n  "c": {_float_text(lam * n)},\n  "lambda": {_float_text(lam)}\n}}\n')
 
 
-def write_ising_json(bilp: BilpInstance, lam: float | None, fh) -> None:
+def write_ising_json(n: int, terms, fh) -> None:
     """{m, h, J: [[i, j, value] for i < j], offset} of qubo_to_ising(build_qubo(bilp,
-    lam)) as json.dumps(doc, indent=2) plus a newline would write it, streamed from
-    the coupling counts."""
-    lam, diag, counts, levels = penalty_terms(bilp, lam)
+    lam)), where terms = penalty_terms(bilp, lam), as json.dumps(doc, indent=2) plus a
+    newline would write it, streamed from the coupling counts."""
+    _, diag, counts, levels = terms
     quarters = levels / 4.0
     h, offset = ising_fields(diag, counts, quarters)
     fh.write(f'{{\n  "m": {len(h)},\n  "h": ')
@@ -153,10 +150,11 @@ def write_ising_json(bilp: BilpInstance, lam: float | None, fh) -> None:
     fh.write(f',\n  "offset": {_float_text(offset)}\n}}\n')
 
 
-def write_qubo_text(bilp: BilpInstance, lam: float | None, fh) -> None:
-    """Line-oriented annealer-style dump; structured comments carry c and lambda."""
-    lam, diag, counts, levels = penalty_terms(bilp, lam)
-    fh.write(f"# c {lam * bilp.n:.17g}\n# lambda {lam:.17g}\nn {len(diag)}\n")
+def write_qubo_text(n: int, terms, fh) -> None:
+    """Line-oriented annealer-style dump of the n-agent QUBO with these penalty_terms;
+    structured comments carry c and lambda."""
+    lam, diag, counts, levels = terms
+    fh.write(f"# c {lam * n:.17g}\n# lambda {lam:.17g}\nn {len(diag)}\n")
     fh.writelines([f"{i} {i} {d:.17g}\n" for i, d in enumerate(diag)])
     fh.writelines(_coupling_rows(counts, "{} ".format, [f" {level:.17g}\n" for level in levels], ""))
 
@@ -282,9 +280,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_export(args) -> int:
     game = _load_or_generate(args)
-    # The largest QUBO read_qubo_text accepts, checked before the coupling build.
-    bilp = build_bilp(game, check_size(game.n, _parse_exclude(args.exclude), SA_MAX_VARIABLES, "export"))
-    lam, _ = penalty_diagonal(bilp, args.lam)  # a bad penalty is refused before the file opens
+    bilp = build_bilp(game, check_size(game.n, _parse_exclude(args.exclude), "export"))
+    terms = penalty_terms(bilp, args.lam)  # a bad penalty is refused before the file opens
     if args.game is not None:
         base = Path(args.game).stem
     else:
@@ -292,7 +289,7 @@ def _cmd_export(args) -> int:
     suffix, write = _export_formats()[args.format]
     out = args.out or base + suffix
     with open(out, "w", encoding="utf-8") as fh:
-        write(bilp, lam, fh)
+        write(game.n, terms, fh)
     print(out)
     return 0
 
@@ -457,8 +454,6 @@ def main(argv=None) -> int:
         return _fail(exc, 3)
     except InfeasibleError as exc:
         return _fail(exc, 4)
-    except CsgError as exc:  # future subclasses default to the config path
-        return _fail(exc, 2)
 
 
 def _fail(exc: Exception, code: int) -> int:

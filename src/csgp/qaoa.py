@@ -200,10 +200,18 @@ def assignment_string(index: int, m: int) -> str:
 
 def sample(state: np.ndarray, shots: int, seed: int) -> dict[str, int]:
     """Multinomial measurement; keys are assignment strings in ascending
-    basis-index order, values shot counts."""
+    basis-index order, values shot counts.  A state that is not 1-D, whose
+    length is not a power of two or whose squared norm is not positive and
+    finite is a ConfigError."""
     check_shots(shots)
-    m = int(round(math.log2(state.shape[0])))
-    return {assignment_string(b, m): c for b, c in _draw(np.square(np.abs(state)), shots, seed).items()}
+    size = len(state) if np.ndim(state) == 1 else 0
+    if size & (size - 1) or not size:
+        raise ConfigError(f"state must be a 1-D array of 2^m amplitudes, got shape {np.shape(state)}")
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        probs = np.square(np.abs(state))
+    if not 0.0 < probs.sum() < math.inf:
+        raise ConfigError(f"state must have a positive finite norm, got squared norm {probs.sum()}")
+    return {assignment_string(b, size.bit_length() - 1): c for b, c in _draw(probs, shots, seed).items()}
 
 
 def _draw(probs: np.ndarray, shots: int, seed: int) -> dict[int, int]:

@@ -38,25 +38,30 @@ from .transform import (
     qubo_to_ising,
 )
 
-ENUM_MAX_AGENTS = 12
-DP_MAX_AGENTS = 20
 DP_CHUNK = 1 << 15  # splits solve_dp evaluates per numpy pass
 ENUM_CHUNK = 1 << 12  # partitions of agents 0..n-2 solve_enum extends and scores per pass
-BRUTE_MAX_VARIABLES = 24
 SA_MAX_VARIABLES = 1 << 15
 # sweeps * restarts: every sweep keeps a temperature, and a trace entry per restart.
 SA_MAX_SWEEPS = 1 << 23
 SA_PROBE = 4  # attempts after an exact test that SA screens one at a time
 
 METHODS = ("enum", "dp", "qubo-brute", "sa", "qaoa")
-# Largest game each exact method accepts, in agents.
-AGENT_LIMITS = {"enum": ENUM_MAX_AGENTS, "dp": DP_MAX_AGENTS}
-# Largest QUBO each QUBO method accepts, checked before the BILP and its O(m^2) couplings are built.
-VARIABLE_LIMITS = {
-    "qubo-brute": BRUTE_MAX_VARIABLES,
-    "sa": SA_MAX_VARIABLES,
-    "qaoa": qaoa.SIMULATOR_MAX_QUBITS,
+EXACT = ("enum", "dp")  # the methods that solve the game itself
+# The largest input each method and csgp export accept: agents for EXACT, QUBO
+# variables for the rest, checked before the BILP and its O(m^2) couplings are built.
+LIMITS = {
+    "enum": 12, "dp": 20, "qubo-brute": 24, "sa": SA_MAX_VARIABLES, "qaoa": qaoa.SIMULATOR_MAX_QUBITS,
+    "export": (1 << 12) - 1,  # the full BILP at n = 12: 231 MB of qubo-text, about x4 per agent
 }
+
+
+def check_limit(what: str, size: int) -> None:
+    """A size over LIMITS[what] is a ResourceLimitError, in the one message every
+    size guard of a method gives."""
+    limit = LIMITS[what]
+    if size > limit:
+        unit = "agents" if what in EXACT else "QUBO variables"
+        raise ResourceLimitError(f"{what} is limited to {limit} {unit}, got {size}")
 
 
 @dataclass(frozen=True)
@@ -124,10 +129,7 @@ def solve_enum(game: CoalitionGame) -> SolveReport:
     numpy, and that tuple is compared with the best so far: ties resolve to
     the lexicographically smallest tuple, as the loop's did.
     """
-    if game.n > ENUM_MAX_AGENTS:
-        raise ResourceLimitError(
-            f"enumeration is limited to {ENUM_MAX_AGENTS} agents, got {game.n}"
-        )
+    check_limit("enum", game.n)
     start = time.perf_counter()
     n = game.n
     fv = game.values
@@ -223,10 +225,7 @@ def solve_dp(game: CoalitionGame) -> SolveReport:
     subset, from the chosen splits) and compared only where tied splits
     differ in key.  The answer's blocks are read back the same way.
     """
-    if game.n > DP_MAX_AGENTS:
-        raise ResourceLimitError(
-            f"subset dynamic programming is limited to {DP_MAX_AGENTS} agents, got {game.n}"
-        )
+    check_limit("dp", game.n)
     start = time.perf_counter()
     n = game.n
     full = n_coalitions(n)
@@ -363,10 +362,7 @@ def solve_qubo_exhaustive(bilp: BilpInstance, lam: float | None = None) -> Solve
     give, quadratic_table(diag, levels.take(counts)) of penalty_terms; the QUBO
     is never built.  matrix_energy rescores the winner."""
     m = bilp.num_variables
-    if m > BRUTE_MAX_VARIABLES:
-        raise ResourceLimitError(
-            f"exhaustive QUBO scan is limited to {BRUTE_MAX_VARIABLES} variables, got {m}"
-        )
+    check_limit("qubo-brute", m)
     start = time.perf_counter()
     lam, diag, counts, levels = penalty_terms(bilp, lam)
     table = quadratic_table(diag, levels.take(counts))
@@ -468,10 +464,7 @@ def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | Non
     winner as qubo_energy.
     """
     m = bilp.num_variables
-    if m > SA_MAX_VARIABLES:
-        raise ResourceLimitError(
-            f"annealing is limited to {SA_MAX_VARIABLES} variables, got {m}"
-        )
+    check_limit("sa", m)
     start = time.perf_counter()
     lam, diag, counts, levels = penalty_terms(bilp, lam)
     # The coupling rows as floats, levels[counts], when they fit in ENERGY_BLOCK entries.
@@ -604,14 +597,12 @@ def solve_qubo_sa(bilp: BilpInstance, schedule: AnnealSchedule, lam: float | Non
     )
 
 
-def check_size(n: int, exclude, limit: int, what: str) -> frozenset[int]:
-    """check_exclusions(n, exclude); then a program of more than ``limit`` variables,
-    2^n - 1 - |exclude|, is refused as ``what``, before its BILP is built and so
-    before a caller's O(m^2) coupling build."""
+def check_size(n: int, exclude, what: str) -> frozenset[int]:
+    """check_exclusions(n, exclude); then check_limit(what, m) for its program of
+    m = 2^n - 1 - |exclude| variables, before its BILP is built and so before a
+    caller's O(m^2) coupling build."""
     exclude = check_exclusions(n, exclude)
-    m = n_coalitions(n) - len(exclude)
-    if m > limit:
-        raise ResourceLimitError(f"{what} is limited to {limit} QUBO variables, got {m}")
+    check_limit(what, n_coalitions(n) - len(exclude))
     return exclude
 
 
@@ -639,10 +630,7 @@ def solve_qaoa(
     energy with qubo_energy, which qubo-brute's and sa's matrix_energy equals bit
     for bit.
     """
-    m = bilp.num_variables
-    limit = VARIABLE_LIMITS["qaoa"]  # checked before the reference scan
-    if m > limit:
-        raise ResourceLimitError(f"qaoa is limited to {limit} QUBO variables, got {m}")
+    check_limit("qaoa", bilp.num_variables)  # before the reference scan
     depths = qaoa_depths(p, p_max)
     start = time.perf_counter()
     reference = solve_qubo_exhaustive(bilp, lam)
@@ -682,24 +670,23 @@ def solve_qaoa(
 def check_request(method: str, n: int, *, lam, exclude, seed, p, p_max, shots) -> frozenset[int]:
     """Every refusal solve(game, method, ...) makes for an n-agent game before it
     builds anything, in solve's order, and the checked exclusions: enum and dp take
-    none and n up to AGENT_LIMITS; the QUBO methods run check_size and, for a given
+    none and n up to LIMITS; the QUBO methods run check_size and, for a given
     lam, check_penalty.  csgp bench runs it per method at its largest n."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
     check_int(seed, "seed", 0)
-    if method in AGENT_LIMITS:
+    if method in EXACT:
         # By length: a numpy array has no truth value, and a 0-d one no length.
         if exclude is not None and (
             not isinstance(exclude, Sized) or getattr(exclude, "ndim", 1) == 0 or len(exclude)
         ):
             raise ConfigError("--exclude applies only to QUBO-based methods (qubo-brute, sa, qaoa)")
-        if n > AGENT_LIMITS[method]:
-            raise ResourceLimitError(f"{method} is limited to {AGENT_LIMITS[method]} agents, got {n}")
+        check_limit(method, n)
         return frozenset()
     if method == "qaoa":
         qaoa_depths(p, p_max)
         qaoa.check_shots(shots)
-    exclude = check_size(n, exclude, VARIABLE_LIMITS[method], method)
+    exclude = check_size(n, exclude, method)
     if lam is not None:
         check_penalty(lam)
     return exclude
@@ -720,7 +707,7 @@ def solve(
     exclude = check_request(
         method, game.n, lam=lam, exclude=exclude, seed=seed, p=p, p_max=p_max, shots=shots
     )
-    if method in AGENT_LIMITS:
+    if method in EXACT:
         return solve_enum(game) if method == "enum" else solve_dp(game)
     bilp = build_bilp(game, exclude)
     if method == "sa":

@@ -146,13 +146,16 @@ def check_penalty(lam: float) -> float:
     return lam
 
 
-def penalty_diagonal(bilp: BilpInstance, lam: float | None = None) -> tuple[float, tuple[float, ...]]:
-    """The checked penalty weight (default_penalty(bilp) when None) and the QUBO
-    diagonal -v_j - lam*|C_j|, in O(n + m): the checks every coupling build waits for.
+def penalty_terms(bilp: BilpInstance, lam: float | None = None):
+    """The QUBO's one array form, which build_qubo, SA, qubo-brute and the export
+    writers read: the checked penalty weight (default_penalty(bilp) when None), the
+    diagonal -v_j - lam*|C_j|, coupling_counts and the n + 1 levels[k] = (2*lam)*k;
+    coupling (i, j) is levels[counts[i, j]].
 
-    A penalty that is not a positive finite number is a ConfigError, and so
-    is one whose coefficients' magnitudes, which bound every energy, sum to
-    more than a float holds.
+    lam and the diagonal are checked in O(n + m), before the O(m^2) counts: a
+    penalty that is not a positive finite number is a ConfigError, and so is
+    one whose coefficients' magnitudes, which bound every energy, sum to more
+    than a float holds.
     """
     lam = check_penalty(default_penalty(bilp) if lam is None else lam)
     with np.errstate(over="ignore"):  # an overflow is refused below
@@ -161,14 +164,6 @@ def penalty_diagonal(bilp: BilpInstance, lam: float | None = None) -> tuple[floa
     shared = sum(k * (k - 1) for k in agent_counts(bilp.columns, bilp.n))
     if not math.isfinite(left_sum(map(abs, diag)) + lam * shared + 2.0 * lam * bilp.n):
         raise ConfigError(f"penalty weight {lam} makes the QUBO's coefficients overflow a float")
-    return lam, diag
-
-
-def penalty_terms(bilp: BilpInstance, lam: float | None = None):
-    """penalty_diagonal's lam and diag, then coupling_counts and the n + 1 levels[k] =
-    (2*lam)*k: coupling (i, j) of the QUBO is levels[counts[i, j]], the one array form
-    that SA, qubo-brute and the export writers read."""
-    lam, diag = penalty_diagonal(bilp, lam)
     return lam, diag, coupling_counts(bilp), (2.0 * lam) * np.arange(bilp.n + 1)
 
 
@@ -176,9 +171,9 @@ def build_qubo(bilp: BilpInstance, lam: float | None = None) -> QuboInstance:
     """Fold Sx = 1 into the objective with penalty weight lam.
 
     Minimizes lam * ||Sx - 1||^2 - v.x.  Expanding the square gives
-    diagonal terms -v_j - lam*|C_j| (penalty_diagonal, which also checks
-    lam), off-diagonal terms 2*lam*|C_i & C_j| for intersecting pairs
-    (levels[counts] of penalty_terms), and the constant lam*n.
+    diagonal terms -v_j - lam*|C_j|, off-diagonal terms 2*lam*|C_i & C_j|
+    for intersecting pairs (levels[counts]; both from penalty_terms, which
+    also checks lam), and the constant lam*n.
     """
     lam, diag, counts, levels = penalty_terms(bilp, lam)
     offdiag = {}

@@ -23,7 +23,7 @@ from csgp.cli import main, read_qubo_text
 from csgp.errors import ParseError, ResourceLimitError
 from csgp.game import DISTRIBUTION_KINDS, CoalitionGame, DistributionSpec, generate_game, load_game
 from csgp.solvers import solve_dp
-from csgp.transform import build_bilp, build_qubo, qubo_to_ising
+from csgp.transform import build_bilp, build_qubo, penalty_terms, qubo_to_ising
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -358,17 +358,23 @@ def test_qaoa_guard_fires_before_the_reference_scan(tmp_path, capsys, monkeypatc
     assert stderr_error(err)["kind"] == "ResourceLimitError"
 
 
-def test_export_guard_fires_before_the_coupling_build(tmp_path, capsys, monkeypatch):
-    # n = 16 gives 65,535 variables, more than read_qubo_text accepts; the
-    # writers' m x m count matrix is the O(m^2) allocation the guard protects.
+@pytest.mark.parametrize("n", [13, 16])
+def test_export_guard_fires_before_the_coupling_build(tmp_path, capsys, monkeypatch, n):
+    # n = 13 is one agent over the export limit (about 2 GB of qubo-text), and
+    # n = 16 gives 65,535 variables, more than read_qubo_text accepts; the m x m
+    # count matrix is the O(m^2) allocation the guard protects.
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("csgp.transform.build_qubo", _refuse("build_qubo"))
     monkeypatch.setattr("csgp.transform.coupling_counts", _refuse("coupling_counts"))
     code, out, err = run_cli(
-        capsys, "export", "--agents", "16", "--dist", "normal", "--format", "qubo-text"
+        capsys, "export", "--agents", str(n), "--dist", "normal", "--format", "qubo-text"
     )
     assert code == 3 and out == ""
-    assert stderr_error(err)["kind"] == "ResourceLimitError"
+    assert stderr_error(err) == {
+        "error": f"export is limited to 4095 QUBO variables, got {(1 << n) - 1}",
+        "kind": "ResourceLimitError",
+        "exit": 3,
+    }
     assert list(tmp_path.iterdir()) == []
 
 
@@ -670,7 +676,7 @@ def _dict_export(bilp, lam, fmt):
 
 def _streamed_export(bilp, lam, fmt):
     fh = io.StringIO()
-    cli._export_formats()[fmt][1](bilp, lam, fh)
+    cli._export_formats()[fmt][1](bilp.n, penalty_terms(bilp, lam), fh)
     return fh.getvalue()
 
 

@@ -478,6 +478,27 @@ def test_sampling_is_seed_deterministic():
         sample(state, 0, seed=5)
 
 
+@pytest.mark.parametrize("state,match", [
+    (np.ones(3, complex), "1-D array of 2\\^m amplitudes"),
+    (np.ones(6), "1-D array of 2\\^m amplitudes"),
+    (np.ones(0), "1-D array of 2\\^m amplitudes"),
+    (np.ones((2, 2)), "1-D array of 2\\^m amplitudes"),
+    (np.complex128(1.0), "1-D array of 2\\^m amplitudes"),
+    (np.zeros(4), "positive finite norm"),
+    (np.array([1.0, np.inf]), "positive finite norm"),
+    (np.array([1.0, np.nan]), "positive finite norm"),
+    (np.full(2, 1e200), "positive finite norm"),
+], ids=["length-3", "length-6", "empty", "2-d", "0-d", "zero", "inf", "nan", "norm-overflows"])
+def test_sample_refuses_a_state_that_is_not_one(state, match):
+    with pytest.raises(ConfigError, match=match):
+        sample(state, 16, seed=0)
+
+
+def test_sample_reads_m_from_the_state_length():
+    assert sample(np.ones(1), 4, seed=0) == {"": 4}
+    assert list(sample(np.ones(2), 4, seed=0)) == ["1", "0"]
+
+
 @pytest.mark.parametrize("m", range(1, 13))
 def test_sample_equals_the_loop_over_every_basis_state(m):
     # The counts dict the loop over all 2^m draws built, in items and order.

@@ -29,6 +29,8 @@ from csgp import (
     solve_qubo_sa,
 )
 from csgp.solvers import (
+    EXACT,
+    LIMITS,
     SA_MAX_SWEEPS,
     SA_MAX_VARIABLES,
     _pick_qubo_winner,
@@ -512,7 +514,7 @@ def test_sa_guard(monkeypatch):
     m = SA_MAX_VARIABLES + 1
     big = BilpInstance(n=16, columns=tuple(range(1, m + 1)), values=(0.0,) * m)
     monkeypatch.setattr("csgp.transform.coupling_counts", _refuse("coupling_counts"))
-    with pytest.raises(ResourceLimitError, match="annealing is limited"):
+    with pytest.raises(ResourceLimitError, match="sa is limited"):
         solve_qubo_sa(big, AnnealSchedule(sweeps=1, temp_hi=1.0, temp_lo=1.0, restarts=1))
 
 
@@ -535,14 +537,40 @@ def game20():
     return generate_game(20, DistributionSpec(kind="normal"), seed=0)
 
 
-@pytest.mark.parametrize("method", ["qaoa", "qubo-brute", "sa"])
-def test_qubo_methods_refuse_n20_before_the_bilp_is_built(game20, monkeypatch, method):
-    # 2^20 - 1 variables: the size is known from n and the exclusions alone.
+def _direct(method, game, bilp):
+    """The solver solve(game, method) calls, called on the game or on its BILP."""
+    if method in EXACT:
+        return (solve_enum if method == "enum" else solve_dp)(game)
+    if method == "sa":
+        return solve_qubo_sa(bilp, AnnealSchedule(sweeps=1, temp_hi=1.0, temp_lo=1.0, restarts=1))
+    return (solve_qubo_exhaustive if method == "qubo-brute" else solve_qaoa)(bilp)
+
+
+# (method, agents, highest coalitions excluded): each method one over its limit,
+# and the QUBO methods at n = 20, where 2^20 - 1 variables are known from n and
+# the exclusions alone.  No excluded coalition is a single agent.
+@pytest.mark.parametrize("method,n,excluded", [
+    ("enum", 13, 0), ("dp", 21, 0), ("qubo-brute", 5, 6), ("sa", 16, (1 << 15) - 2), ("qaoa", 5, 10),
+    *(pytest.param(method, 20, 0, id=f"{method}-n20") for method in ("qubo-brute", "sa", "qaoa")),
+])
+def test_one_limit_gives_one_message(monkeypatch, method, n, excluded):
+    game = CoalitionGame(n=n, values=np.zeros(1 << n))
+    exclude = range((1 << n) - excluded, 1 << n)
+    size = n if method in EXACT else (1 << n) - 1 - excluded
+    unit = "agents" if method in EXACT else "QUBO variables"
+    message = f"{method} is limited to {LIMITS[method]} {unit}, got {size}"
+    assert size == LIMITS[method] + 1 or n == 20
+    # solve refuses before the BILP is built, and the solver before its couplings.
+    bilp = None if method in EXACT else build_bilp(game, exclude)
     monkeypatch.setattr("csgp.solvers.build_bilp", _refuse("build_bilp"))
+    monkeypatch.setattr("csgp.transform.coupling_counts", _refuse("coupling_counts"))
+    with pytest.raises(ResourceLimitError) as direct:
+        _direct(method, game, bilp)
     start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match=f"^{method} is limited to .* got 1048575$"):
-        solve(game20, method)
+    with pytest.raises(ResourceLimitError) as through_solve:
+        solve(game, method, exclude=exclude)
     assert time.perf_counter() - start < 2.0
+    assert str(direct.value) == str(through_solve.value) == message
 
 
 def test_exclusions_are_checked_before_the_size_guard(game20, monkeypatch):

@@ -31,7 +31,6 @@ from csgp.transform import (
     agent_counts,
     ising_fields,
     matrix_energy,
-    penalty_diagonal,
     penalty_terms,
     quadratic_table,
 )
@@ -88,8 +87,8 @@ def test_agent_counts_equal_the_row_mask_loop(n, monkeypatch):
         m = bilp.num_variables
         masks = _row_masks(bilp)
         seen.clear()
-        penalty_diagonal(bilp)
-        assert seen == [[mask.bit_count() for mask in masks]]  # penalty_diagonal's shared
+        penalty_terms(bilp)
+        assert seen == [[mask.bit_count() for mask in masks]]  # penalty_terms' shared
         singletons = _singletons(bilp)
         draws = [rng.random(m) < share for share in (0.5, n / m, 1 / m) for _ in range(5)]
         for x in [singletons, "0" * m, *("".join(map(str, d.astype(int).tolist())) for d in draws)]:
