@@ -53,12 +53,11 @@ from .qaoa import (
     assignment_string,
     build_circuit,
     energy_table,
-    gate_count,
     optimize,
     sample,
     scan_layers,
     simulate,
 )
-from .analysis import ComplexityRow, complexity_table, sparsity_bounds, write_complexity_csv
+from .analysis import ComplexityRow, complexity_table, gate_count, sparsity_bounds, write_complexity_csv
 
 __version__ = "0.1.0"

@@ -1,4 +1,5 @@
-"""Gate-count complexity curves versus classical baselines, plus sparsity bounds.
+"""The paper's complexity comparison: the circuit's closed-form gate count,
+the sparsity bounds, and the cost table against the classical baselines.
 
 All arithmetic is exact (Python integers); log10 columns are provided for
 log-scale plotting.  The baselines are the textbook worst-case costs
@@ -8,15 +9,34 @@ O(n^n) and O(3^n); no classical solver is timed here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError, check_int
-from .qaoa import gate_count
 
-S_MODES = ("min", "max", "actual")
+S_MODES = ("min", "max", "actual")  # in the order sparsity_bounds returns them
 
 N_RANGE_LO = 2
 N_RANGE_HI = 64
+
+
+def _agent_count(n) -> int:
+    """n as an int: anything but an integer in [N_RANGE_LO, N_RANGE_HI] is a ConfigError."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not N_RANGE_LO <= n <= N_RANGE_HI:
+        raise ConfigError(f"agent counts must be integers in [{N_RANGE_LO}, {N_RANGE_HI}], got {n!r}")
+    return int(n)
+
+
+def gate_count(n: int, p: int, s: int) -> int:
+    """Closed-form circuit size: (2^n - 1)(2p + 1) + 3ps.
+
+    One H per qubit, p RX per qubit, p RZ per qubit for the fields, and
+    per interaction per layer a CNOT/RZ/CNOT triple.
+    """
+    n = _agent_count(n)
+    check_int(p, "layer count", 1)
+    check_int(s, "interaction count", 0)
+    return ((1 << n) - 1) * (2 * p + 1) + 3 * p * s
 
 
 def sparsity_bounds(n: int) -> tuple[int, int, int]:
@@ -28,7 +48,7 @@ def sparsity_bounds(n: int) -> tuple[int, int, int]:
     For n = 2, s_actual = 2 falls below s_min = 3; both are reported
     as defined, without reconciliation.
     """
-    check_int(n, "sparsity bounds n", 2)
+    n = _agent_count(n)
     m = (1 << n) - 1
     s_min = m
     s_max = (1 << (n - 1)) * ((1 << n) - 3) + 1
@@ -47,30 +67,19 @@ class ComplexityRow:
     s: int
     ip_cost: int
     idp_boss_cost: int
-    bilpq_min: int
-    bilpq_max: int
     bilpq_gates: int
 
 
 def complexity_table(n_range, p_list, s_mode: str = "min") -> list[ComplexityRow]:
-    """Exact cost table over the (n, p) grid for one sparsity regime.
-
-    ``bilpq_gates`` is the circuit size at the s selected by s_mode;
-    the min/max-regime counts are carried on every row so the bracketing
-    band is available regardless of mode.
-    """
+    """Exact cost table over the (n, p) grid for one sparsity regime;
+    ``bilpq_gates`` is the circuit size at the s selected by s_mode."""
     if s_mode not in S_MODES:
         raise ConfigError(f"s_mode must be one of {S_MODES}, got {s_mode!r}")
-    ns = []
-    for n in map(int, n_range):  # checked as read, so a huge range fails at its first bad n
-        if not N_RANGE_LO <= n <= N_RANGE_HI:
-            raise ConfigError(f"agent counts must lie in [{N_RANGE_LO}, {N_RANGE_HI}], got {n}")
-        ns.append(n)
+    ns = [_agent_count(n) for n in n_range]  # checked as read, so a huge range fails at its first bad n
     ps = [check_int(p, "layer counts", 1) for p in p_list]
     rows = []
     for n in ns:
-        s_min, s_max, s_actual = sparsity_bounds(n)
-        s = {"min": s_min, "max": s_max, "actual": s_actual}[s_mode]
+        s = sparsity_bounds(n)[S_MODES.index(s_mode)]
         for p in ps:
             rows.append(
                 ComplexityRow(
@@ -80,8 +89,6 @@ def complexity_table(n_range, p_list, s_mode: str = "min") -> list[ComplexityRow
                     s=s,
                     ip_cost=n ** n,
                     idp_boss_cost=3 ** n,
-                    bilpq_min=gate_count(n, p, s_min),
-                    bilpq_max=gate_count(n, p, s_max),
                     bilpq_gates=gate_count(n, p, s),
                 )
             )

@@ -349,8 +349,8 @@ def _cmd_bench(args) -> int:
                             game, method, lam=args.lam, seed=seed, p_max=args.p_max, shots=args.shots
                         )
                         key = (dist, n, seed)
-                        if key not in references:
-                            references[key] = solve_dp(game).best_value
+                        if key not in references:  # dp's own report is the reference
+                            references[key] = (report if method == "dp" else solve_dp(game)).best_value
                         reference = references[key]
                         matches = (
                             report.feasible

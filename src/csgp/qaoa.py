@@ -194,16 +194,22 @@ def energy_table(ising: IsingInstance) -> np.ndarray:
 
 
 def assignment_string(index: int, m: int) -> str:
-    """Variable-assignment string for a measured basis state (x = (1+z)/2)."""
+    """Variable-assignment string for a measured basis state (x = (1+z)/2), m <= SIMULATOR_MAX_QUBITS."""
+    _check_qubits(check_int(m, "qubit count", 0))
+    return _assignment(index, m)
+
+
+def _assignment(index: int, m: int) -> str:
     return "".join("0" if index >> k & 1 else "1" for k in range(m))
 
 
 def sample(state: np.ndarray, shots: int, seed: int) -> dict[str, int]:
     """Multinomial measurement; keys are assignment strings in ascending
-    basis-index order, values shot counts.  A state that is not 1-D, whose
-    length is not a power of two or whose squared norm is not positive and
-    finite is a ConfigError."""
+    basis-index order, values shot counts.  A seed that is not an integer
+    >= 0, and a state that is not 1-D, whose length is not a power of two or
+    whose squared norm is not positive and finite, are ConfigErrors."""
     check_shots(shots)
+    check_int(seed, "seed", 0)
     size = len(state) if np.ndim(state) == 1 else 0
     if size & (size - 1) or not size:
         raise ConfigError(f"state must be a 1-D array of 2^m amplitudes, got shape {np.shape(state)}")
@@ -211,7 +217,7 @@ def sample(state: np.ndarray, shots: int, seed: int) -> dict[str, int]:
         probs = np.square(np.abs(state))
     if not 0.0 < probs.sum() < math.inf:
         raise ConfigError(f"state must have a positive finite norm, got squared norm {probs.sum()}")
-    return {assignment_string(b, size.bit_length() - 1): c for b, c in _draw(probs, shots, seed).items()}
+    return {_assignment(b, size.bit_length() - 1): c for b, c in _draw(probs, shots, seed).items()}
 
 
 def _draw(probs: np.ndarray, shots: int, seed: int) -> dict[int, int]:
@@ -444,6 +450,7 @@ def optimize(
     """
     check_depth(p)
     check_shots(shots)
+    check_int(seed, "seed", 0)
     from scipy.optimize import minimize  # here, so that only QAOA loads scipy
 
     start = time.perf_counter()
@@ -497,7 +504,7 @@ def optimize(
     # The sample's |amplitude|^2 reuses the scratch row, so it needs no buffer of its own.
     probs = work.probabilities(work.state(params.betas, params.gammas)[None])[0]
     drawn = _draw(probs, shots, int(sample_seq.generate_state(1)[0]))
-    keys = [assignment_string(b, ising.m) for b in drawn]
+    keys = [_assignment(b, ising.m) for b in drawn]
     counts = dict(zip(keys, drawn.values()))
     # The lowest table energy drawn; among equal energies, the smallest string.
     best_energy, best_bitstring = min(zip(table[list(drawn)].tolist(), keys))
@@ -556,15 +563,3 @@ def scan_layers(
         ):
             return results, p
     return results, None
-
-
-def gate_count(n: int, p: int, s: int) -> int:
-    """Closed-form circuit size: (2^n - 1)(2p + 1) + 3ps.
-
-    One H per qubit, p RX per qubit, p RZ per qubit for the fields, and
-    per interaction per layer a CNOT/RZ/CNOT triple.
-    """
-    check_int(n, "agent count", 1)
-    check_int(p, "layer count", 1)
-    check_int(s, "interaction count", 0)
-    return ((1 << n) - 1) * (2 * p + 1) + 3 * p * s

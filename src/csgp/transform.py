@@ -22,6 +22,7 @@ from .errors import ConfigError, InfeasibleError, check_int, check_real
 from .game import CoalitionGame, CoalitionStructure, left_sum, n_coalitions
 
 ENERGY_BLOCK = 1 << 16  # coupling entries one numpy pass reads or builds
+_BITS = {0: 0, 1: 1, "0": 0, "1": 1}  # an assignment's entries; bools, 0.0 and 1.0 are equal keys
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,9 +200,12 @@ def quadratic_table(linear, quadratic, start: float = 0.0) -> np.ndarray:
 
 def _as_bits(x, m: int) -> list[int]:
     if isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype.kind in "iu":
-        bits = x.tolist()  # Python ints, as int(b) would give
+        bits = x.tolist()  # Python ints
     else:
-        bits = [int(b) for b in x]
+        try:
+            bits = [_BITS[b] for b in x]
+        except (KeyError, TypeError):  # TypeError: an unhashable entry
+            raise ConfigError("assignment bits must be 0 or 1") from None
     if len(bits) != m:
         raise ConfigError(f"assignment has {len(bits)} bits, expected {m}")
     if not {0, 1}.issuperset(bits):

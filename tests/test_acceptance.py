@@ -11,13 +11,14 @@ import time
 
 import pytest
 
+from csgp.analysis import gate_count
 from csgp.game import (
     DISTRIBUTION_KINDS,
     DistributionSpec,
     cs_value,
     generate_game,
 )
-from csgp.qaoa import QaoaParams, build_circuit, energy_table, gate_count, scan_layers
+from csgp.qaoa import QaoaParams, build_circuit, energy_table, scan_layers
 from csgp.solvers import (
     default_schedule,
     solve_dp,

@@ -6,6 +6,8 @@ count over coalition bitmasks and against the QUBO builder itself.
 
 import io
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,13 +15,15 @@ from csgp.analysis import (
     CSV_HEADER,
     S_MODES,
     complexity_table,
+    gate_count,
     sparsity_bounds,
     write_complexity_csv,
 )
 from csgp.errors import ConfigError
 from csgp.game import CoalitionGame
-from csgp.qaoa import gate_count
 from csgp.transform import build_bilp, build_qubo
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_sparsity_bounds_small_cases():
@@ -70,31 +74,32 @@ def test_mode_selects_which_bound_is_tabulated():
         rows = complexity_table(range(2, 21), [1, 10], s_mode=mode)
         for row in rows:
             assert row.s_mode == mode
-            assert row.bilpq_min <= row.bilpq_max
+            s_min, s_max, _ = sparsity_bounds(row.n)
+            low, high = gate_count(row.n, row.p, s_min), gate_count(row.n, row.p, s_max)
+            assert low <= high
             if mode == "min":
-                assert row.bilpq_gates == row.bilpq_min
+                assert row.bilpq_gates == low
             elif mode == "max":
-                assert row.bilpq_gates == row.bilpq_max
+                assert row.bilpq_gates == high
             elif row.n >= 3:
-                assert row.bilpq_min <= row.bilpq_gates <= row.bilpq_max
+                assert low <= row.bilpq_gates <= high
             else:
                 # n = 2 only: the intersecting-pair count dips below the
                 # sparse bound, so the actual-regime circuit is smaller.
-                assert row.bilpq_gates < row.bilpq_min
+                assert row.bilpq_gates < low
 
 
-def test_crossover_against_exhaustive_baseline():
-    rows = complexity_table(range(2, 65), [50], s_mode="min")
-    for row in rows:
-        cheaper = row.bilpq_gates < row.idp_boss_cost
-        assert cheaper == (row.n >= 14), row.n
+# (p, n from which the circuit beats 3^n, n from which it beats n^n) at
+# s = 2^n - 1 over n = 2..64: README's crossover table.
+CROSSOVERS = [(1, 5, 4), (10, 10, 5), (25, 12, 6), (50, 14, 6)]
 
 
-def test_crossover_against_partition_enumeration_baseline():
-    rows = complexity_table(range(2, 65), [50], s_mode="min")
-    for row in rows:
-        cheaper = row.bilpq_gates < row.ip_cost
-        assert cheaper == (row.n >= 6), row.n
+@pytest.mark.parametrize("p, beats_exhaustive, beats_walk", CROSSOVERS)
+def test_crossover_table(p, beats_exhaustive, beats_walk):
+    for row in complexity_table(range(2, 65), [p], s_mode="min"):
+        assert (row.bilpq_gates < row.idp_boss_cost) == (row.n >= beats_exhaustive), row.n
+        assert (row.bilpq_gates < row.ip_cost) == (row.n >= beats_walk), row.n
+    assert f"| {p} | {beats_exhaustive} | {beats_walk} |" in README.read_text(encoding="utf-8")
 
 
 def test_sparse_regime_has_closed_form_at_fixed_depth():
@@ -113,6 +118,14 @@ def test_table_validation():
         complexity_table([65], [1])
     with pytest.raises(ConfigError):
         complexity_table([4], [0])
+
+
+@pytest.mark.parametrize("n", [1, 65, 2**70, 2.7, 2.0, True, "3", None])
+def test_one_agent_count_check_serves_all_three(n):
+    message = re.escape(f"agent counts must be integers in [2, 64], got {n!r}")
+    for call in (lambda: gate_count(n, 1, 3), lambda: sparsity_bounds(n), lambda: complexity_table([2, n], [1])):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            call()
 
 
 def test_csv_layout():

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from csgp import cli
-from csgp.analysis import CSV_HEADER
+from csgp.analysis import CSV_HEADER, S_MODES, complexity_table, write_complexity_csv
 from csgp.cli import main, read_qubo_text
 from csgp.errors import ParseError, ResourceLimitError
 from csgp.game import DISTRIBUTION_KINDS, CoalitionGame, DistributionSpec, generate_game, load_game
@@ -907,6 +907,15 @@ def test_analyze_out_file_matches_stdout(tmp_path, capsys):
     assert code == 0
     code, out, _ = run_cli(capsys, "analyze", "--agents", "2..6", "--p", "1,10")
     assert out_path.read_text() == out
+    # Each mode's file holds the library's table as the library writes it.
+    for mode in S_MODES:
+        code, _, _ = run_cli(
+            capsys, "analyze", "--agents", "2..8", "--s-mode", mode, "--out", str(out_path)
+        )
+        assert code == 0
+        expected = io.StringIO()
+        write_complexity_csv(complexity_table(range(2, 9), [1, 10, 25, 50], mode), expected)
+        assert out_path.read_text(encoding="utf-8") == expected.getvalue()
 
 
 def test_analyze_rejects_out_of_range_agents(capsys):

@@ -18,6 +18,7 @@ import pytest
 import scipy.optimize
 
 import csgp.qaoa as qaoa_module
+from csgp.analysis import gate_count
 from csgp.errors import ConfigError, ResourceLimitError
 from csgp.game import CoalitionGame, DistributionSpec, generate_game
 from csgp.qaoa import (
@@ -28,7 +29,6 @@ from csgp.qaoa import (
     assignment_string,
     build_circuit,
     energy_table,
-    gate_count,
     optimize,
     sample,
     scan_layers,
@@ -450,6 +450,10 @@ def test_assignment_string_examples():
     assert assignment_string(3, 3) == "001"
     assert assignment_string(0, 3) == "111"
     assert assignment_string(7, 3) == "000"
+    with pytest.raises(ResourceLimitError, match="limited to 20 qubits, got 1180591620717411303424"):
+        assignment_string(1, 2**70)
+    with pytest.raises(ConfigError, match="qubit count must be an integer, got 3.0"):
+        assignment_string(1, 3.0)
 
 
 # ------------------------------------------------------------------ sampling
@@ -758,7 +762,7 @@ def test_optimize_checks_shots_before_any_work(g2, monkeypatch):
 
 def test_depth_and_shot_limits_are_checked_before_any_work(g2, monkeypatch):
     def refuse(*args):
-        raise AssertionError("energy_table ran before the depth or shots check")
+        raise AssertionError("energy_table ran before the depth, shots or seed check")
 
     _, _, ising = _g2_chain(g2)
     monkeypatch.setattr(qaoa_module, "energy_table", refuse)
@@ -773,6 +777,11 @@ def test_depth_and_shot_limits_are_checked_before_any_work(g2, monkeypatch):
     with pytest.raises(ConfigError, match="multinomial"):
         sample(state, qaoa_module.MAX_SHOTS + 1, seed=0)
     assert sum(sample(state, qaoa_module.MAX_SHOTS, seed=0).values()) == qaoa_module.MAX_SHOTS
+    for seed, match in [(-1, "seed must be >= 0"), (1.5, "seed must be an integer"), (True, "seed must be")]:
+        with pytest.raises(ConfigError, match=match):
+            optimize(ising, 1, seed=seed)
+        with pytest.raises(ConfigError, match=match):
+            sample(state, 4, seed=seed)
 
 
 def test_optimize_is_deterministic(g2):

@@ -468,6 +468,27 @@ def test_decode_examples(g2):
     assert not empty.feasible and empty.violation == (-1, -1)
 
 
+@pytest.mark.parametrize(
+    "x", ["01x", [None, 1, 0], [0.5, 1, 1], "\uff1101", [[0], 1, 1], np.array([0.0, 1.0, 0.5])],
+    ids=["letter", "none", "half", "fullwidth-1", "list", "float-array"],
+)
+def test_assignment_entries_other_than_0_and_1_are_refused(g2, x):
+    bilp = build_bilp(g2)
+    _, diag, counts, levels = penalty_terms(bilp, 10.0)
+    qubo = build_qubo(bilp, lam=10.0)
+    for call in (
+        lambda: decode_solution(bilp, x),
+        lambda: qubo_energy(qubo, x),
+        lambda: matrix_energy(diag, counts, levels, x),
+    ):
+        with pytest.raises(ConfigError, match="^assignment bits must be 0 or 1$"):
+            call()
+    # What compares equal to 0 or 1 reads as that bit.
+    for same in ([False, 1.0, True], np.array([0.0, 1.0, 1.0]), ["0", 1, np.int8(1)]):
+        assert qubo_energy(qubo, same) == qubo_energy(qubo, "011")
+        assert decode_solution(bilp, same) == decode_solution(bilp, "011")
+
+
 def test_decoding_every_assignment_yields_each_partition_once():
     bilp = build_bilp(generate_game(4, DistributionSpec(kind="f"), seed=3))
     decoded = [decode_solution(bilp, x) for x in _assignments(bilp.num_variables)]
