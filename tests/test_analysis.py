@@ -89,6 +89,20 @@ def test_mode_selects_which_bound_is_tabulated():
                 assert row.bilpq_gates < low
 
 
+def test_crossover_against_exhaustive_baseline():
+    rows = complexity_table(range(2, 65), [50], s_mode="min")
+    for row in rows:
+        cheaper = row.bilpq_gates < row.idp_boss_cost
+        assert cheaper == (row.n >= 14), row.n
+
+
+def test_crossover_against_partition_enumeration_baseline():
+    rows = complexity_table(range(2, 65), [50], s_mode="min")
+    for row in rows:
+        cheaper = row.bilpq_gates < row.ip_cost
+        assert cheaper == (row.n >= 6), row.n
+
+
 # (p, n from which the circuit beats 3^n, n from which it beats n^n) at
 # s = 2^n - 1 over n = 2..64: README's crossover table.
 CROSSOVERS = [(1, 5, 4), (10, 10, 5), (25, 12, 6), (50, 14, 6)]
