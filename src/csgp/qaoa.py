@@ -1,18 +1,23 @@
 """QAOA on the coalition Ising model: circuit build, state-vector simulation,
 sampling, and classical angle optimization.
 
-The optimizer evaluates angles with a diagonal-phase kernel: each cost layer
-is one elementwise multiply by exp(-i*gamma*E) over the energy table (built
-once per optimize call, in O(2^m), by transform.quadratic_table), each mixer
-layer applies RX(2*beta) to every qubit q as cos(beta)*psi - i*sin(beta)*X_q psi,
-with X_q a flipped view of a buffer, not a copy.  L-BFGS-B gets the
-expectation and all 2p derivatives from one adjoint sweep through the same
-kernel, forwards and then backwards (_Workspace.value_and_grad).  Each
-optimize call allocates one _Workspace: its psi, lam and scratch buffers and
-every qubit's views are built once and serve the start screening (many
-states per pass at small m), every value+gradient call and the sampled
-state.  The gate list from build_circuit, replayed by simulate, is the
-gate-exact reference the kernel is tested against and the source of gate
+The optimizer evaluates angles in one of two ways, chosen by p alone.  At
+p = 1 the expectation has a closed form in the Ising fields and couplings
+(_ClosedForm: O((m + couplings) * m) cosines per angle pair, no state of
+2^m amplitudes), which serves the start screening and every L-BFGS-B
+value+gradient call; the reported expectation is that closed form.  At
+p >= 2 it runs a diagonal-phase kernel: each cost layer is one elementwise
+multiply by exp(-i*gamma*E) over the energy table (built once per optimize
+call, in O(2^m), by transform.quadratic_table), each mixer layer applies
+RX(2*beta) to every qubit q as cos(beta)*psi - i*sin(beta)*X_q psi, with
+X_q a flipped view of a buffer, not a copy.  L-BFGS-B gets the expectation
+and all 2p derivatives from one adjoint sweep through the same kernel,
+forwards and then backwards (_Workspace.value_and_grad).  Each optimize
+call allocates one _Workspace: its psi, lam and scratch buffers and every
+qubit's views are built once and serve the start screening (many states
+per pass at small m), every value+gradient call and, at every p, the
+sampled state.  The gate list from build_circuit, replayed by simulate, is
+the gate-exact reference both are tested against and the source of gate
 counts; the optimizer never builds it.
 
 Conventions, fixed once here and relied on by the tests:
@@ -33,6 +38,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +51,9 @@ LBFGS_FTOL = 1e-12  # L-BFGS-B stops when a step lowers the scaled expectation b
 LBFGS_GTOL = 1e-6  # or when no gradient entry exceeds this
 START_DRAWS = 16  # each L-BFGS-B start is the lowest-expectation one of this many draws
 FLIP_RUN = 1 << 13  # inner loop of the q = 0 and 1 flips: shorter runs hit numpy's buffering, longer leave cache
-SCREEN_AMPLITUDES = 1 << 12  # the draws are screened max(1, this >> m) states at a time
+SCREEN_AMPLITUDES = 1 << 12  # at p >= 2 the draws are screened max(1, this >> m) states at a time
+SCREEN_ENTRIES = 1 << 14  # at p = 1 they are screened at most this many closed-form cosines at a time
+GAMMA_STEP = 1e-30  # the imaginary step of the closed form's d/dgamma
 MAX_SHOTS = np.iinfo(np.int64).max  # the most draws numpy's multinomial takes
 
 _H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
@@ -194,8 +202,11 @@ def energy_table(ising: IsingInstance) -> np.ndarray:
 
 
 def assignment_string(index: int, m: int) -> str:
-    """Variable-assignment string for a measured basis state (x = (1+z)/2), m <= SIMULATOR_MAX_QUBITS."""
+    """Variable-assignment string for a measured basis state (x = (1+z)/2), m <= SIMULATOR_MAX_QUBITS;
+    an index that is not an integer in [0, 2^m) is a ConfigError."""
     _check_qubits(check_int(m, "qubit count", 0))
+    if check_int(index, "basis index", 0) >= 1 << m:
+        raise ConfigError(f"basis index must be < 2^{m} = {1 << m}, got {index}")
     return _assignment(index, m)
 
 
@@ -325,15 +336,23 @@ class _Workspace:
     psi and scratch hold `rows` states of 2^m amplitudes and lam one; the
     X_q view pairs are built for all rows of psi (the screening) and for the
     first row of psi and lam (the value+gradient calls and the final state).
+    lam and its pairs are allocated by the first value_and_grad call, so a
+    workspace that only builds states (at p = 1) holds psi and scratch alone.
     """
 
     def __init__(self, m: int, table: np.ndarray, rows: int = 1) -> None:
         self.m, self.table, self.rows = m, table, rows
         self.psi, self.scratch = (np.empty((rows, 1 << m), dtype=np.complex128) for _ in range(2))
-        self.lam = np.empty((1, 1 << m), dtype=np.complex128)
         self.batch_pairs = _flip_pairs(self.psi, self.scratch, m)
         self.psi_pairs = _flip_pairs(self.psi[:1], self.scratch[:1], m)
-        self.lam_pairs = _flip_pairs(self.lam[:1], self.scratch[:1], m)
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        return np.empty((1, 1 << self.m), dtype=np.complex128)
+
+    @cached_property
+    def lam_pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return _flip_pairs(self.lam, self.scratch[:1], self.m)
 
     def _forward(self, rows: int, pairs, layers) -> np.ndarray:
         """psi[:rows] from the uniform superposition: per layer (diag, off, coef),
@@ -419,6 +438,80 @@ class _Workspace:
         return value, grad
 
 
+class _ClosedForm:
+    """The p = 1 expectation of the ansatz, in closed form from the model's h and J.
+
+    With C(a) = cos(2*gamma*a), S(a) = sin(2*gamma*a), s = sin(2*beta) and
+    c = cos(2*beta) (Ozaeta, van Dam & McMahon, arXiv:2012.03421):
+    <Z_u> = s S(h_u) prod_{w != u} C(J_uw) and <Z_u Z_v> = c s S(J_uv)
+    [C(h_u) prod C(J_uw) + C(h_v) prod C(J_vw)] + s^2/2 [C(h_u - h_v)
+    prod C(J_uw - J_vw) - C(h_u + h_v) prod C(J_uw + J_vw)], each prod over
+    w not in {u, v}.  The expectation of the table (the energies without the
+    offset) is then s X + c s Y + s^2 Z: X = sum h_u <Z_u> / s, and c s Y and
+    s^2 Z are the two parts of sum J_uv <Z_u Z_v>, with X, Y and Z functions
+    of gamma alone.
+
+    Every product is one row of `coef`: m rows for the <Z_u> and four per
+    coupling, twice the arguments of C, with the entries of u and v that a
+    product skips held at 0 (cos 0 = 1) and the one-field factor written
+    into u's entry.  Nothing of size 2^m is built: a gamma costs
+    O((m + couplings) * m) cosines.
+    """
+
+    def __init__(self, ising: IsingInstance) -> None:
+        m = ising.m
+        self.h = np.asarray(ising.h, dtype=np.float64)
+        u, v = np.array(list(ising.J), dtype=np.int64).reshape(-1, 2).T
+        self.j = np.array(list(ising.J.values()), dtype=np.float64)
+        couple = np.zeros((m, m))
+        couple[u, v] = couple[v, u] = self.j
+        rows = [couple]
+        k = np.arange(len(self.j))
+        for a, b in ((1.0, 0.0), (0.0, 1.0), (1.0, -1.0), (1.0, 1.0)):
+            block = a * couple[u] + b * couple[v]
+            block[k, u] = a * self.h[u] + b * self.h[v]
+            block[k, v] = 0.0
+            rows.append(block)
+        self.coef = 2.0 * np.concatenate(rows)
+
+    def _xyz(self, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """X, Y and Z at each of the gammas, real or complex, elementwise (no BLAS)."""
+        m, pairs = len(self.h), len(self.j)
+        prods = np.cos(gammas[:, None, None] * self.coef).prod(-1)
+        single, one, other, minus, plus = np.split(prods, [m, m + pairs, m + 2 * pairs, m + 3 * pairs], -1)
+        x = (single * np.sin(gammas[:, None] * (2.0 * self.h)) * self.h).sum(-1)
+        y = ((one + other) * np.sin(gammas[:, None] * (2.0 * self.j)) * self.j).sum(-1)
+        z = ((minus - plus) * (0.5 * self.j)).sum(-1)
+        return x, y, z
+
+    def screen(self, betas: np.ndarray, gammas: np.ndarray) -> list[float]:
+        """Expectation of each row's (beta, gamma), as _Workspace.screen returns
+        it, with at most SCREEN_ENTRIES cosines per pass."""
+        step = max(1, SCREEN_ENTRIES // (self.coef.size or 1))  # m = 0 has no cosines
+        values = []
+        for first in range(0, len(betas), step):
+            x, y, z = self._xyz(gammas[first : first + step, 0])
+            twice = 2.0 * betas[first : first + step, 0]
+            s, c = np.sin(twice), np.cos(twice)
+            values += (s * x + c * s * y + s * s * z).tolist()
+        return values
+
+    def value_and_grad(self, betas, gammas) -> tuple[float, np.ndarray]:
+        """The expectation and its gradient over (beta, gamma), as
+        _Workspace.value_and_grad returns them.
+
+        d/dbeta = 2c X + 2 cos(4 beta) Y + 4 s c Z.  d/dgamma is the complex
+        step Im f(gamma + i*GAMMA_STEP) / GAMMA_STEP (Squire & Trapp, SIAM
+        Rev. 40, 1998): no difference is taken, so nothing cancels, and the
+        same complex evaluation gives the value as its real part.
+        """
+        x, y, z = (t[0] for t in self._xyz(np.array([gammas[0] + 1j * GAMMA_STEP])))
+        s, c = math.sin(2.0 * betas[0]), math.cos(2.0 * betas[0])
+        value = s * x + c * s * y + s * s * z
+        d_beta = 2.0 * c * x.real + 2.0 * math.cos(4.0 * betas[0]) * y.real + 4.0 * s * c * z.real
+        return float(value.real), np.array([d_beta, value.imag / GAMMA_STEP])
+
+
 def optimize(
     ising: IsingInstance,
     p: int,
@@ -429,7 +522,8 @@ def optimize(
     """Multi-start L-BFGS-B search over the 2p angles.
 
     The objective is the analytic expectation (no shot noise) of the
-    ansatz state, with its gradient from _Workspace.value_and_grad.  The search
+    ansatz state with its gradient: at p = 1 from _ClosedForm, which never
+    builds the state, and at p >= 2 from _Workspace.value_and_grad.  The search
     runs on the energy table divided by scale = max|E| (1 when the table is
     all zero): its variables are beta and scale * gamma, its objective the
     expectation divided by scale.  Angles are drawn uniformly from beta in
@@ -438,15 +532,18 @@ def optimize(
     ones, not in the table's first period.  Each start is the draw with the
     lowest expectation out of START_DRAWS and runs L-BFGS-B for at most
     config.maxiter iterations.  All starts * START_DRAWS draws are taken up
-    front, in the order per-draw calls would take them, and screened
-    max(1, SCREEN_AMPLITUDES >> m) states per forward pass; a start takes the
-    first of its lowest values.  The best angles any evaluation saw win; the
-    reported expectation is theirs on the unscaled table, and the sample of
-    `shots` draws is taken once, from the same kernel at those angles.  One
-    _Workspace serves the screening, every evaluation and that last state.
+    front, in the order per-draw calls would take them, and screened by the
+    same evaluator (at p >= 2, max(1, SCREEN_AMPLITUDES >> m) states per
+    forward pass); a start takes the first of its lowest values.  The best
+    angles any evaluation saw win; the reported expectation is theirs on the
+    unscaled table, and the sample of `shots` draws is taken once, from the
+    kernel's state at those angles.  One _Workspace serves the screening and
+    every evaluation at p >= 2, and that last state at every p.
     metadata["evals"] counts value+gradient calls over all starts,
     metadata["converged"] says whether the winning start's L-BFGS-B run
-    reported success and metadata["converged_starts"] how many starts did.
+    reported success and metadata["converged_starts"] how many starts did;
+    metadata["optimum_probability"] is that last state's probability mass on
+    the basis states of the lowest table energy.
     """
     check_depth(p)
     check_shots(shots)
@@ -459,13 +556,16 @@ def optimize(
 
     start_seq, sample_seq = np.random.SeedSequence(seed).spawn(2)
     draws = config.starts * START_DRAWS
-    work = _Workspace(ising.m, table, rows=min(max(1, SCREEN_AMPLITUDES >> ising.m), draws))
+    if p == 1:
+        work, evaluator = _Workspace(ising.m, table), _ClosedForm(ising)
+    else:
+        work = evaluator = _Workspace(ising.m, table, rows=min(max(1, SCREEN_AMPLITUDES >> ising.m), draws))
     # Draw by draw, p betas in [0, pi) then p gammas in [0, 2*pi), as two
     # uniform calls per draw would take them.
     angles = np.random.default_rng(start_seq).uniform(
         0.0, [[math.pi], [2.0 * math.pi]], size=(draws, 2, p)
     )
-    screened = work.screen(angles[:, 0], angles[:, 1])
+    screened = evaluator.screen(angles[:, 0], angles[:, 1])
     best = None
     evals_total = 0
     converged_starts = 0
@@ -479,7 +579,7 @@ def optimize(
             nonlocal evals_total
             evals_total += 1
             gammas = theta[p:] / scale
-            val, grad = work.value_and_grad(theta[:p], gammas)
+            val, grad = evaluator.value_and_grad(theta[:p], gammas)
             if not steps or val < steps[-1][2]:
                 steps.append((tuple(theta[:p]), tuple(gammas), val))
             # d/dbeta and d/d(scale * gamma) of val / scale
@@ -503,6 +603,7 @@ def optimize(
     params = trace[-1][0]
     # The sample's |amplitude|^2 reuses the scratch row, so it needs no buffer of its own.
     probs = work.probabilities(work.state(params.betas, params.gammas)[None])[0]
+    optimum_probability = float(probs[table == table.min()].sum())
     drawn = _draw(probs, shots, int(sample_seq.generate_state(1)[0]))
     keys = [_assignment(b, ising.m) for b in drawn]
     counts = dict(zip(keys, drawn.values()))
@@ -523,6 +624,7 @@ def optimize(
         "offset": ising.offset,
         "best_sampled_energy": best_energy,
         "best_sampled_qubo_energy": best_energy + ising.offset,
+        "optimum_probability": optimum_probability,
     }
     return QaoaResult(
         best_params=params,

@@ -654,6 +654,7 @@ def solve_qaoa(
         "shots": shots,
         "seed": seed,
         "expectation": winner.expectation,
+        "optimum_probability": winner.metadata["optimum_probability"],
         "best_x": None,
         "best_energy": None,
         "constant": None,

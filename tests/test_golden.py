@@ -26,6 +26,15 @@ expectation of -11.07 instead of -9.64, and QAOA_P_SCAN_FILE
 their best_value and blocks.  BENCH_SUMMARY did not move: its columns
 hold no angle or expectation.
 
+qaoa-p-max, QAOA_P_STDOUT and QAOA_P_SCAN_FILE moved again when p = 1
+came to be evaluated in closed form (qaoa._ClosedForm) instead of on the
+simulated state, and when the reports gained optimum_probability.  The
+p = 1 angles, traces and expectations move in their last digits (QAOA_P's
+expectation -11.06769543465491 -> -11.067695434654926); the counts,
+evals, best_value and blocks keep their values.  qaoa-p-max
+(7cc3ec37...2c9d -> 3395f9bd...b646), QAOA_P_STDOUT (af0efada...909b ->
+c55eb4b6...2378), QAOA_P_SCAN_FILE (e54c5fdb...47f6 -> 1d36704f...b22e).
+
 dp and dp-n12 moved when solve_dp stopped splitting the subsets of more
 than 2n/3 and fewer than n agents: metadata.splits went from 90 to 55
 (dp, 2f0757b2...7cb4 -> bae06ce2...523c) and from 261,625 to 159,523
@@ -78,12 +87,12 @@ SOLVE_GOLDEN = {
     ),
     "qaoa-p-max": (
         "--agents 2 --dist sva_beta --seed 1 --method qaoa --p-max 3",
-        "7cc3ec37a7a43689f0204056fb925db2beccbeac2c02c7e214644ef6579d2c9d",
+        "3395f9bdc292d94dd4df7e58afe46633f1e5ff0517c4d644bf048a08df10b646",
     ),
 }
 QAOA_P = "--agents 2 --dist normal --seed 0 --method qaoa --p 1 --lambda 12"
-QAOA_P_STDOUT = "af0efadaac8514c02a2b2fd4bcaa076a7475487249a5a1eb02e5123f3cf1909b"
-QAOA_P_SCAN_FILE = "e54c5fdb97bdab8b899439e78819cd5175a1f898da0a4a89c85653279b3e47f6"
+QAOA_P_STDOUT = "c55eb4b624fbc5e463a4d44b77199504903856b78d1263ffec57bcf1deb42378"
+QAOA_P_SCAN_FILE = "1d36704f44069046291c2df59d4e6867fb3a875fb4f6270cf447b896abc9b22e"
 BENCH = "--methods dp,qubo-brute,sa,qaoa --agents 2 --dists abu,wrc,normal --seeds 2 --p-max 2 --shots 256"
 BENCH_SUMMARY = "9165a419f2c7cedb4ef4f7a48b9e5c05743288336756c970ea755e76e313e473"
 # `csgp export` file bytes, per format and flags.

@@ -8,10 +8,14 @@ ansatz can be rebuilt with elementwise phases and Kronecker products.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from csgp.qaoa import (
     CircuitDescription,
     OptimizerConfig,
     QaoaParams,
+    _ClosedForm,
     _Workspace,
     assignment_string,
     build_circuit,
@@ -34,7 +39,7 @@ from csgp.qaoa import (
     scan_layers,
     simulate,
 )
-from csgp.solvers import solve_dp, solve_qubo_exhaustive
+from csgp.solvers import solve_dp, solve_qaoa, solve_qubo_exhaustive
 from csgp.transform import (
     IsingInstance,
     build_bilp,
@@ -454,6 +459,18 @@ def test_assignment_string_examples():
         assignment_string(1, 2**70)
     with pytest.raises(ConfigError, match="qubit count must be an integer, got 3.0"):
         assignment_string(1, 3.0)
+    for index, match in [
+        (-1, "basis index must be >= 0, got -1"),
+        (8, "basis index must be < 2\\^3 = 8, got 8"),
+        (9, "basis index must be < 2\\^3 = 8, got 9"),
+        (2**70, "basis index must be < 2\\^3 = 8"),
+        (1.5, "basis index must be an integer, got 1.5"),
+        (True, "basis index must be an integer, got True"),
+    ]:
+        with pytest.raises(ConfigError, match=match):
+            assignment_string(index, 3)
+    assert assignment_string(np.int64(7), 3) == "000"
+    assert assignment_string(0, 0) == ""
 
 
 # ------------------------------------------------------------------ sampling
@@ -611,6 +628,73 @@ def test_adjoint_gradient_matches_central_differences_on_the_abn_chain(p):
     _assert_gradient_matches_central_differences(7, scaled, p, np.random.default_rng(p))
 
 
+def _assert_closed_form_is_the_kernel(ising, betas, gammas):
+    # The value, d/dbeta and d/d(scale * gamma), the variable L-BFGS-B searches,
+    # each within 1e-12 * scale of the adjoint kernel's; the screen's values too.
+    table = energy_table(ising)
+    scale = max(1.0, float(np.max(np.abs(table))))
+    closed, work = _ClosedForm(ising), _Workspace(ising.m, table)
+    screened = closed.screen(np.array(betas)[:, None], np.array(gammas)[:, None])
+    assert len(screened) == len(betas)
+    for b, g, screen_value in zip(betas, gammas, screened):
+        value, grad = closed.value_and_grad(np.array([b]), np.array([g]))
+        want, want_grad = work.value_and_grad(np.array([b]), np.array([g]))
+        assert abs(value - want) <= 1e-12 * scale
+        assert abs(screen_value - want) <= 1e-12 * scale
+        assert abs(grad[0] - want_grad[0]) <= 1e-12 * scale
+        assert abs(grad[1] - want_grad[1]) / scale <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_closed_form_is_the_kernel_on_random_models(m):
+    rng = np.random.default_rng(m)
+    for seed in range(2):
+        ising = _random_ising(m, 50 + seed)
+        _assert_closed_form_is_the_kernel(ising, rng.uniform(0, math.pi, 4), rng.uniform(0, 2 * math.pi, 4))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_closed_form_is_the_kernel_on_the_penalty_chains(n):
+    # m = 3, 7, 15; gamma up to 2 pi puts gamma * J far past its first period.
+    rng = np.random.default_rng(n)
+    ising = _chain_for(n)[2]
+    scale = float(np.max(np.abs(energy_table(ising))))
+    gammas = np.concatenate([rng.uniform(0, 2 * math.pi, 3), rng.uniform(0, 2 * math.pi / scale, 3)])
+    _assert_closed_form_is_the_kernel(ising, rng.uniform(0, math.pi, 6), gammas)
+
+
+@pytest.mark.parametrize("J", [{}, {(0, 1): 0.0, (1, 2): 0.0}])
+def test_closed_form_on_an_all_zero_table_is_zero(J):
+    ising = IsingInstance(m=3, h=(0.0,) * 3, J=J, offset=0.0)
+    _assert_closed_form_is_the_kernel(ising, [0.3, 1.2], [0.7, 5.0])
+    value, grad = _ClosedForm(ising).value_and_grad([0.3], [0.7])
+    assert value == 0.0 and grad.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_optimize_at_zero_qubits_samples_the_empty_assignment(p):
+    result = optimize(IsingInstance(m=0, h=(), J={}, offset=1.0), p, shots=8)
+    assert result.expectation == 0.0
+    assert result.counts == {"": 8} and result.best_bitstring == ""
+    assert result.metadata["optimum_probability"] == 1.0
+
+
+def test_closed_form_at_a_factor_of_zero():
+    # 2 gamma J_uv = pi/2, where the pair's own cosine is (next to) 0, and
+    # 2 gamma h_u = pi/2, where the field's is.
+    ising = _random_ising(6, 7)
+    (u, v), coupling = next(iter(ising.J.items()))
+    gammas = [math.pi / (4 * coupling), math.pi / (4 * ising.h[u]), -math.pi / (4 * ising.h[v])]
+    _assert_closed_form_is_the_kernel(ising, [0.4, 1.1, 2.9], gammas)
+
+
+def test_closed_form_at_large_gamma_times_coupling():
+    # |gamma * J| up to about 10^3: hundreds of periods of every cosine.
+    rng = np.random.default_rng(3)
+    for m in (2, 6, 10):
+        _assert_closed_form_is_the_kernel(_random_ising(m, m), rng.uniform(0, math.pi, 3), rng.uniform(-500, 500, 3))
+
+
 def test_the_scaled_objective_matches_its_gradient(monkeypatch):
     # What L-BFGS-B sees: the value divided by max|E| over (beta, max|E| * gamma).
     seen = []
@@ -664,30 +748,32 @@ def test_each_start_is_the_lowest_of_its_draws(g2, monkeypatch):
 
 @pytest.mark.parametrize(
     "m, p, passes",
-    [(3, 2, 1), (9, 2, 20), (15, 1, 160)],  # 2^12 >> m states per pass: 160 (all), 8, 1
+    # p = 2: forward passes of 2^12 >> m states, 160 (all) then 8 per pass.
+    # p = 1: no state is built; the closed form screens the 160 draws in one call.
+    [(3, 2, 1), (9, 2, 20), (15, 1, 160)],
 )
 def test_batched_screening_is_bitwise_one_state_per_draw(monkeypatch, m, p, passes):
     ising = _random_ising(9, 0) if m == 9 else _chain_for((m + 1).bit_length() - 1)[2]
     assert ising.m == m
     screens, starts = [], []
-    real_screen = qaoa_module._Workspace.screen
+    evaluator = qaoa_module._ClosedForm if p == 1 else qaoa_module._Workspace
+    real_screen = evaluator.screen
     real_minimize = scipy.optimize.minimize
 
     def screen(work, betas, gammas):
         values = real_screen(work, betas, gammas)
-        screens.append((work.rows, betas.copy(), gammas.copy(), values))
+        screens.append((work, betas.copy(), gammas.copy(), values))
         return values
 
     def minimize(fun, x0, **kwargs):
         starts.append(x0.copy())
         return real_minimize(fun, x0, **kwargs)
 
-    monkeypatch.setattr(qaoa_module._Workspace, "screen", screen)
+    monkeypatch.setattr(evaluator, "screen", screen)
     monkeypatch.setattr(scipy.optimize, "minimize", minimize)
     optimize(ising, p, config=OptimizerConfig(starts=10, maxiter=1), seed=m)
 
-    (rows, betas, gammas, values), = screens
-    assert -(-160 // rows) == passes
+    (work, betas, gammas, values), = screens
     # The per-draw uniform calls and one _Workspace.state per draw, as each start drew them.
     table = energy_table(ising)
     rng = np.random.default_rng(np.random.SeedSequence(m).spawn(2)[0])
@@ -695,7 +781,12 @@ def test_batched_screening_is_bitwise_one_state_per_draw(monkeypatch, m, p, pass
     assert betas.tobytes() == np.array([b for b, _ in draws]).tobytes()
     assert gammas.tobytes() == np.array([g for _, g in draws]).tobytes()
     want = [float(np.abs(_Workspace(m, table).state(b, g)) ** 2 @ table) for b, g in draws]
-    assert np.array(values).tobytes() == np.array(want).tobytes()
+    if p == 1:
+        assert len(values) == passes
+        assert np.max(np.abs(np.array(values) - want)) <= 1e-12 * np.max(np.abs(table))
+    else:
+        assert -(-160 // work.rows) == passes
+        assert np.array(values).tobytes() == np.array(want).tobytes()
     assert len(starts) == 10
     for s, x0 in enumerate(starts):
         block = range(16 * s, 16 * s + 16)
@@ -726,6 +817,22 @@ def test_optimize_counts_the_starts_that_converged(g2):
     assert capped.metadata["converged_starts"] == 0
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_optimum_probability_is_the_final_states_mass_on_the_lowest_energies(p):
+    # The abn chain's optimum is one basis state; the reports carry it after the expectation.
+    bilp = build_bilp(generate_game(3, DistributionSpec(kind="abn"), 0))
+    report = solve_qaoa(bilp, p=p, shots=64)
+    result, = report.qaoa_results
+    table = energy_table(_abn_chain())
+    probs = np.abs(_Workspace(7, table).state(result.best_params.betas, result.best_params.gammas)) ** 2
+    optimal = np.flatnonzero(table == table.min())
+    assert len(optimal) == 1
+    assert result.metadata["optimum_probability"] == probs[optimal].sum()
+    keys = list(report.metadata)
+    assert keys[keys.index("expectation") + 1] == "optimum_probability"
+    assert report.metadata["optimum_probability"] == result.metadata["optimum_probability"]
+
+
 @pytest.mark.parametrize("J", [{}, {(0, 1): 0.0, (1, 2): 0.0}])
 def test_optimize_on_an_all_zero_table_returns_finite_angles(J):
     # max|E| is 0 here, so the search runs on the table divided by 1.
@@ -737,6 +844,7 @@ def test_optimize_on_an_all_zero_table_returns_finite_angles(J):
     assert all(math.isfinite(a) for a in angles)
     assert math.isfinite(result.expectation)
     assert sum(result.counts.values()) == 1024
+    assert result.metadata["optimum_probability"] == pytest.approx(1.0, abs=1e-12)  # every state is optimal
 
 
 def test_optimize_never_builds_or_replays_a_circuit(g2, monkeypatch):
@@ -789,6 +897,26 @@ def test_optimize_is_deterministic(g2):
     a = optimize(ising, p=1, seed=3).to_json(include_timing=False)
     b = optimize(ising, p=1, seed=3).to_json(include_timing=False)
     assert json.dumps(a) == json.dumps(b)
+
+
+def test_a_fifteen_qubit_p1_solve_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # p = 1 is evaluated in closed form, with no BLAS call: one and two BLAS
+    # threads give the same report and scan file bytes, timing stripped.
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = "solve --agents 4 --dist normal --seed 1 --method qaoa --p 1 --qaoa-out scan.json".split()
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run(
+            [sys.executable, "-m", "csgp", *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        report, scan = json.loads(done.stdout), json.loads((tmp_path / "scan.json").read_text(encoding="utf-8"))
+        assert report["metadata"]["m"] == 15
+        report.pop("timing")
+        scan["results"][0].pop("timing")
+        outputs.append(json.dumps([report, scan]))
+    assert outputs[0] == outputs[1]
 
 
 def test_optimize_rejects_bad_layer_count(g2):
