@@ -13,10 +13,10 @@ RX(2*beta) to every qubit q as cos(beta)*psi - i*sin(beta)*X_q psi, with
 X_q a flipped view of a buffer, not a copy.  L-BFGS-B gets the expectation
 and all 2p derivatives from one adjoint sweep through the same kernel,
 forwards and then backwards (_Workspace.value_and_grad).  Each optimize
-call allocates one _Workspace: its psi, lam and scratch buffers and every
-qubit's views are built once and serve the start screening (many states
-per pass at small m), every value+gradient call and, at every p, the
-sampled state.  The gate list from build_circuit, replayed by simulate, is
+call allocates one _Workspace: its psi, lam and scratch buffers of one
+state each and every qubit's views are built once and serve the start
+screening (one state per draw), every value+gradient call and, at every p,
+the sampled state.  The gate list from build_circuit, replayed by simulate, is
 the gate-exact reference both are tested against and the source of gate
 counts; the optimizer never builds it.
 
@@ -42,7 +42,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, ResourceLimitError, check_int
+from .errors import ConfigError, ResourceLimitError, check_int, check_real
+from .game import left_sum
 from .transform import IsingInstance, quadratic_table
 
 SIMULATOR_MAX_QUBITS = 20
@@ -51,7 +52,6 @@ LBFGS_FTOL = 1e-12  # L-BFGS-B stops when a step lowers the scaled expectation b
 LBFGS_GTOL = 1e-6  # or when no gradient entry exceeds this
 START_DRAWS = 16  # each L-BFGS-B start is the lowest-expectation one of this many draws
 FLIP_RUN = 1 << 13  # inner loop of the q = 0 and 1 flips: shorter runs hit numpy's buffering, longer leave cache
-SCREEN_AMPLITUDES = 1 << 12  # at p >= 2 the draws are screened max(1, this >> m) states at a time
 SCREEN_ENTRIES = 1 << 14  # at p = 1 they are screened at most this many closed-form cosines at a time
 GAMMA_STEP = 1e-30  # the imaginary step of the closed form's d/dgamma
 MAX_SHOTS = np.iinfo(np.int64).max  # the most draws numpy's multinomial takes
@@ -192,8 +192,13 @@ def simulate(circuit: CircuitDescription) -> np.ndarray:
 
 def energy_table(ising: IsingInstance) -> np.ndarray:
     """Ising energy of every basis state, indexed by basis-state integer: with z = 1 - 2b,
-    the quadratic_table of linear -2(h_i + sum_j J_ij), quadratic 4 J_ij, start sum h + sum J."""
+    the quadratic_table of linear -2(h_i + sum_j J_ij), quadratic 4 J_ij, start sum h + sum J.
+    Before the table, an offset or 3 sum|h| + 9 sum|J| that is not finite is a ConfigError:
+    that sum is at least |start| + sum|linear| + sum|quadratic|, a bound on every partial sum."""
     _check_qubits(ising.m)
+    reach = 3.0 * left_sum(map(abs, ising.h)) + 9.0 * left_sum(map(abs, ising.J.values()))
+    if not (math.isfinite(reach) and math.isfinite(ising.offset)):
+        raise ConfigError(f"Ising offset and 3 sum|h| + 9 sum|J| must be finite, got {ising.offset} and {reach}")
     couple = np.zeros((ising.m, ising.m))
     pairs = np.array(list(ising.J), dtype=np.int64).reshape(-1, 2)
     couple[pairs[:, 0], pairs[:, 1]] = list(ising.J.values())
@@ -285,11 +290,10 @@ class QaoaResult:
 
 
 def _flip_pairs(buf: np.ndarray, scratch: np.ndarray, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each qubit q, the views (X_q scratch, buf) over rows of 2^m amplitudes:
-    the (-1, 2, 2^q) reshape of each, scratch's with its middle axis reversed.
+    """For each qubit q, the views (X_q scratch, buf) over 2^m amplitudes: the
+    (-1, 2, 2^q) reshape of each, scratch's with its middle axis reversed.
 
-    Flipping bit q never crosses a row, so the rows and the 2^(m-q-1) blocks
-    share one long axis.  For q = 0 and 1 that axis is cut into runs of at
+    For q = 0 and 1 the axis of the 2^(m-q-1) blocks is cut into runs of at
     most FLIP_RUN and moved last, which with order="C" makes it numpy's inner
     loop instead of the axis of length 2^q.
     """
@@ -311,9 +315,8 @@ def _rx(beta: float) -> tuple[complex, complex]:
     return complex(math.cos(beta)), -1j * math.sin(beta)
 
 
-def _mix(buf: np.ndarray, scratch: np.ndarray, pairs, diag, off) -> None:
-    """Apply RX(2*beta) to every qubit of buf, in place, given _rx(beta) as
-    scalars or as one (rows, 1) column per entry.
+def _mix(buf: np.ndarray, scratch: np.ndarray, pairs, diag: complex, off: complex) -> None:
+    """Apply RX(2*beta) to every qubit of buf, in place, given (diag, off) = _rx(beta).
 
     Qubit q gets cos(beta)*psi - i*sin(beta)*X_q psi: scratch = off*psi,
     psi *= diag, then psi += X_q scratch through the pair's views, three
@@ -333,75 +336,54 @@ def _phase(out: np.ndarray, table: np.ndarray, coef) -> np.ndarray:
 class _Workspace:
     """The buffers of the ansatz kernel for one table, allocated once.
 
-    psi and scratch hold `rows` states of 2^m amplitudes and lam one; the
-    X_q view pairs are built for all rows of psi (the screening) and for the
-    first row of psi and lam (the value+gradient calls and the final state).
-    lam and its pairs are allocated by the first value_and_grad call, so a
-    workspace that only builds states (at p = 1) holds psi and scratch alone.
+    psi, scratch and lam each hold one state of 2^m amplitudes; the X_q view
+    pairs of psi and of lam over scratch are built once.  lam and its pairs
+    are allocated by the first value_and_grad call, so a workspace that only
+    builds states (at p = 1) holds psi and scratch alone.
     """
 
-    def __init__(self, m: int, table: np.ndarray, rows: int = 1) -> None:
-        self.m, self.table, self.rows = m, table, rows
-        self.psi, self.scratch = (np.empty((rows, 1 << m), dtype=np.complex128) for _ in range(2))
-        self.batch_pairs = _flip_pairs(self.psi, self.scratch, m)
-        self.psi_pairs = _flip_pairs(self.psi[:1], self.scratch[:1], m)
+    def __init__(self, m: int, table: np.ndarray) -> None:
+        self.m, self.table = m, table
+        self.psi, self.scratch = (np.empty(1 << m, dtype=np.complex128) for _ in range(2))
+        self.psi_pairs = _flip_pairs(self.psi, self.scratch, m)
 
     @cached_property
     def lam(self) -> np.ndarray:
-        return np.empty((1, 1 << self.m), dtype=np.complex128)
+        return np.empty(1 << self.m, dtype=np.complex128)
 
     @cached_property
     def lam_pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return _flip_pairs(self.lam, self.scratch[:1], self.m)
+        return _flip_pairs(self.lam, self.scratch, self.m)
 
-    def _forward(self, rows: int, pairs, layers) -> np.ndarray:
-        """psi[:rows] from the uniform superposition: per layer (diag, off, coef),
-        one multiply by _phase, then _mix, both through the scratch rows.  The
-        first layer writes amp * phase, the product the uniform state gives."""
-        psi, scratch = self.psi[:rows], self.scratch[:rows]
-        for layer, (diag, off, coef) in enumerate(layers):
-            _phase(scratch, self.table, coef)
+    def probabilities(self, psi: np.ndarray) -> np.ndarray:
+        """|psi|^2, written into the scratch buffer's memory."""
+        probs = self.scratch.view(np.float64)[: len(psi)]
+        return np.square(np.abs(psi, out=probs), out=probs)
+
+    def state(self, betas, gammas) -> np.ndarray:
+        """The ansatz state at one angle schedule, as psi.
+
+        From the uniform superposition, each layer is one multiply by _phase,
+        then _mix, both through scratch; the first layer writes amp * phase,
+        the product the uniform state gives.  Equals
+        simulate(build_circuit(...)) amplitude by amplitude, not just up to a
+        global phase: the table excludes the Ising offset, as the gates do.
+        """
+        psi, scratch = self.psi, self.scratch
+        for layer, (beta, gamma) in enumerate(zip(betas, gammas)):
+            _phase(scratch, self.table, -1j * gamma)
             if layer:
                 psi *= scratch
             else:
                 np.multiply(1.0 / math.sqrt(1 << self.m), scratch, out=psi)
-            _mix(psi, scratch, pairs, diag, off)
+            _mix(psi, scratch, self.psi_pairs, *_rx(beta))
         return psi
 
-    def probabilities(self, psi: np.ndarray) -> np.ndarray:
-        """|psi|^2 of psi's rows, written into the scratch rows' memory."""
-        probs = self.scratch.view(np.float64)[: len(psi), : psi.shape[1]]
-        return np.square(np.abs(psi, out=probs), out=probs)
-
-    def state(self, betas, gammas) -> np.ndarray:
-        """The ansatz state at one angle schedule, as psi's first row.
-
-        Equals simulate(build_circuit(...)) amplitude by amplitude, not just up
-        to a global phase: the table excludes the Ising offset, as the gates do.
-        """
-        layers = [(*_rx(b), -1j * g) for b, g in zip(betas, gammas)]
-        return self._forward(1, self.psi_pairs, layers)[0]
-
     def screen(self, betas: np.ndarray, gammas: np.ndarray) -> list[float]:
-        """Expectation of each row's (betas, gammas), `rows` states per pass.
-
-        Each row's layers get the scalars state() would use, as (rows, 1)
-        columns; the rows of the last pass that no draw fills get zeros and
-        are dropped.  Each value is its row's 1-D dot with the table, as
-        value_and_grad computes it.
-        """
-        count, p = betas.shape
-        terms = np.zeros((-(-count // self.rows) * self.rows, p, 3), dtype=np.complex128)
-        terms[:count] = [
-            [(*_rx(b), -1j * g) for b, g in zip(*row)] for row in zip(betas.tolist(), gammas.tolist())
-        ]
-        values = []
-        for first in range(0, len(terms), self.rows):
-            block = terms[first : first + self.rows, :, :, None]
-            layers = [(block[:, k, 0], block[:, k, 1], block[:, k, 2]) for k in range(p)]
-            probs = self.probabilities(self._forward(self.rows, self.batch_pairs, layers))
-            values += [float(row @ self.table) for row in probs]
-        return values[:count]
+        """Expectation of each row's (betas, gammas): one state per draw, whose
+        probabilities are dotted with the table as value_and_grad does it."""
+        draws = zip(betas.tolist(), gammas.tolist())
+        return [float(self.probabilities(self.state(b, g)) @ self.table) for b, g in draws]
 
     def value_and_grad(self, betas, gammas) -> tuple[float, np.ndarray]:
         """Expectation <psi|E|psi> of the ansatz state and its gradient over
@@ -411,15 +393,14 @@ class _Workspace:
         backwards, un-applying each mixer and cost phase to both psi and lam.
         With B = sum_q X_q, d/dbeta_l = 2 Im<lam|B|psi> is read at the end of
         layer l (B commutes with its mixer), with B psi summed from the
-        flipped views into the scratch row, and d/dgamma_l = 2 Im<lam|E|psi>
-        once that mixer is undone.  The value is computed as optimize reports
-        it, from the same forward state, so the two agree bitwise.
+        flipped views into scratch, and d/dgamma_l = 2 Im<lam|E|psi> once
+        that mixer is undone.  The value is computed as optimize reports it,
+        from the same forward state, so the two agree bitwise.
         """
         p = len(betas)
-        table = self.table
+        table, lam, scratch = self.table, self.lam, self.scratch
         psi = self.state(betas, gammas)
-        value = float(self.probabilities(psi[None])[0] @ table)
-        lam, scratch = self.lam[0], self.scratch[0]
+        value = float(self.probabilities(psi) @ table)
         np.multiply(table, psi, out=lam)
         grad = np.empty(2 * p)
         for layer in reversed(range(p)):
@@ -533,12 +514,12 @@ def optimize(
     lowest expectation out of START_DRAWS and runs L-BFGS-B for at most
     config.maxiter iterations.  All starts * START_DRAWS draws are taken up
     front, in the order per-draw calls would take them, and screened by the
-    same evaluator (at p >= 2, max(1, SCREEN_AMPLITUDES >> m) states per
-    forward pass); a start takes the first of its lowest values.  The best
-    angles any evaluation saw win; the reported expectation is theirs on the
-    unscaled table, and the sample of `shots` draws is taken once, from the
-    kernel's state at those angles.  One _Workspace serves the screening and
-    every evaluation at p >= 2, and that last state at every p.
+    same evaluator (at p >= 2, one state per draw); a start takes the first
+    of its lowest values.  The best angles any evaluation saw win; the
+    reported expectation is theirs on the unscaled table, and the sample of
+    `shots` draws is taken once, from the kernel's state at those angles.
+    One _Workspace is built at every p: it serves the screening and every
+    evaluation at p >= 2, and that last state at every p.
     metadata["evals"] counts value+gradient calls over all starts,
     metadata["converged"] says whether the winning start's L-BFGS-B run
     reported success and metadata["converged_starts"] how many starts did;
@@ -555,15 +536,12 @@ def optimize(
     scale = float(np.max(np.abs(table))) or 1.0
 
     start_seq, sample_seq = np.random.SeedSequence(seed).spawn(2)
-    draws = config.starts * START_DRAWS
-    if p == 1:
-        work, evaluator = _Workspace(ising.m, table), _ClosedForm(ising)
-    else:
-        work = evaluator = _Workspace(ising.m, table, rows=min(max(1, SCREEN_AMPLITUDES >> ising.m), draws))
+    work = _Workspace(ising.m, table)
+    evaluator = _ClosedForm(ising) if p == 1 else work
     # Draw by draw, p betas in [0, pi) then p gammas in [0, 2*pi), as two
     # uniform calls per draw would take them.
     angles = np.random.default_rng(start_seq).uniform(
-        0.0, [[math.pi], [2.0 * math.pi]], size=(draws, 2, p)
+        0.0, [[math.pi], [2.0 * math.pi]], size=(config.starts * START_DRAWS, 2, p)
     )
     screened = evaluator.screen(angles[:, 0], angles[:, 1])
     best = None
@@ -601,8 +579,8 @@ def optimize(
     fbest, converged, steps, start_index = best
     trace = tuple((QaoaParams(p=p, betas=b, gammas=g), val) for b, g, val in steps)
     params = trace[-1][0]
-    # The sample's |amplitude|^2 reuses the scratch row, so it needs no buffer of its own.
-    probs = work.probabilities(work.state(params.betas, params.gammas)[None])[0]
+    # The sample's |amplitude|^2 reuses scratch's memory, so it needs no buffer of its own.
+    probs = work.probabilities(work.state(params.betas, params.gammas))
     optimum_probability = float(probs[table == table.min()].sum())
     drawn = _draw(probs, shots, int(sample_seq.generate_state(1)[0]))
     keys = [_assignment(b, ising.m) for b in drawn]
@@ -647,15 +625,20 @@ def scan_layers(
     """Optimize at each p of ``depths``, range(p, p + 1) or range(1, p_max + 1), under
     the seed SeedSequence([seed, p]), so a scan prefix is a standalone shorter scan.
 
-    The first and last (as p_max) depths and the seed are checked first.  Returns
-    all results and the first p whose sample reached ``target_energy`` (QUBO units,
-    offset folded in, constant c excluded), or None if none did or it is None.
+    ``depths`` (a range), its first and last (as p_max) depths, the seed and
+    ``target_energy`` (None or a number) are checked first.  Returns all results
+    and the first p whose sample reached ``target_energy`` (QUBO units, offset
+    folded in, constant c excluded), or None if none did or it is None.
     """
+    if not isinstance(depths, range):
+        raise ConfigError(f"depths must be a range, got {depths!r}")
     if not depths:
         raise ConfigError(f"the depth range is empty: {depths!r}")
     check_depth(depths[0])
     check_depth(depths[-1], "p_max")
     check_int(seed, "seed", 0)
+    if target_energy is not None:
+        check_real(target_energy, "target energy")
     results: list[QaoaResult] = []
     for p in depths:
         seed_p = int(np.random.SeedSequence([seed, p]).generate_state(1)[0])

@@ -42,6 +42,7 @@ from csgp.qaoa import (
 from csgp.solvers import solve_dp, solve_qaoa, solve_qubo_exhaustive
 from csgp.transform import (
     IsingInstance,
+    QuboInstance,
     build_bilp,
     build_qubo,
     decode_solution,
@@ -451,6 +452,30 @@ def test_energy_table_at_twenty_qubits_allocates_only_the_table():
     assert peak < 24 << 20
 
 
+@pytest.mark.parametrize(
+    "ising",
+    [
+        IsingInstance(m=2, h=(1e308, -1e308), J={}, offset=0.0),
+        IsingInstance(m=2, h=(math.nan, 0.0), J={}, offset=0.0),
+        IsingInstance(m=2, h=(1e308, 1e308), J={(0, 1): 1e308}, offset=0.0),
+        IsingInstance(m=2, h=(1.0, 2.0), J={(0, 1): 3.0}, offset=math.inf),
+        # Finite QUBO coefficients whose Ising offset overflows.
+        qubo_to_ising(QuboInstance(m=2, diag=(1e308, 1e308), offdiag={(0, 1): 1e308}, c=0.0)),
+    ],
+)
+def test_energy_table_refuses_a_model_it_cannot_tabulate(ising):
+    # Each once ended in numpy's multinomial ValueError or fsum's OverflowError.
+    for call in (energy_table, lambda i: optimize(i, 1), lambda i: scan_layers(i, range(1, 3))):
+        with pytest.raises(ConfigError, match=r"offset and 3 sum\|h\| \+ 9 sum\|J\| must be finite"):
+            call(ising)
+
+
+def test_energy_table_takes_a_model_within_the_bound():
+    # 3 sum|h| + 9 sum|J| = 1.5e308 is within a float, and so is every energy.
+    ising = IsingInstance(m=2, h=(1e307, -1e307), J={(0, 1): 1e307}, offset=0.0)
+    assert energy_table(ising).tolist() == pytest.approx([1e307, -3e307, 1e307, 1e307])
+
+
 def test_assignment_string_examples():
     assert assignment_string(3, 3) == "001"
     assert assignment_string(0, 3) == "111"
@@ -747,12 +772,11 @@ def test_each_start_is_the_lowest_of_its_draws(g2, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "m, p, passes",
-    # p = 2: forward passes of 2^12 >> m states, 160 (all) then 8 per pass.
-    # p = 1: no state is built; the closed form screens the 160 draws in one call.
-    [(3, 2, 1), (9, 2, 20), (15, 1, 160)],
+    "m, p",
+    # p = 2: one state per draw.  p = 1: no state is built; the closed form screens the draws.
+    [(3, 2), (9, 2), (15, 1)],
 )
-def test_batched_screening_is_bitwise_one_state_per_draw(monkeypatch, m, p, passes):
+def test_batched_screening_is_bitwise_one_state_per_draw(monkeypatch, m, p):
     ising = _random_ising(9, 0) if m == 9 else _chain_for((m + 1).bit_length() - 1)[2]
     assert ising.m == m
     screens, starts = [], []
@@ -773,7 +797,7 @@ def test_batched_screening_is_bitwise_one_state_per_draw(monkeypatch, m, p, pass
     monkeypatch.setattr(scipy.optimize, "minimize", minimize)
     optimize(ising, p, config=OptimizerConfig(starts=10, maxiter=1), seed=m)
 
-    (work, betas, gammas, values), = screens
+    (_, betas, gammas, values), = screens
     # The per-draw uniform calls and one _Workspace.state per draw, as each start drew them.
     table = energy_table(ising)
     rng = np.random.default_rng(np.random.SeedSequence(m).spawn(2)[0])
@@ -781,11 +805,10 @@ def test_batched_screening_is_bitwise_one_state_per_draw(monkeypatch, m, p, pass
     assert betas.tobytes() == np.array([b for b, _ in draws]).tobytes()
     assert gammas.tobytes() == np.array([g for _, g in draws]).tobytes()
     want = [float(np.abs(_Workspace(m, table).state(b, g)) ** 2 @ table) for b, g in draws]
+    assert len(values) == 160
     if p == 1:
-        assert len(values) == passes
         assert np.max(np.abs(np.array(values) - want)) <= 1e-12 * np.max(np.abs(table))
     else:
-        assert -(-160 // work.rows) == passes
         assert np.array(values).tobytes() == np.array(want).tobytes()
     assert len(starts) == 10
     for s, x0 in enumerate(starts):
@@ -950,25 +973,27 @@ def test_layer_scan_prefix_matches_shorter_scan(g2):
 
 
 def test_layer_scan_validates_depth(g2, monkeypatch):
-    # The range's first depth as a layer count, its last as p_max, and the
-    # seed, all before any optimize call and SeedSequence([seed, p]), which
-    # rejects negatives.
+    # The depths as a range, its first depth as a layer count, its last as
+    # p_max, the seed and the target energy, all before any optimize call and
+    # SeedSequence([seed, p]), which rejects negatives.
     def refuse(*args, **kwargs):
         raise AssertionError("optimize ran before the range and seed checks")
 
     _, _, ising = _g2_chain(g2)
     monkeypatch.setattr(qaoa_module, "optimize", refuse)
     too_deep = qaoa_module.OPTIMIZER_MAX_LAYERS + 1
-    for depths, seed, error, match in [
-        (range(1, 1), 0, ConfigError, "empty"),
-        (range(-1, 0), 0, ConfigError, "layer count must be >= 1"),
-        (range(too_deep, too_deep + 1), 0, ResourceLimitError, f"layer count {too_deep}"),
-        (range(2, too_deep + 1), 0, ResourceLimitError, f"p_max {too_deep}"),
-        (range(1, 2), -1, ConfigError, "seed must be >= 0"),
-        (range(1, 3), 1.5, ConfigError, "seed must be an integer"),
+    for depths, seed, target, error, match in [
+        (range(1, 1), 0, None, ConfigError, "empty"),
+        (range(-1, 0), 0, None, ConfigError, "layer count must be >= 1"),
+        (range(too_deep, too_deep + 1), 0, None, ResourceLimitError, f"layer count {too_deep}"),
+        (range(2, too_deep + 1), 0, None, ResourceLimitError, f"p_max {too_deep}"),
+        (range(1, 2), -1, None, ConfigError, "seed must be >= 0"),
+        (range(1, 3), 1.5, None, ConfigError, "seed must be an integer"),
+        (3, 0, None, ConfigError, "depths must be a range, got 3"),
+        (range(1, 2), 0, "x", ConfigError, "target energy must be a number, got 'x'"),
     ]:
         with pytest.raises(error, match=match):
-            scan_layers(ising, depths, shots=16, seed=seed)
+            scan_layers(ising, depths, shots=16, seed=seed, target_energy=target)
 
 
 def test_fixed_depth_is_a_one_depth_range(g2):

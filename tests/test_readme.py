@@ -1,7 +1,10 @@
-"""The README's library example runs as written, and its commands parse."""
+"""The README's library example runs as written, its commands parse and the
+module attributes it names exist."""
 
+import importlib
 import re
 import shlex
+from functools import reduce
 from pathlib import Path
 
 from csgp.cli import build_parser
@@ -26,3 +29,20 @@ def test_readme_csgp_commands_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_names_only_code_that_exists():
+    # `game.` is left out: README writes game.values for a game instance.
+    prefixes = ("csgp", "qaoa", "solvers", "transform", "cli", "analysis", "errors")
+    modules = {p: importlib.import_module("csgp" if p == "csgp" else f"csgp.{p}") for p in prefixes}
+    text = README.read_text(encoding="utf-8")
+    names = re.findall(rf"`((?:{'|'.join(prefixes)})(?:\.\w+)+)", text)
+    assert len(names) >= 15
+    missing = []
+    for name in names:
+        head, *path = name.split(".")
+        try:
+            reduce(getattr, path, modules[head])
+        except AttributeError:
+            missing.append(name)
+    assert missing == []
