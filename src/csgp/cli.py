@@ -11,6 +11,7 @@ resource-limit guards, 4 for infeasible instances.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -377,6 +378,7 @@ def _add_game_source(sub, positional: bool = True) -> None:
     sub.add_argument("--seed", type=int, default=0, help="seed for generation and solvers (default 0)")
 
 
+@functools.cache  # one parser per process, however often main runs in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csgp",

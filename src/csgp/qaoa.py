@@ -3,12 +3,13 @@ sampling, and classical angle optimization.
 
 The optimizer evaluates angles in one of two ways, chosen by p alone.  At
 p = 1 the expectation has a closed form in the Ising fields and couplings
-(_ClosedForm: O((m + couplings) * m) cosines per angle pair, no state of
-2^m amplitudes), which serves the start screening and every L-BFGS-B
-value+gradient call; the reported expectation is that closed form.  At
-p >= 2 it runs a diagonal-phase kernel: each cost layer is one elementwise
-multiply by exp(-i*gamma*E) over the energy table (built once per optimize
-call, in O(2^m), by transform.quadratic_table), each mixer layer applies
+(_ClosedForm: products of (m + 4 * couplings) x m cosines per angle pair,
+one cosine taken per distinct argument, no state of 2^m amplitudes), which
+serves the start screening and every L-BFGS-B value+gradient call; the
+reported expectation is that closed form.  At p >= 2 it runs a
+diagonal-phase kernel: each cost layer is one elementwise multiply by
+exp(-i*gamma*E) over the energy table (built once per optimize call, in
+O(2^m), by transform.quadratic_table), each mixer layer applies
 RX(2*beta) to every qubit q as cos(beta)*psi - i*sin(beta)*X_q psi, with
 X_q a flipped view of a buffer, not a copy.  L-BFGS-B gets the expectation
 and all 2p derivatives from one adjoint sweep through the same kernel,
@@ -52,8 +53,9 @@ LBFGS_FTOL = 1e-12  # L-BFGS-B stops when a step lowers the scaled expectation b
 LBFGS_GTOL = 1e-6  # or when no gradient entry exceeds this
 START_DRAWS = 16  # each L-BFGS-B start is the lowest-expectation one of this many draws
 FLIP_RUN = 1 << 13  # inner loop of the q = 0 and 1 flips: shorter runs hit numpy's buffering, longer leave cache
-SCREEN_ENTRIES = 1 << 14  # at p = 1 they are screened at most this many closed-form cosines at a time
+SCREEN_ENTRIES = 1 << 14  # at p = 1 they are screened at most this many closed-form product factors at a time
 GAMMA_STEP = 1e-30  # the imaginary step of the closed form's d/dgamma
+COEF_MAX = 2.0**-26 / GAMMA_STEP  # the closed form's largest |cosine argument|, about 1.5e22 (see _ClosedForm)
 MAX_SHOTS = np.iinfo(np.int64).max  # the most draws numpy's multinomial takes
 
 _H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
@@ -190,15 +192,21 @@ def simulate(circuit: CircuitDescription) -> np.ndarray:
     return state
 
 
-def energy_table(ising: IsingInstance) -> np.ndarray:
-    """Ising energy of every basis state, indexed by basis-state integer: with z = 1 - 2b,
-    the quadratic_table of linear -2(h_i + sum_j J_ij), quadratic 4 J_ij, start sum h + sum J.
-    Before the table, an offset or 3 sum|h| + 9 sum|J| that is not finite is a ConfigError:
-    that sum is at least |start| + sum|linear| + sum|quadratic|, a bound on every partial sum."""
+def _check_model(ising: IsingInstance) -> None:
+    """Refuse a model of more than SIMULATOR_MAX_QUBITS qubits (ResourceLimitError) and one whose
+    offset or 3 sum|h| + 9 sum|J| is not finite (ConfigError): that sum is at least |start| +
+    sum|linear| + sum|quadratic| of energy_table, a bound on every partial sum of its table."""
     _check_qubits(ising.m)
     reach = 3.0 * left_sum(map(abs, ising.h)) + 9.0 * left_sum(map(abs, ising.J.values()))
     if not (math.isfinite(reach) and math.isfinite(ising.offset)):
         raise ConfigError(f"Ising offset and 3 sum|h| + 9 sum|J| must be finite, got {ising.offset} and {reach}")
+
+
+def energy_table(ising: IsingInstance) -> np.ndarray:
+    """Ising energy of every basis state, indexed by basis-state integer: with z = 1 - 2b,
+    the quadratic_table of linear -2(h_i + sum_j J_ij), quadratic 4 J_ij, start sum h + sum J.
+    The model is checked first (_check_model)."""
+    _check_model(ising)
     couple = np.zeros((ising.m, ising.m))
     pairs = np.array(list(ising.J), dtype=np.int64).reshape(-1, 2)
     couple[pairs[:, 0], pairs[:, 1]] = list(ising.J.values())
@@ -435,11 +443,23 @@ class _ClosedForm:
     Every product is one row of `coef`: m rows for the <Z_u> and four per
     coupling, twice the arguments of C, with the entries of u and v that a
     product skips held at 0 (cos 0 = 1) and the one-field factor written
-    into u's entry.  Nothing of size 2^m is built: a gamma costs
-    O((m + couplings) * m) cosines.
+    into u's entry.  The coverage QUBO's couplings are lam |C_u & C_v| / 2,
+    a few levels, so `coef` repeats its entries (188 distinct of 5,025 on
+    the normal chain at n = 4, m = 15): a gamma costs one cosine per
+    distinct bit pattern in `args`, gathered into the products through
+    `where`.  Nothing of size 2^m is built.
+
+    The complex step of value_and_grad needs cosh(GAMMA_STEP * a) to round
+    to 1: cos(x + iy) = cos x cosh y - i sin x sinh y, and cosh y = 1 + y^2/2
+    + O(y^4) rounds to 1 while y^2/2 < 2^-53, half the spacing of floats
+    above 1, that is |y| < 2^-26.  So an argument |a| above COEF_MAX =
+    2^-26 / GAMMA_STEP (about 1.5e22) is a ConfigError: past it the value
+    drifts (relative error 4e-11 at |a| = 6e24, 4e-3 at 6e28, 4e55 at 6e31)
+    and by 6e32 it is NaN.
     """
 
     def __init__(self, ising: IsingInstance) -> None:
+        _check_model(ising)  # so every argument below is finite
         m = ising.m
         self.h = np.asarray(ising.h, dtype=np.float64)
         u, v = np.array(list(ising.J), dtype=np.int64).reshape(-1, 2).T
@@ -454,20 +474,29 @@ class _ClosedForm:
             block[k, v] = 0.0
             rows.append(block)
         self.coef = 2.0 * np.concatenate(rows)
+        largest = float(np.max(np.abs(self.coef), initial=0.0))
+        if largest > COEF_MAX:
+            raise ConfigError(f"p = 1 closed form needs every |cosine argument| <= {COEF_MAX:.6g}, got {largest:.6g}")
+        # Distinct bit patterns, so +0.0 and -0.0 stay apart and each gathered cosine is bitwise its own.
+        bits, where = np.unique(self.coef.view(np.int64), return_inverse=True)
+        self.args, self.where = bits.view(np.float64), where.reshape(self.coef.shape)
+        self.twice_h, self.twice_j, self.half_j = 2.0 * self.h, 2.0 * self.j, 0.5 * self.j
+        self.cuts = m, m + len(self.j), m + 2 * len(self.j), m + 3 * len(self.j)
 
-    def _xyz(self, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """X, Y and Z at each of the gammas, real or complex, elementwise (no BLAS)."""
-        m, pairs = len(self.h), len(self.j)
-        prods = np.cos(gammas[:, None, None] * self.coef).prod(-1)
-        single, one, other, minus, plus = np.split(prods, [m, m + pairs, m + 2 * pairs, m + 3 * pairs], -1)
-        x = (single * np.sin(gammas[:, None] * (2.0 * self.h)) * self.h).sum(-1)
-        y = ((one + other) * np.sin(gammas[:, None] * (2.0 * self.j)) * self.j).sum(-1)
-        z = ((minus - plus) * (0.5 * self.j)).sum(-1)
+    def _xyz(self, gammas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """X, Y and Z at each of the gammas (an array of any shape, real or complex),
+        elementwise (no BLAS): one cosine per distinct argument, gathered into the products."""
+        g = np.asarray(gammas)[..., None]
+        prods = np.cos(g * self.args).take(self.where, -1).prod(-1)
+        a, b, c, d = self.cuts
+        x = (prods[..., :a] * np.sin(g * self.twice_h) * self.h).sum(-1)
+        y = ((prods[..., a:b] + prods[..., b:c]) * np.sin(g * self.twice_j) * self.j).sum(-1)
+        z = ((prods[..., c:d] - prods[..., d:]) * self.half_j).sum(-1)
         return x, y, z
 
     def screen(self, betas: np.ndarray, gammas: np.ndarray) -> list[float]:
         """Expectation of each row's (beta, gamma), as _Workspace.screen returns
-        it, with at most SCREEN_ENTRIES cosines per pass."""
+        it, with at most SCREEN_ENTRIES product factors per pass."""
         step = max(1, SCREEN_ENTRIES // (self.coef.size or 1))  # m = 0 has no cosines
         values = []
         for first in range(0, len(betas), step):
@@ -486,7 +515,7 @@ class _ClosedForm:
         Rev. 40, 1998): no difference is taken, so nothing cancels, and the
         same complex evaluation gives the value as its real part.
         """
-        x, y, z = (t[0] for t in self._xyz(np.array([gammas[0] + 1j * GAMMA_STEP])))
+        x, y, z = self._xyz(gammas[0] + 1j * GAMMA_STEP)
         s, c = math.sin(2.0 * betas[0]), math.cos(2.0 * betas[0])
         value = s * x + c * s * y + s * s * z
         d_beta = 2.0 * c * x.real + 2.0 * math.cos(4.0 * betas[0]) * y.real + 4.0 * s * c * z.real
@@ -504,10 +533,12 @@ def optimize(
 
     The objective is the analytic expectation (no shot noise) of the
     ansatz state with its gradient: at p = 1 from _ClosedForm, which never
-    builds the state, and at p >= 2 from _Workspace.value_and_grad.  The search
-    runs on the energy table divided by scale = max|E| (1 when the table is
-    all zero): its variables are beta and scale * gamma, its objective the
-    expectation divided by scale.  Angles are drawn uniformly from beta in
+    builds the state and, built before the energy table, refuses a model with
+    a cosine argument above COEF_MAX (ConfigError), and at p >= 2 from
+    _Workspace.value_and_grad.  The search runs on the energy table divided
+    by scale = max|E| (1 when the table is all zero): its variables are
+    beta and scale * gamma, its objective the expectation divided by scale.
+    Angles are drawn uniformly from beta in
     [0, pi) and gamma in [0, 2*pi), so scale * gamma spans [0, 2*pi*scale):
     the deep minima of penalty-dominated tables lie there, among many shallow
     ones, not in the table's first period.  Each start is the draw with the
@@ -532,12 +563,13 @@ def optimize(
     from scipy.optimize import minimize  # here, so that only QAOA loads scipy
 
     start = time.perf_counter()
+    closed = _ClosedForm(ising) if p == 1 else None  # refuses before the table what it cannot evaluate
     table = energy_table(ising)
     scale = float(np.max(np.abs(table))) or 1.0
 
     start_seq, sample_seq = np.random.SeedSequence(seed).spawn(2)
     work = _Workspace(ising.m, table)
-    evaluator = _ClosedForm(ising) if p == 1 else work
+    evaluator = work if closed is None else closed
     # Draw by draw, p betas in [0, pi) then p gammas in [0, 2*pi), as two
     # uniform calls per draw would take them.
     angles = np.random.default_rng(start_seq).uniform(

@@ -1,4 +1,6 @@
-"""Reference enumerations shared by the tests."""
+"""Reference enumerations and computations shared by the tests."""
+
+import numpy as np
 
 
 def partitions(n: int):
@@ -24,3 +26,16 @@ def partitions(n: int):
         blocks.pop()
 
     yield from place(0, [])
+
+
+def closed_form_xyz(closed, gammas):
+    """X, Y and Z of a qaoa._ClosedForm at a 1-D array of gammas, computed as it
+    once did: the cosine of every entry of closed.coef, then np.split of the
+    products.  The reference its one cosine per distinct argument is held to."""
+    m, pairs = len(closed.h), len(closed.j)
+    prods = np.cos(gammas[:, None, None] * closed.coef).prod(-1)
+    single, one, other, minus, plus = np.split(prods, [m, m + pairs, m + 2 * pairs, m + 3 * pairs], -1)
+    x = (single * np.sin(gammas[:, None] * (2.0 * closed.h)) * closed.h).sum(-1)
+    y = ((one + other) * np.sin(gammas[:, None] * (2.0 * closed.j)) * closed.j).sum(-1)
+    z = ((minus - plus) * (0.5 * closed.j)).sum(-1)
+    return x, y, z

@@ -451,6 +451,17 @@ def test_game_whose_default_penalty_overflows_exit_code(tmp_path, capsys, monkey
     assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
 
 
+def test_game_past_the_closed_form_bound_exit_code(tmp_path, capsys):
+    # v = 1e31: the p = 1 closed form once reported -1.19e87 for energies near 1e31.
+    path = tmp_path / "large.json"
+    path.write_text('{"n": 2, "values": {"1": 1e31, "2": 1e31, "3": 1e31}}', encoding="utf-8")
+    for depth in (["--p", "1"], []):
+        code, out, err = run_cli(capsys, "solve", str(path), "--method", "qaoa", *depth)
+        assert code == 2 and out == "" and err.count("\n") == 1, depth
+        doc = stderr_error(err)
+        assert doc["kind"] == "ConfigError" and "p = 1 closed form" in doc["error"]
+
+
 @pytest.mark.parametrize(
     "schedule",
     [["--sweeps", "100000000", "--restarts", "1"], ["--restarts", "200000", "--sweeps", "3000"]],
@@ -580,6 +591,43 @@ def test_argparse_rejects_unknown_method(tmp_path, capsys):
         main(["solve", "--method", "bogus"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_in_process_runs_on_the_one_parser_match_fresh_parsers(tmp_path, capsys):
+    # A flag argparse refuses (SystemExit), then a solve, then an analyze: the
+    # cached parser gives the stdout, stderr and exit codes a fresh one gives.
+    path = make_game(tmp_path, capsys)
+    runs = [
+        ["solve", str(path), "--method", "dp", "--bogus"],
+        ["solve", str(path), "--method", "dp"],
+        ["analyze", "--agents", "2..4", "--p", "1,2"],
+    ]
+
+    def outcomes(fresh):
+        seen = []
+        for argv in runs:
+            if fresh:
+                cli.build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            if out.startswith("{"):  # the solve report; its wall-clock timing differs run to run
+                out = json.loads(out)
+                out.pop("timing")
+            seen.append((code, out, err))
+        return seen
+
+    cached = outcomes(fresh=False)
+    assert [code for code, _, _ in cached] == [2, 0, 0]
+    assert "unrecognized arguments: --bogus" in cached[0][2]
+    assert cached[2][1].count("\n") == 1 + 3 * 2 * 3
+    assert outcomes(fresh=True) == cached
 
 
 # -------------------------------------------------------------------- export

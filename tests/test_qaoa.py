@@ -24,7 +24,7 @@ import scipy.optimize
 import csgp.qaoa as qaoa_module
 from csgp.analysis import gate_count
 from csgp.errors import ConfigError, ResourceLimitError
-from csgp.game import CoalitionGame, DistributionSpec, generate_game
+from csgp.game import DISTRIBUTION_KINDS, CoalitionGame, DistributionSpec, generate_game
 from csgp.qaoa import (
     CircuitDescription,
     OptimizerConfig,
@@ -39,7 +39,7 @@ from csgp.qaoa import (
     scan_layers,
     simulate,
 )
-from csgp.solvers import solve_dp, solve_qaoa, solve_qubo_exhaustive
+from csgp.solvers import solve, solve_dp, solve_qaoa, solve_qubo_exhaustive
 from csgp.transform import (
     IsingInstance,
     QuboInstance,
@@ -51,6 +51,7 @@ from csgp.transform import (
     qubo_energy,
     qubo_to_ising,
 )
+from oracles import closed_form_xyz
 
 
 def _g2_chain(g2):
@@ -718,6 +719,87 @@ def test_closed_form_at_large_gamma_times_coupling():
     rng = np.random.default_rng(3)
     for m in (2, 6, 10):
         _assert_closed_form_is_the_kernel(_random_ising(m, m), rng.uniform(0, math.pi, 3), rng.uniform(-500, 500, 3))
+
+
+def _assert_closed_form_is_its_oracle(ising, rng, draws):
+    # The screen, value and gradient around one cosine per distinct argument, bit
+    # for bit those around the cosine of every entry (tests/oracles.py); the
+    # reference gets value_and_grad's 0-d gamma as the one-entry array it once was.
+    closed, reference = _ClosedForm(ising), _ClosedForm(ising)
+    reference._xyz = lambda g: tuple(t.reshape(np.shape(g)) for t in closed_form_xyz(reference, np.reshape(g, -1)))
+    scale = float(np.max(np.abs(energy_table(ising)))) or 1.0
+    betas = rng.uniform(0, math.pi, (3 * draws, 1))
+    gammas = np.concatenate(
+        [rng.uniform(0, 2 * math.pi, draws), rng.uniform(0, 2 * math.pi / scale, draws), rng.uniform(-1e5, 1e5, draws)]
+    )[:, None]
+    screened = closed.screen(betas, gammas)
+    assert np.array(screened).tobytes() == np.array(reference.screen(betas, gammas)).tobytes()
+    for b, g in zip(betas, gammas):
+        value, grad = closed.value_and_grad(b, g)
+        want, want_grad = reference.value_and_grad(b, g)
+        assert np.array([value]).tobytes() == np.array([want]).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("kind", DISTRIBUTION_KINDS)
+def test_distinct_cosines_are_bitwise_every_cosine_on_the_penalty_chains(kind):
+    # m = 3, 7 and 15; gamma up to 2 pi, up to 2 pi / max|E| and up to 1e5.
+    for n in (2, 3, 4):
+        for seed in range(3):
+            ising = qubo_to_ising(build_qubo(build_bilp(generate_game(n, DistributionSpec(kind=kind), seed))))
+            _assert_closed_form_is_its_oracle(ising, np.random.default_rng([n, seed]), 6)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_distinct_cosines_are_bitwise_every_cosine_on_random_models(m):
+    rng = np.random.default_rng(m)
+    ising = _random_ising(m, 70 + m)
+    _assert_closed_form_is_its_oracle(ising, rng, 4)
+    # Fields and couplings of exactly +0.0 and -0.0: arguments of both signs of zero, kept apart.
+    h = tuple((0.0, -0.0, x)[i % 3] for i, x in enumerate(ising.h))
+    J = {pair: (-0.0, 0.0, x)[k % 3] for k, (pair, x) in enumerate(ising.J.items())}
+    zeroed = IsingInstance(m=m, h=h, J=J, offset=0.0)
+    zeros = {float(a).hex() for a in _ClosedForm(zeroed).args if a == 0.0}
+    assert zeros == ({"0x0.0p+0", "-0x0.0p+0"} if J else {"0x0.0p+0"})
+    _assert_closed_form_is_its_oracle(zeroed, rng, 4)
+
+
+def test_the_closed_form_takes_one_cosine_per_distinct_argument(monkeypatch):
+    # The coverage QUBO's couplings are lam |C_u & C_v| / 2: 188 distinct values
+    # among the 5,025 arguments of the n = 4 chain, and a call takes one cosine of each.
+    closed = _ClosedForm(_chain_for(4)[2])
+    assert closed.coef.size == 5025 and closed.args.size <= 200
+    assert closed.args[closed.where].tobytes() == closed.coef.tobytes()
+    sizes, real_cos = [], np.cos
+    monkeypatch.setattr(np, "cos", lambda x: sizes.append(np.size(x)) or real_cos(x))
+    closed.value_and_grad(np.array([0.4]), np.array([0.01]))
+    assert sizes == [closed.args.size]
+
+
+@pytest.mark.parametrize("v", [1e24, 1e31, 2.4e306])
+def test_closed_form_refuses_arguments_its_complex_step_cannot_take(v):
+    # Re cos(x + iy) = cos x cosh y with y = GAMMA_STEP * a: past |a| = 2^-26 /
+    # GAMMA_STEP, cosh y no longer rounds to 1 and the value drifts (1e55 times
+    # the energies at v = 1e31; NaN from about 1e33).  lam = v keeps the QUBO
+    # within a float at 2.4e306, where the default penalty overflows it.
+    game = CoalitionGame(n=2, values={1: v, 2: v, 3: v})
+    ising = qubo_to_ising(build_qubo(build_bilp(game), lam=v))
+    for call in (_ClosedForm, lambda i: optimize(i, 1), lambda i: scan_layers(i, range(1, 3))):
+        with pytest.raises(ConfigError, match=r"p = 1 closed form needs every \|cosine argument\| <= 1\.49012e\+22"):
+            call(ising)
+    if v < 1e300:
+        with pytest.raises(ConfigError, match="p = 1 closed form"):
+            solve(game, "qaoa", p=1)
+
+
+def test_closed_form_takes_arguments_within_its_bound():
+    # v = 1e20: every argument is at most 6e20, and the value is the kernel's.
+    game = CoalitionGame(n=2, values={1: 1e20, 2: 1e20, 3: 1e20})
+    ising = qubo_to_ising(build_qubo(build_bilp(game)))
+    assert 0.0 < np.max(np.abs(_ClosedForm(ising).coef)) <= qaoa_module.COEF_MAX
+    scale = float(np.max(np.abs(energy_table(ising))))
+    _assert_closed_form_is_the_kernel(ising, [0.3, 1.2], [0.7 / scale, 5.0 / scale])
+    assert solve(game, "qaoa", p=1).best_value == 2e20
 
 
 def test_the_scaled_objective_matches_its_gradient(monkeypatch):
