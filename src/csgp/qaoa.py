@@ -5,21 +5,23 @@ The optimizer evaluates angles in one of two ways, chosen by p alone.  At
 p = 1 the expectation has a closed form in the Ising fields and couplings
 (_ClosedForm: products of (m + 4 * couplings) x m cosines per angle pair,
 one cosine taken per distinct argument, no state of 2^m amplitudes), which
-serves the start screening and every L-BFGS-B value+gradient call; the
+serves the start screening and every value+gradient call; the
 reported expectation is that closed form.  At p >= 2 it runs a
 diagonal-phase kernel: each cost layer is one elementwise multiply by
 exp(-i*gamma*E) over the energy table (built once per optimize call, in
 O(2^m), by transform.quadratic_table), each mixer layer applies
 RX(2*beta) to every qubit q as cos(beta)*psi - i*sin(beta)*X_q psi, with
-X_q a flipped view of a buffer, not a copy.  L-BFGS-B gets the expectation
+X_q a flipped view of a buffer, not a copy.  The search gets the expectation
 and all 2p derivatives from one adjoint sweep through the same kernel,
 forwards and then backwards (_Workspace.value_and_grad).  Each optimize
 call allocates one _Workspace: its psi, lam and scratch buffers of one
 state each and every qubit's views are built once and serve the start
 screening (one state per draw), every value+gradient call and, at every p,
-the sampled state.  The gate list from build_circuit, replayed by simulate, is
-the gate-exact reference both are tested against and the source of gate
-counts; the optimizer never builds it.
+the sampled state.  bfgs.minimize searches the angles.  No step makes a
+BLAS call, so the reports do not depend on the BLAS thread count.  The gate
+list from build_circuit, replayed by simulate, is the gate-exact reference
+both are tested against and the source of gate counts; the optimizer never
+builds it.
 
 Conventions, fixed once here and relied on by the tests:
 
@@ -43,15 +45,14 @@ from functools import cached_property
 
 import numpy as np
 
+from .bfgs import minimize
 from .errors import ConfigError, ResourceLimitError, check_int, check_real
 from .game import left_sum
 from .transform import IsingInstance, quadratic_table
 
 SIMULATOR_MAX_QUBITS = 20
 OPTIMIZER_MAX_LAYERS = 64  # each value+gradient call costs O(p * m * 2^m)
-LBFGS_FTOL = 1e-12  # L-BFGS-B stops when a step lowers the scaled expectation by less
-LBFGS_GTOL = 1e-6  # or when no gradient entry exceeds this
-START_DRAWS = 16  # each L-BFGS-B start is the lowest-expectation one of this many draws
+START_DRAWS = 16  # each BFGS start is the lowest-expectation one of this many draws
 FLIP_RUN = 1 << 13  # inner loop of the q = 0 and 1 flips: shorter runs hit numpy's buffering, longer leave cache
 SCREEN_ENTRIES = 1 << 14  # at p = 1 they are screened at most this many closed-form product factors at a time
 GAMMA_STEP = 1e-30  # the imaginary step of the closed form's d/dgamma
@@ -255,8 +256,8 @@ def _draw(probs: np.ndarray, shots: int, seed: int) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Multi-start L-BFGS-B settings: the number of starts and each start's
-    iteration cap (its tolerances are LBFGS_FTOL and LBFGS_GTOL)."""
+    """Multi-start BFGS settings: the number of starts and each start's
+    iteration cap (its tolerances are bfgs.LBFGS_FTOL and bfgs.LBFGS_GTOL)."""
 
     starts: int = 10
     maxiter: int = 500
@@ -341,6 +342,12 @@ def _phase(out: np.ndarray, table: np.ndarray, coef) -> np.ndarray:
     return np.exp(np.multiply(coef, table, out=out), out=out)
 
 
+def _im_vdot(a: np.ndarray, b: np.ndarray) -> float:
+    """Im <a|b>, as -Im(conj(b) a) summed by np.add.reduce in b's memory, which it overwrites."""
+    np.conjugate(b, out=b)
+    return -float(np.add.reduce(np.multiply(b, a, out=b).imag))
+
+
 class _Workspace:
     """The buffers of the ansatz kernel for one table, allocated once.
 
@@ -368,6 +375,11 @@ class _Workspace:
         probs = self.scratch.view(np.float64)[: len(psi)]
         return np.square(np.abs(psi, out=probs), out=probs)
 
+    def expectation(self, psi: np.ndarray) -> float:
+        """<psi|E|psi>, |psi|^2 times the table summed by np.add.reduce, in scratch's memory."""
+        probs = self.probabilities(psi)
+        return float(np.add.reduce(np.multiply(probs, self.table, out=probs)))
+
     def state(self, betas, gammas) -> np.ndarray:
         """The ansatz state at one angle schedule, as psi.
 
@@ -388,10 +400,10 @@ class _Workspace:
         return psi
 
     def screen(self, betas: np.ndarray, gammas: np.ndarray) -> list[float]:
-        """Expectation of each row's (betas, gammas): one state per draw, whose
-        probabilities are dotted with the table as value_and_grad does it."""
+        """Expectation of each row's (betas, gammas): one state per draw, summed
+        as value_and_grad sums it."""
         draws = zip(betas.tolist(), gammas.tolist())
-        return [float(self.probabilities(self.state(b, g)) @ self.table) for b, g in draws]
+        return [self.expectation(self.state(b, g)) for b, g in draws]
 
     def value_and_grad(self, betas, gammas) -> tuple[float, np.ndarray]:
         """Expectation <psi|E|psi> of the ansatz state and its gradient over
@@ -408,18 +420,18 @@ class _Workspace:
         p = len(betas)
         table, lam, scratch = self.table, self.lam, self.scratch
         psi = self.state(betas, gammas)
-        value = float(self.probabilities(psi) @ table)
+        value = self.expectation(psi)
         np.multiply(table, psi, out=lam)
         grad = np.empty(2 * p)
         for layer in reversed(range(p)):
             scratch.fill(0.0)
             for flipped, view in self.psi_pairs:
                 np.add(flipped, view, out=flipped, order="C")
-            grad[layer] = 2.0 * np.vdot(lam, scratch).imag  # scratch holds B psi
+            grad[layer] = 2.0 * _im_vdot(lam, scratch)  # scratch holds B psi
             diag, off = _rx(-betas[layer])
             _mix(psi, scratch, self.psi_pairs, diag, off)
             _mix(lam, scratch, self.lam_pairs, diag, off)
-            grad[p + layer] = 2.0 * np.vdot(lam, np.multiply(table, psi, out=scratch)).imag
+            grad[p + layer] = 2.0 * _im_vdot(lam, np.multiply(table, psi, out=scratch))
             if layer:
                 _phase(scratch, table, -1j * -gammas[layer])
                 psi *= scratch
@@ -529,7 +541,7 @@ def optimize(
     seed: int = 0,
     shots: int = 1024,
 ) -> QaoaResult:
-    """Multi-start L-BFGS-B search over the 2p angles.
+    """Multi-start BFGS search over the 2p angles.
 
     The objective is the analytic expectation (no shot noise) of the
     ansatz state with its gradient: at p = 1 from _ClosedForm, which never
@@ -542,7 +554,7 @@ def optimize(
     [0, pi) and gamma in [0, 2*pi), so scale * gamma spans [0, 2*pi*scale):
     the deep minima of penalty-dominated tables lie there, among many shallow
     ones, not in the table's first period.  Each start is the draw with the
-    lowest expectation out of START_DRAWS and runs L-BFGS-B for at most
+    lowest expectation out of START_DRAWS and runs bfgs.minimize for at most
     config.maxiter iterations.  All starts * START_DRAWS draws are taken up
     front, in the order per-draw calls would take them, and screened by the
     same evaluator (at p >= 2, one state per draw); a start takes the first
@@ -552,15 +564,14 @@ def optimize(
     One _Workspace is built at every p: it serves the screening and every
     evaluation at p >= 2, and that last state at every p.
     metadata["evals"] counts value+gradient calls over all starts,
-    metadata["converged"] says whether the winning start's L-BFGS-B run
-    reported success and metadata["converged_starts"] how many starts did;
+    metadata["converged"] says whether the winning start's BFGS run
+    converged (a bool) and metadata["converged_starts"] how many starts did;
     metadata["optimum_probability"] is that last state's probability mass on
     the basis states of the lowest table energy.
     """
     check_depth(p)
     check_shots(shots)
     check_int(seed, "seed", 0)
-    from scipy.optimize import minimize  # here, so that only QAOA loads scipy
 
     start = time.perf_counter()
     closed = _ClosedForm(ising) if p == 1 else None  # refuses before the table what it cannot evaluate
@@ -597,16 +608,10 @@ def optimize(
             grad[p:] /= scale * scale
             return val / scale, grad
 
-        res = minimize(
-            fun,
-            theta0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": config.maxiter, "ftol": LBFGS_FTOL, "gtol": LBFGS_GTOL},
-        )
-        converged_starts += bool(res.success)
+        converged = minimize(fun, theta0, config.maxiter)
+        converged_starts += converged
         if best is None or steps[-1][2] < best[0]:
-            best = (steps[-1][2], bool(res.success), steps, s)
+            best = (steps[-1][2], converged, steps, s)
 
     fbest, converged, steps, start_index = best
     trace = tuple((QaoaParams(p=p, betas=b, gammas=g), val) for b, g, val in steps)

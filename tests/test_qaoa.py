@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 import csgp.qaoa as qaoa_module
 from csgp.analysis import gate_count
@@ -316,10 +315,12 @@ def _per_call_state(m, table, betas, gammas):
 
 def _per_call_value_and_grad(m, table, betas, gammas):
     """The adjoint sweep as first written: fresh buffers and a flipped view of
-    the state per qubit on every call, each X_q psi multiplied into scratch."""
+    the state per qubit on every call, each X_q psi multiplied into scratch.
+    Its sums are np.add.reduce, in the kernel's fixed order, so the two
+    compare bitwise."""
     p = len(betas)
     psi = _per_call_state(m, table, betas, gammas)
-    value = float((np.abs(psi) ** 2) @ table)
+    value = float(np.add.reduce(np.abs(psi) ** 2 * table))
     lam = table * psi
     scratch = np.empty_like(psi)
     grad = np.empty(2 * p)
@@ -329,10 +330,10 @@ def _per_call_value_and_grad(m, table, betas, gammas):
             flipped = _flipped(psi, m, q)
             view = scratch.reshape(flipped.shape)
             view += flipped
-        grad[layer] = 2.0 * np.vdot(lam, scratch).imag
+        grad[layer] = -2.0 * np.add.reduce((np.conj(scratch) * lam).imag)
         _per_call_mix(psi, scratch, m, -betas[layer])
         _per_call_mix(lam, scratch, m, -betas[layer])
-        grad[p + layer] = 2.0 * np.vdot(lam, np.multiply(table, psi, out=scratch)).imag
+        grad[p + layer] = -2.0 * np.add.reduce((np.conj(table * psi) * lam).imag)
         if layer:
             _per_call_phase(scratch, table, -gammas[layer])
             psi *= scratch
@@ -629,7 +630,7 @@ def _assert_gradient_matches_central_differences(m, table, p, rng):
     value, grad = _Workspace(m, table).value_and_grad(betas, gammas)
 
     def f(theta):
-        return float(np.abs(_Workspace(m, table).state(theta[:p], theta[p:])) ** 2 @ table)
+        return float(np.add.reduce(np.abs(_Workspace(m, table).state(theta[:p], theta[p:])) ** 2 * table))
 
     theta = np.concatenate([betas, gammas])
     assert value == f(theta)
@@ -803,15 +804,15 @@ def test_closed_form_takes_arguments_within_its_bound():
 
 
 def test_the_scaled_objective_matches_its_gradient(monkeypatch):
-    # What L-BFGS-B sees: the value divided by max|E| over (beta, max|E| * gamma).
+    # What BFGS sees: the value divided by max|E| over (beta, max|E| * gamma).
     seen = []
-    real_minimize = scipy.optimize.minimize
+    real_minimize = qaoa_module.minimize
 
-    def recording(fun, x0, **kwargs):
+    def recording(fun, x0, maxiter):
         seen.append(fun)
-        return real_minimize(fun, x0, **kwargs)
+        return real_minimize(fun, x0, maxiter)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", recording)
+    monkeypatch.setattr(qaoa_module, "minimize", recording)
     optimize(_abn_chain(), p=2, config=OptimizerConfig(starts=1, maxiter=2), seed=0)
     fun = seen[0]
     theta = np.array([0.4, 1.1, 2.3, 0.7])
@@ -829,15 +830,15 @@ def test_optimize_needs_a_tenth_of_the_simplex_evaluations():
 
 def test_each_start_is_the_lowest_of_its_draws(g2, monkeypatch):
     # A start draws START_DRAWS (beta, gamma) pairs from [0, pi) x [0, 2 pi)
-    # and L-BFGS-B begins at the lowest-expectation one, as (beta, max|E| * gamma).
+    # and BFGS begins at the lowest-expectation one, as (beta, max|E| * gamma).
     starts = []
-    real_minimize = scipy.optimize.minimize
+    real_minimize = qaoa_module.minimize
 
-    def recording(fun, x0, **kwargs):
+    def recording(fun, x0, maxiter):
         starts.append(x0.copy())
-        return real_minimize(fun, x0, **kwargs)
+        return real_minimize(fun, x0, maxiter)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", recording)
+    monkeypatch.setattr(qaoa_module, "minimize", recording)
     _, _, ising = _g2_chain(g2)
     optimize(ising, p=1, config=OptimizerConfig(starts=3, maxiter=2), seed=4)
     table = energy_table(ising)
@@ -864,19 +865,19 @@ def test_batched_screening_is_bitwise_one_state_per_draw(monkeypatch, m, p):
     screens, starts = [], []
     evaluator = qaoa_module._ClosedForm if p == 1 else qaoa_module._Workspace
     real_screen = evaluator.screen
-    real_minimize = scipy.optimize.minimize
+    real_minimize = qaoa_module.minimize
 
     def screen(work, betas, gammas):
         values = real_screen(work, betas, gammas)
         screens.append((work, betas.copy(), gammas.copy(), values))
         return values
 
-    def minimize(fun, x0, **kwargs):
+    def minimize(fun, x0, maxiter):
         starts.append(x0.copy())
-        return real_minimize(fun, x0, **kwargs)
+        return real_minimize(fun, x0, maxiter)
 
     monkeypatch.setattr(evaluator, "screen", screen)
-    monkeypatch.setattr(scipy.optimize, "minimize", minimize)
+    monkeypatch.setattr(qaoa_module, "minimize", minimize)
     optimize(ising, p, config=OptimizerConfig(starts=10, maxiter=1), seed=m)
 
     (_, betas, gammas, values), = screens
@@ -886,7 +887,7 @@ def test_batched_screening_is_bitwise_one_state_per_draw(monkeypatch, m, p):
     draws = [(rng.uniform(0.0, math.pi, p), rng.uniform(0.0, 2.0 * math.pi, p)) for _ in range(160)]
     assert betas.tobytes() == np.array([b for b, _ in draws]).tobytes()
     assert gammas.tobytes() == np.array([g for _, g in draws]).tobytes()
-    want = [float(np.abs(_Workspace(m, table).state(b, g)) ** 2 @ table) for b, g in draws]
+    want = [float(np.add.reduce(np.abs(_Workspace(m, table).state(b, g)) ** 2 * table)) for b, g in draws]
     assert len(values) == 160
     if p == 1:
         assert np.max(np.abs(np.array(values) - want)) <= 1e-12 * np.max(np.abs(table))
@@ -1021,6 +1022,32 @@ def test_a_fifteen_qubit_p1_solve_does_not_depend_on_the_blas_thread_count(tmp_p
         report.pop("timing")
         scan["results"][0].pop("timing")
         outputs.append(json.dumps([report, scan]))
+    assert outputs[0] == outputs[1]
+
+
+P2_SCRIPT = """
+import json
+from csgp.game import DistributionSpec, generate_game
+from csgp.qaoa import OptimizerConfig, optimize
+from csgp.transform import build_bilp, build_qubo, qubo_to_ising
+ising = qubo_to_ising(build_qubo(build_bilp(generate_game(4, DistributionSpec(kind="normal"), 1))))
+print(json.dumps(optimize(ising, 2, OptimizerConfig(starts=1, maxiter=8)).to_json(include_timing=False)))
+"""
+
+
+def test_a_fifteen_qubit_p2_optimize_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # At p >= 2 the kernel sums |psi|^2 E and both Im<lam|.> by np.add.reduce,
+    # not by BLAS dots, and BFGS makes no BLAS call: one and two threads agree.
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run(
+            [sys.executable, "-c", P2_SCRIPT], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert json.loads(outputs[0])["metadata"]["m"] == 15
     assert outputs[0] == outputs[1]
 
 
